@@ -2,8 +2,11 @@
 
 A lift of a face is the triple of light-cone positions of its corners.
 Crossing an edge keeps the shared two positions (swapped, since gluing
-reverses orientation) and solves for the third on the far side of the
-shared chord, so every lift in a developed ball is positively oriented.
+reverses orientation) and places the third at a fixed linear
+combination of the near lift's corners, its coefficients set by the
+lambdas of the glued pair's two faces alone (Penner's lambda-length
+calculus).  The combination lands on the far side of the shared chord,
+so every lift in a developed ball is positively oriented.
 
 Broken structures develop by similarity, not isometry: each crossing
 multiplies the running scale by the lambda ratio of the glued pair, and
@@ -21,7 +24,7 @@ import numpy as np
 from . import minkowski
 from .errors import GeometryError, OpenPath
 from .hyperbolic import DecoratedBrokenHyperbolic
-from .triangulation import Pair, check_loop, unfold_ball
+from .triangulation import check_loop, unfold_ball
 
 # A renormalized light-cone point should never wander this far off cone.
 DRIFT_BOUND = 1e-10
@@ -29,12 +32,9 @@ DRIFT_BOUND = 1e-10
 _J = np.diag([1.0, 1.0, -1.0])
 
 
-def _sign(x: float) -> float:
-    return 1.0 if x >= 0.0 else -1.0
-
-
-def _det3(u, v, w) -> float:
-    return float(np.linalg.det(np.column_stack([u, v, w])))
+def _as_arrays(points) -> tuple:
+    """A start lift's corners as float arrays, which _cross_edge expects."""
+    return tuple(np.asarray(p, dtype=float) for p in points)
 
 
 def _cross_edge(H: DecoratedBrokenHyperbolic, face: int, slot: int, points):
@@ -42,32 +42,51 @@ def _cross_edge(H: DecoratedBrokenHyperbolic, face: int, slot: int, points):
 
     The far triple is placed so the far face's own slot labels index it:
     gluing reverses the edge, so the near corner slot+1 lands at the far
-    corner k2+2 and vice versa.  The fresh corner goes on the side of
-    the shared chord away from the near apex.
+    corner k2+2 and vice versa.
 
-    Every lift is similar to its face's own lift; the far one's absolute
-    factor is read off the shared edge, so the fresh corner's target
-    lambdas carry it too.  The returned step is the combinatorial
-    lambda ratio near/far, the factor the crossing multiplies onto the
-    running scale.
+    The fresh corner is the fixed combination z = x*tail + y*head +
+    t*apex of the near lift's corners.  With l, a, b the near face's
+    lambdas of head-tail, apex-head and apex-tail, and p, q the far
+    face's lambdas to tail and head rescaled by r = l / lambda(far),
+    <z, tail> = -p^2, <z, head> = -q^2 and <z, z> = 0 give
+    y*l^2 + t*b^2 = p^2, x*l^2 + t*a^2 = q^2 and t^2 = (pq/ab)^2; t = +1
+    is the apex itself, so t = -pq/(ab) is the far side.  All of these
+    hold at any common scale of the lift, so the lift's own homothety
+    factor carries over and no lambda is read back from it.  The
+    returned step is the combinatorial lambda ratio near/far, the factor
+    the crossing multiplies onto the running scale.
     """
+    lam = H.lam
     far = H.T.gluing[(face, slot)]
     g, k2 = far
+    apex = points[slot]
     shared_head = points[(slot + 1) % 3]  # far corner k2 + 2
     shared_tail = points[(slot + 2) % 3]  # far corner k2 + 1
-    apex = points[slot]
 
-    factor = minkowski.lambda_pair(shared_head, shared_tail) / H.lam[far]
-    u = shared_tail
-    v = shared_head
-    z = minkowski.extend_across(
-        u,
-        v,
-        factor * H.lam[(g, (k2 + 2) % 3)],
-        factor * H.lam[(g, (k2 + 1) % 3)],
-        side=-_sign(_det3(u, v, apex)),
+    ell = lam[(face, slot)]
+    a = lam[(face, (slot + 2) % 3)]
+    b = lam[(face, (slot + 1) % 3)]
+    step = ell / lam[far]
+    p = step * lam[(g, (k2 + 2) % 3)]
+    q = step * lam[(g, (k2 + 1) % 3)]
+    t = -p * q / (a * b)
+    x = q * (q + p * a / b) / (ell * ell)
+    y = p * (p + q * b / a) / (ell * ell)
+
+    # z = x*tail + y*head + t*apex, summed in Python floats: on 3-vectors
+    # numpy's per-call overhead outweighs the arithmetic
+    (ux, uy, uz), (vx, vy, vz), (wx, wy, wz) = (
+        shared_tail.tolist(),
+        shared_head.tolist(),
+        apex.tolist(),
     )
-    z, drift = minkowski.renorm_lightcone(z)
+    z, drift = minkowski.renorm_lightcone(
+        (
+            x * ux + y * vx + t * wx,
+            x * uy + y * vy + t * wy,
+            x * uz + y * vz + t * wz,
+        )
+    )
     if drift > DRIFT_BOUND:
         raise GeometryError(f"light-cone drift {drift} crossing {(face, slot)}")
 
@@ -75,7 +94,6 @@ def _cross_edge(H: DecoratedBrokenHyperbolic, face: int, slot: int, points):
     far_points[k2] = z
     far_points[(k2 + 1) % 3] = shared_tail
     far_points[(k2 + 2) % 3] = shared_head
-    step = H.lam[(face, slot)] / H.lam[far]
     return far, tuple(far_points), step, drift
 
 
@@ -135,7 +153,7 @@ def develop(
         raise GeometryError("normalization lift is not positively oriented")
 
     nodes: list[DevelopedNode] = [
-        DevelopedNode(0, base, 0, None, None, root.points, 1.0, 0.0)
+        DevelopedNode(0, base, 0, None, None, _as_arrays(root.points), 1.0, 0.0)
     ]
     for bn in ball.nodes[1:]:
         parent = nodes[bn.parent]
@@ -164,16 +182,18 @@ def develop_along(
 ):
     """Develop face by face along a crossing sequence.
 
-    Returns (start lift, final points, final scale).  Consecutive
-    crossings must chain: each one leaves the face the previous one
-    entered.
+    Returns (start lift, final points, final scale, final face): the
+    lift the path starts from, the developed lift of the face the last
+    crossing enters, the running scale there and that face's index.
+    Consecutive crossings must chain: each one leaves the face the
+    previous one entered.
     """
     crossings = tuple(crossings)
     if not crossings:
         raise OpenPath("need at least one crossing")
     face = crossings[0][0]
     lift = start if start is not None else H.face_lift(face)
-    points = lift.points
+    points = _as_arrays(lift.points)
     scale = 1.0
     for f, s in crossings:
         if f != face:
@@ -225,15 +245,14 @@ def path_holonomy(
 
 def deck_candidates(H: DecoratedBrokenHyperbolic, ball: DevelopedBall):
     """Holonomy pairs read off repeats of the base face inside a ball."""
-    root = np.column_stack(ball.nodes[0].points)
-    root_inv = np.linalg.inv(root)
-    out = []
-    for node in ball.nodes[1:]:
-        if node.face != ball.base:
-            continue
-        hol = PathHolonomy(np.column_stack(node.points) @ root_inv, node.scale)
-        out.append((node.index, hol))
-    return out
+    root_inv = np.linalg.inv(np.column_stack(ball.nodes[0].points))
+    repeats = [n for n in ball.nodes[1:] if n.face == ball.base]
+    # frames stacked as (N, 3, 3) with the lift's points as columns
+    frames = np.array([n.points for n in repeats], dtype=float).reshape(-1, 3, 3)
+    mats = frames.transpose(0, 2, 1) @ root_inv
+    return [
+        (n.index, PathHolonomy(m, n.scale)) for n, m in zip(repeats, mats)
+    ]
 
 
 def tile_separation(points_a, points_b) -> float:

@@ -9,9 +9,8 @@ Gluing always identifies the two copies of an edge reversing the boundary
 direction; that is the only identification an oriented surface admits,
 so the matching alone determines the surface.
 
-Derived combinatorics: corner cycles (one per puncture), the dual
-trivalent graph, the freeway train track, and unfolded balls used by the
-developing map.
+Derived combinatorics: corner cycles (one per puncture), the freeway
+train track, and unfolded balls used by the developing map.
 """
 
 from __future__ import annotations
@@ -243,33 +242,6 @@ def dual_freeway(T: IdealTriangulation) -> Freeway:
         small[(f, c)] = (("tri", f, (c + 1) % 3), ("tri", f, (c + 2) % 3))
     monogons = tuple(cyc.sectors for cyc in T.corner_cycles)
     return Freeway(large, small, trivalent, bivalent, monogons)
-
-
-@dataclass(frozen=True)
-class DualGraph:
-    """Fatgraph spine: face vertices joined through edge midpoints.
-
-    Half-edges are the (face, slot) pairs; the slot order 0, 1, 2 is the
-    ccw cyclic order at each face vertex.
-    """
-
-    face_vertices: tuple
-    midpoint_vertices: tuple
-    half_edges: dict  # pair -> (face vertex, midpoint vertex)
-
-    def cyclic_order(self, f: int) -> tuple[Pair, Pair, Pair]:
-        return ((f, 0), (f, 1), (f, 2))
-
-
-def dual_graph(T: IdealTriangulation) -> DualGraph:
-    halves = {
-        (f, k): (f, ("mid", T.edge_index[(f, k)])) for (f, k) in T.pairs
-    }
-    return DualGraph(
-        tuple(range(T.faces)),
-        tuple(("mid", i) for i in range(T.num_edges)),
-        halves,
-    )
 
 
 def check_loop(T: IdealTriangulation, crossings) -> tuple[Pair, ...]:

@@ -6,6 +6,7 @@ import pytest
 from brokensurf import minkowski, samples
 from brokensurf.develop import (
     DRIFT_BOUND,
+    _cross_edge,
     cusp_closure_residual,
     deck_candidates,
     develop,
@@ -26,6 +27,53 @@ def test_ball_population(torus, gen):
     assert ball.max_drift() <= DRIFT_BOUND
     for node in ball.nodes:
         assert node.lift().oriented()
+
+
+def test_crossing_matches_extend_across(torus, sphere, gen):
+    # the closed-form far corner against the quadratic solve, with the
+    # target lambdas rescaled by the lift's own shared-edge lambda
+    for T in (torus, sphere):
+        for _ in range(5):
+            H = samples.random_boxed_structure(T, gen)
+            near = H.face_lift(0).points
+            for s in range(3):
+                (g, k2), far, _, _ = _cross_edge(H, 0, s, near)
+                apex, head, tail = near[s], near[(s + 1) % 3], near[(s + 2) % 3]
+                factor = minkowski.lambda_pair(head, tail) / H.lam[(g, k2)]
+                # the far corner lies on the other side of the chord from the apex
+                apex_side = np.linalg.det(np.column_stack([tail, head, apex]))
+                want = minkowski.extend_across(
+                    tail,
+                    head,
+                    factor * H.lam[(g, (k2 + 2) % 3)],
+                    factor * H.lam[(g, (k2 + 1) % 3)],
+                    side=-1 if apex_side > 0 else 1,
+                )
+                got = far[k2]
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_broken_torus_develops_deep(torus, seed):
+    H = samples.random_valid_structure(torus, samples.rng(seed))
+    ball = develop(H, 0, 12)
+    assert len(ball.nodes) == 3 * 2**12 - 2
+    # rows are a lift's points; the transpose has the same determinant
+    dets = np.linalg.det(np.array([node.points for node in ball.nodes]))
+    assert np.all(dets > 0.0)
+    assert ball.max_drift() <= DRIFT_BOUND
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 8])
+def test_deep_broken_nodes_realize_scaled_lambdas(torus, seed):
+    H = samples.random_valid_structure(torus, samples.rng(seed))
+    for node in develop(H, 0, 8).nodes:
+        for k in range(3):
+            got = minkowski.lambda_pair(
+                node.points[(k + 1) % 3], node.points[(k + 2) % 3]
+            )
+            want = node.scale * H.lam[(node.face, k)]
+            assert got == pytest.approx(want, rel=1e-6)
 
 
 def test_every_node_realizes_scaled_lambdas(sphere, gen):
@@ -129,10 +177,14 @@ def test_deck_candidates_unbroken(torus):
     ball = develop(H, depth=4)
     cands = deck_candidates(H, ball)
     assert cands
+    root_inv = np.linalg.inv(np.column_stack(ball.nodes[0].points))
     for index, hol in cands:
         assert ball.nodes[index].face == 0
         assert hol.scale == 1.0
         assert hol.lorentz_residual() <= 1e-9
+        # end frame times inverse start frame, one node at a time
+        want = np.column_stack(ball.nodes[index].points) @ root_inv
+        assert np.allclose(hol.matrix, want, rtol=1e-12, atol=0.0)
 
 
 def test_cusp_closure_unbroken(torus, sphere, gen):
