@@ -38,7 +38,6 @@ from .foliation import (
 )
 from .forms import (
     RankReport,
-    ScalePoint,
     TwoForm,
     from_measure,
     pullback_residual,
@@ -68,10 +67,8 @@ from .minkowski import (
     tangency_point,
 )
 from .triangulation import (
-    Freeway,
     IdealTriangulation,
     build_triangulation,
-    dual_freeway,
     dual_loops,
     sphere_fixture,
     torus_fixture,

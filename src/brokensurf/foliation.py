@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateEdge, TriangleInequalityViolated
-from .hyperbolic import CheckResult, ValidityReport
+from .hyperbolic import ValidityReport
 from .triangulation import IdealTriangulation, Pair, Sector
 
 
@@ -97,16 +97,12 @@ class BrokenMeasure:
     def validate(self, tol: float = 1e-12) -> ValidityReport:
         report = ValidityReport(valid=True)
         negative = [p for p in self.T.pairs if self.w[p] < 0.0]
-        report.checks.append(
-            CheckResult(
-                "weights_nonnegative",
-                not negative,
-                max((-self.w[p] for p in negative), default=0.0),
-                f"negative weights at pairs: {negative}" if negative else "",
-            )
+        report.add(
+            "weights_nonnegative",
+            not negative,
+            max((-self.w[p] for p in negative), default=0.0),
+            f"negative weights at pairs: {negative}" if negative else "",
         )
-        if negative:
-            report.valid = False
 
         bad_faces = []
         worst = 0.0
@@ -118,17 +114,13 @@ class BrokenMeasure:
                 worst = min(worst, value / scale)
                 if value < -tol * scale:
                     bad_faces.append((f, c, value))
-        report.checks.append(
-            CheckResult(
-                "triangle_inequalities",
-                not bad_faces,
-                -worst,
-                f"negative small weights at (face, corner, value): {bad_faces}"
-                if bad_faces else "",
-            )
+        report.add(
+            "triangle_inequalities",
+            not bad_faces,
+            -worst,
+            f"negative small weights at (face, corner, value): {bad_faces}"
+            if bad_faces else "",
         )
-        if bad_faces:
-            report.valid = False
 
         if not bad_faces and not negative:
             worst_switch = 0.0
@@ -139,15 +131,7 @@ class BrokenMeasure:
                     worst_switch = max(
                         worst_switch, abs(lhs - self.w[(f, k)]) / scale
                     )
-            report.checks.append(
-                CheckResult(
-                    "switch_conditions",
-                    worst_switch <= tol,
-                    worst_switch,
-                )
-            )
-            if worst_switch > tol:
-                report.valid = False
+            report.add("switch_conditions", worst_switch <= tol, worst_switch)
         return report
 
     def to_dict(self) -> dict:

@@ -1,9 +1,9 @@
 """Extended Weil-Petersson and Thurston two-forms, and the chart between them.
 
-Both forms have constant coefficients in their charts, so each is stored
-as one antisymmetric matrix over the canonical coordinate order (pair
-index 3*face + slot; same for sectors).  Per face with slot coordinates
-(a, b, c) in ccw order:
+Both forms are face-block-diagonal with one constant 3x3 block per face,
+so a form is stored as that block over a labelled chart (canonical
+coordinate order: pair index 3*face + slot; same for sectors).  Per face
+with slot coordinates (a, b, c) in ccw order:
 
     wp train:   -2 (dla^dlb + dlb^dlc + dlc^dla)   in log-lambda coords,
     thurston:  -1/2 (dwa^dwb + dwb^dwc + dwc^dwa)  in small weights.
@@ -11,7 +11,7 @@ index 3*face + slot; same for sectors).  Per face with slot coordinates
 The chart between structures and measures sends lambda to the gap
 w = 2 log(lambda) + log(1/2); its Jacobian is twice the identity, so the
 large-weight Thurston form pulls back to exactly the wp form.  The
-large-weight matrix is produced by transporting the small-weight one
+large-weight block is produced by transporting the small-weight one
 through the corner equations, not written down by hand.
 """
 
@@ -24,21 +24,40 @@ import numpy as np
 
 from .errors import ChartMismatch, InvalidDecoration
 from .foliation import BrokenMeasure
-from .hyperbolic import DecoratedBrokenHyperbolic
+from .hyperbolic import GAP_FLOOR, DecoratedBrokenHyperbolic
 from .triangulation import IdealTriangulation
 
 CHART_LOG_LAMBDA = "log_lambda"
 CHART_LARGE = "large_weight"
 CHART_SMALL = "small_weight"
 
+_CYCLIC = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
+WP_BLOCK = -2.0 * _CYCLIC
+THURSTON_BLOCK = -0.5 * _CYCLIC
+# Corner equations per face: small(c) = (w(c+1) + w(c+2) - w(c)) / 2.
+SMALL_FROM_LARGE = 0.5 - np.eye(3)
+
+# Singular values at most this fraction of a scale count as zero: the
+# matrix's largest singular value, or the form's norm for its restrictions.
+RANK_CUTOFF = 1e-8
+
 
 @dataclass(frozen=True)
 class TwoForm:
-    """Constant-coefficient antisymmetric form over a labelled chart."""
+    """Face-block-diagonal antisymmetric form: one 3x3 block per face."""
 
     chart: str
     labels: tuple
-    matrix: np.ndarray
+    block: np.ndarray
+
+    @property
+    def faces(self) -> int:
+        return len(self.labels) // 3
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense 3F x 3F view, for tests and small surfaces."""
+        return np.kron(np.eye(self.faces), self.block)
 
     def evaluate(self, u, v, chart: str | None = None) -> float:
         if chart is not None and chart != self.chart:
@@ -50,49 +69,39 @@ class TwoForm:
             raise ChartMismatch(
                 f"form expects vectors of length {n}, got {u.shape} and {v.shape}"
             )
-        return float(u @ self.matrix @ v)
+        return float(
+            np.einsum("fi,ij,fj->", u.reshape(-1, 3), self.block, v.reshape(-1, 3))
+        )
 
     def singular_values(self) -> np.ndarray:
-        return np.linalg.svd(self.matrix, compute_uv=False)
+        return np.repeat(np.linalg.svd(self.block, compute_uv=False), self.faces)
 
-    def rank(self, cutoff: float = 1e-8) -> int:
-        return matrix_rank(self.matrix, cutoff)
+    def rank(self) -> int:
+        return self.faces * matrix_rank(self.block)
 
 
-def matrix_rank(m: np.ndarray, cutoff: float = 1e-8) -> int:
+def _rank(sv: np.ndarray, scale: float) -> int:
+    """Number of singular values above RANK_CUTOFF times scale."""
+    return int(np.sum(sv > RANK_CUTOFF * scale))
+
+
+def matrix_rank(m: np.ndarray) -> int:
     sv = np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > cutoff * sv[0]))
+    return _rank(sv, sv.max(initial=0.0))
 
 
-def _face_cyclic(matrix: np.ndarray, base: int, coeff: float) -> None:
-    for i in range(3):
-        j = (i + 1) % 3
-        matrix[base + i, base + j] += coeff
-        matrix[base + j, base + i] -= coeff
+def _norm(form: TwoForm) -> float:
+    """Spectral norm of the form, the scale its restrictions are ranked on.
+
+    A restriction that vanishes comes out as rounding noise, which its
+    own largest singular value would count as full rank.
+    """
+    return float(np.linalg.norm(form.block, 2))
 
 
 def wp_form(T: IdealTriangulation) -> TwoForm:
     """Extended Weil-Petersson form in log-lambda coordinates."""
-    n = 3 * T.faces
-    m = np.zeros((n, n))
-    for f in range(T.faces):
-        _face_cyclic(m, 3 * f, -2.0)
-    return TwoForm(CHART_LOG_LAMBDA, T.pairs, m)
-
-
-def small_from_large(T: IdealTriangulation) -> np.ndarray:
-    """Transport matrix of the corner equations: small weights from large."""
-    n = 3 * T.faces
-    s = np.zeros((n, n))
-    for f in range(T.faces):
-        for c in range(3):
-            row = 3 * f + c
-            s[row, 3 * f + c] = -0.5
-            s[row, 3 * f + (c + 1) % 3] = 0.5
-            s[row, 3 * f + (c + 2) % 3] = 0.5
-    return s
+    return TwoForm(CHART_LOG_LAMBDA, T.pairs, WP_BLOCK)
 
 
 def thurston_form(T: IdealTriangulation, chart: str = CHART_SMALL) -> TwoForm:
@@ -101,15 +110,11 @@ def thurston_form(T: IdealTriangulation, chart: str = CHART_SMALL) -> TwoForm:
     The large-weight version is the pullback through the corner
     equations; all entries stay dyadic, so the transport is exact.
     """
-    n = 3 * T.faces
-    m = np.zeros((n, n))
-    for f in range(T.faces):
-        _face_cyclic(m, 3 * f, -0.5)
     if chart == CHART_SMALL:
-        return TwoForm(CHART_SMALL, T.sectors, m)
+        return TwoForm(CHART_SMALL, T.sectors, THURSTON_BLOCK)
     if chart == CHART_LARGE:
-        s = small_from_large(T)
-        return TwoForm(CHART_LARGE, T.pairs, s.T @ m @ s)
+        large = SMALL_FROM_LARGE.T @ THURSTON_BLOCK @ SMALL_FROM_LARGE
+        return TwoForm(CHART_LARGE, T.pairs, large)
     raise ChartMismatch(f"no Thurston form in chart {chart!r}")
 
 
@@ -141,26 +146,16 @@ def weight_vector(m: BrokenMeasure) -> np.ndarray:
 
 
 def pullback_residual(T: IdealTriangulation) -> float:
-    """Max-norm gap between the pulled-back Thurston and wp matrices.
+    """Max-norm gap between the pulled-back Thurston and wp blocks.
 
     The gap chart's Jacobian is 2I on log-lambda coordinates, so the
-    pullback of the large-weight form is 4 times its matrix.
+    pullback of the large-weight form is 4 times its block.  Every face
+    carries the same two blocks, so one block pair decides the check.
     """
-    omega = wp_form(T).matrix
-    iota = thurston_form(T, CHART_LARGE).matrix
-    jac = 2.0 * np.eye(3 * T.faces)
+    omega = wp_form(T).block
+    iota = thurston_form(T, CHART_LARGE).block
+    jac = 2.0 * np.eye(3)
     return float(np.max(np.abs(jac.T @ iota @ jac - omega)))
-
-
-@dataclass(frozen=True)
-class ScalePoint:
-    """A structure paired with a nonnegative measure scale."""
-
-    structure: DecoratedBrokenHyperbolic
-    x: float
-
-    def image(self) -> BrokenMeasure:
-        return scaled_image(self.structure, self.x)
 
 
 def scaled_image(H: DecoratedBrokenHyperbolic, x: float) -> BrokenMeasure:
@@ -236,67 +231,73 @@ class RankReport:
         return out
 
 
-def _holonomy_constraints(H: DecoratedBrokenHyperbolic, ell: np.ndarray):
-    """log of each puncture's gap-ratio product, as a function of log-lambdas."""
+def _holonomy_jacobian(H: DecoratedBrokenHyperbolic) -> np.ndarray:
+    """d log(puncture holonomy) / d log-lambda, one row per puncture.
+
+    The holonomy's log is the sum of log gap(far) - log gap(near) over
+    the puncture's crossings, and gap = 2 ell - log 2 gives
+    d log gap / d ell = 2 / gap, which needs every gap nondegenerate.
+    """
     T = H.T
-    index = {p: i for i, p in enumerate(T.pairs)}
-    gaps = 2.0 * ell - math.log(2.0)
-    if np.any(gaps <= 0.0):
-        raise InvalidDecoration("finite-difference step left the gap chart")
-    out = []
+    gaps = 2.0 * log_lambda_vector(H) - math.log(2.0)
+    if np.any(gaps <= GAP_FLOOR):
+        raise InvalidDecoration("constrained rank needs every gap above GAP_FLOOR")
+    rows, cols, signs = [], [], []
     for cyc in T.corner_cycles:
-        total = 0.0
         for crossing in cyc.crossings:
-            total += math.log(gaps[index[crossing.far]])
-            total -= math.log(gaps[index[crossing.near]])
-        out.append(total)
-    return np.array(out)
+            for (f, k), sign in ((crossing.far, 1.0), (crossing.near, -1.0)):
+                rows.append(cyc.index)
+                cols.append(3 * f + k)
+                signs.append(sign)
+    jac = np.zeros((T.num_punctures, gaps.size))
+    np.add.at(jac, (rows, cols), np.array(signs) * 2.0 / gaps[cols])
+    return jac
+
+
+def _null_basis(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the kernel of r independent rows, shape (n, n - r).
+
+    The last n - r columns of the orthogonal factor of a Householder QR
+    of rows.T, formed by applying its r reflectors to those columns of
+    the identity, so no n x n array appears.  In numpy's raw mode row k
+    of h holds reflector k below its implicit leading 1.
+    """
+    r, n = rows.shape
+    h, tau = np.linalg.qr(rows.T, mode="raw")
+    basis = np.eye(n, n - r, -r)
+    for k in reversed(range(r)):
+        v = np.concatenate(([1.0], h[k, k + 1:]))
+        basis[k:] -= tau[k] * np.outer(v, v @ basis[k:])
+    return basis
 
 
 def rank_report(
     T: IdealTriangulation,
     H: DecoratedBrokenHyperbolic | None = None,
     constrained: bool = False,
-    fd_step: float = 1e-6,
-    cutoff: float = 1e-8,
 ) -> RankReport:
     """Rank of the wp form, optionally restricted to the holonomy level set.
 
     The constrained variant needs a valid nondegenerate structure: the
-    constraint Jacobian is measured by central differences in log-lambda
-    coordinates and the form is restricted to its null space.
+    form is restricted to the null space of the closed-form constraint
+    Jacobian in log-lambda coordinates.
     """
     form = wp_form(T)
+    n = 3 * T.faces
     if not constrained:
-        sv = form.singular_values()
-        return RankReport(
-            form.chart, 3 * T.faces, matrix_rank(form.matrix, cutoff), tuple(sv)
-        )
+        return RankReport(form.chart, n, form.rank(), tuple(form.singular_values()))
     if H is None:
         raise ValueError("constrained rank needs a structure to linearize at")
-    ell = log_lambda_vector(H)
-    n = ell.size
-    s = T.num_punctures
-    jac = np.zeros((s, n))
-    for i in range(n):
-        step = np.zeros(n)
-        step[i] = fd_step
-        jac[:, i] = (
-            _holonomy_constraints(H, ell + step)
-            - _holonomy_constraints(H, ell - step)
-        ) / (2.0 * fd_step)
-    u_, sv_j, vt = np.linalg.svd(jac)
-    if sv_j.size and sv_j[0] > 0.0:
-        jac_rank = int(np.sum(sv_j > cutoff * sv_j[0]))
-    else:
-        jac_rank = 0
-    basis = vt[jac_rank:].T  # null space of the constraint differential
-    restricted = basis.T @ form.matrix @ basis
-    sv = np.linalg.svd(restricted, compute_uv=False)
+    _, sv_j, vt = np.linalg.svd(_holonomy_jacobian(H), full_matrices=False)
+    jac_rank = _rank(sv_j, sv_j.max(initial=0.0))
+    basis = _null_basis(vt[:jac_rank])
+    # the form's matrix times the basis, one block per face
+    moved = np.einsum("ij,fjk->fik", form.block, basis.reshape(T.faces, 3, -1))
+    sv = np.linalg.svd(basis.T @ moved.reshape(basis.shape), compute_uv=False)
     return RankReport(
         form.chart,
-        3 * T.faces,
-        matrix_rank(restricted, cutoff),
+        n,
+        _rank(sv, _norm(form)),
         tuple(sv),
         constrained=True,
         num_constraints=jac_rank,
@@ -304,21 +305,17 @@ def rank_report(
     )
 
 
-def unbroken_rank_report(T: IdealTriangulation, cutoff: float = 1e-8) -> RankReport:
-    """Rank of the wp form pulled back to the edge-equal subspace."""
+def unbroken_rank_report(T: IdealTriangulation) -> RankReport:
+    """Rank of the wp form pulled back to the edge-equal subspace.
+
+    Both sides of an edge share one coordinate, so each face's block
+    lands on the E x E matrix at its three edge indices.
+    """
     form = wp_form(T)
-    n = 3 * T.faces
-    index = {p: i for i, p in enumerate(T.pairs)}
-    basis = np.zeros((n, T.num_edges))
-    for e, (p, q) in enumerate(T.edges):
-        basis[index[p], e] = 1.0
-        basis[index[q], e] = 1.0
-    restricted = basis.T @ form.matrix @ basis
+    edge = np.array([T.edge_index[p] for p in T.pairs]).reshape(-1, 3)
+    restricted = np.zeros((T.num_edges, T.num_edges))
+    np.add.at(restricted, (edge[:, :, None], edge[:, None, :]), form.block)
     sv = np.linalg.svd(restricted, compute_uv=False)
     return RankReport(
-        form.chart,
-        T.num_edges,
-        matrix_rank(restricted, cutoff),
-        tuple(sv),
-        subspace="unbroken",
+        form.chart, T.num_edges, _rank(sv, _norm(form)), tuple(sv), subspace="unbroken"
     )

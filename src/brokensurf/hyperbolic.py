@@ -50,6 +50,12 @@ class ValidityReport:
     checks: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
+    def add(self, name: str, passed: bool, residual: float, detail: str = "") -> None:
+        """Record one check; a failed check makes the report invalid."""
+        self.checks.append(CheckResult(name, passed, residual, detail))
+        if not passed:
+            self.valid = False
+
     def to_dict(self) -> dict:
         return {
             "valid": self.valid,
@@ -210,29 +216,26 @@ class DecoratedBrokenHyperbolic:
                 worst = min(worst, rel)
                 if rel < -tol:
                     bad.append((f, i))
-        report.checks.append(
-            CheckResult(
-                "face_inequalities",
-                not bad,
-                -worst,
-                f"violations at (face, slot): {bad}" if bad else "",
-            )
+        report.add(
+            "face_inequalities",
+            not bad,
+            -worst,
+            f"violations at (face, slot): {bad}" if bad else "",
         )
-        if bad:
-            report.valid = False
 
-        below = [p for p in self.T.pairs if self.lam[p] < SQRT2 * (1 - tol)]
-        report.checks.append(
-            CheckResult(
-                "gaps_nonnegative",
-                not below,
-                max((SQRT2 - self.lam[p]) / SQRT2 for p in self.T.pairs)
-                if below else 0.0,
-                f"lambda below sqrt(2) at pairs: {below}" if below else "",
-            )
+        # Same predicate as gap(), so a structure that passes never makes
+        # gap() raise.
+        below = [
+            p for p in self.T.pairs
+            if math.log(self.lam[p] ** 2 / 2.0) < -GAP_FLOOR
+        ]
+        report.add(
+            "gaps_nonnegative",
+            not below,
+            max((SQRT2 - self.lam[p]) / SQRT2 for p in self.T.pairs)
+            if below else 0.0,
+            f"lambda below sqrt(2) at pairs: {below}" if below else "",
         )
-        if below:
-            report.valid = False
 
         degenerate = [
             p for p in self.T.pairs
@@ -244,13 +247,11 @@ class DecoratedBrokenHyperbolic:
             )
 
         if degenerate or below:
-            report.checks.append(
-                CheckResult(
-                    "puncture_holonomy",
-                    True,
-                    0.0,
-                    "skipped: gap ratios undefined on degenerate pairs",
-                )
+            report.add(
+                "puncture_holonomy",
+                True,
+                0.0,
+                "skipped: gap ratios undefined on degenerate pairs",
             )
         else:
             worst_phi = 0.0
@@ -261,16 +262,12 @@ class DecoratedBrokenHyperbolic:
                 worst_phi = max(worst_phi, err)
                 if err > tol:
                     bad_cycles.append((cyc.index, phi))
-            report.checks.append(
-                CheckResult(
-                    "puncture_holonomy",
-                    not bad_cycles,
-                    worst_phi,
-                    f"nontrivial at punctures: {bad_cycles}" if bad_cycles else "",
-                )
+            report.add(
+                "puncture_holonomy",
+                not bad_cycles,
+                worst_phi,
+                f"nontrivial at punctures: {bad_cycles}" if bad_cycles else "",
             )
-            if bad_cycles:
-                report.valid = False
         return report
 
     def is_unbroken(self, tol: float = 0.0) -> bool:

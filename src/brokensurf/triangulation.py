@@ -9,8 +9,8 @@ Gluing always identifies the two copies of an edge reversing the boundary
 direction; that is the only identification an oriented surface admits,
 so the matching alone determines the surface.
 
-Derived combinatorics: corner cycles (one per puncture), the freeway
-train track, and unfolded balls used by the developing map.
+Derived combinatorics: corner cycles (one per puncture), dual loops,
+and unfolded balls used by the developing map.
 """
 
 from __future__ import annotations
@@ -174,9 +174,6 @@ class IdealTriangulation:
     def euler_characteristic(self) -> int:
         return self.faces - self.num_edges
 
-    def other_side(self, pair: Pair) -> Pair:
-        return self.gluing[pair]
-
     def to_dict(self) -> dict:
         """Canonical file form: pairs sorted lexicographically."""
         return {
@@ -205,43 +202,6 @@ def sphere_fixture() -> IdealTriangulation:
 
 
 # --- dual structures ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Freeway:
-    """Train track dual to the triangulation.
-
-    Large branches are indexed by (face, slot) pairs, small branches by
-    (face, corner) sectors.  Each large branch joins the bivalent vertex
-    on its edge to the trivalent vertex inside its face; the small branch
-    at corner c joins the trivalent vertices of slots c+1 and c+2.
-    """
-
-    large_edges: dict
-    small_edges: dict
-    trivalent: tuple
-    bivalent: tuple
-    monogons: tuple  # per puncture: the small branches bounding it
-
-    def switches(self):
-        """Per trivalent vertex: (large pair, (small sector, small sector))."""
-        out = []
-        for (f, k) in self.trivalent:
-            out.append(((f, k), ((f, (k + 1) % 3), (f, (k + 2) % 3))))
-        return out
-
-
-def dual_freeway(T: IdealTriangulation) -> Freeway:
-    trivalent = tuple((f, k) for f in range(T.faces) for k in (0, 1, 2))
-    bivalent = tuple(range(T.num_edges))
-    large = {}
-    for (f, k) in T.pairs:
-        large[(f, k)] = (("bi", T.edge_index[(f, k)]), ("tri", f, k))
-    small = {}
-    for (f, c) in T.sectors:
-        small[(f, c)] = (("tri", f, (c + 1) % 3), ("tri", f, (c + 2) % 3))
-    monogons = tuple(cyc.sectors for cyc in T.corner_cycles)
-    return Freeway(large, small, trivalent, bivalent, monogons)
 
 
 def check_loop(T: IdealTriangulation, crossings) -> tuple[Pair, ...]:
@@ -298,22 +258,6 @@ def _cycle_basis(T: IdealTriangulation):
     for loop in loops:
         check_loop(T, loop)
     return loops
-
-
-def closed_paths(T: IdealTriangulation, base: int, max_len: int):
-    """All closed dual-graph paths from base of length 1..max_len."""
-    out = []
-    stack = [(base, ())]
-    while stack:
-        f, taken = stack.pop()
-        if taken and f == base:
-            out.append(taken)
-        if len(taken) < max_len:
-            for s in (0, 1, 2):
-                g = T.gluing[(f, s)][0]
-                stack.append((g, taken + ((f, s),)))
-    out.sort(key=lambda p: (len(p), p))
-    return out
 
 
 # --- unfolded balls -------------------------------------------------------

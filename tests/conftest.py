@@ -1,6 +1,26 @@
 import pytest
 
 from brokensurf import samples, sphere_fixture, torus_fixture
+from brokensurf.errors import Disconnected
+from brokensurf.triangulation import build_triangulation
+
+
+def random_triangulation(faces: int, seed: int):
+    """Connected triangulation from the 3F slots shuffled into pairs.
+
+    Shuffles again until the pairing is connected; faces must be even.
+    """
+    gen = samples.rng(seed)
+    slots = [(f, s) for f in range(faces) for s in (0, 1, 2)]
+    while True:
+        order = gen.permutation(len(slots))
+        pairs = [
+            (slots[order[i]], slots[order[i + 1]]) for i in range(0, len(slots), 2)
+        ]
+        try:
+            return build_triangulation(faces, pairs)
+        except Disconnected:
+            continue
 
 
 @pytest.fixture(scope="session")

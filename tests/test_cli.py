@@ -5,7 +5,7 @@ import pytest
 
 from brokensurf import cli, fileio, samples
 from brokensurf.foliation import BrokenMeasure
-from brokensurf.hyperbolic import DecoratedBrokenHyperbolic
+from brokensurf.hyperbolic import DecoratedBrokenHyperbolic, constant_structure
 
 
 def run(argv):
@@ -70,6 +70,21 @@ def test_validate_flags_negative_sector(tmp_path, torus, capsys):
     doc = read_doc(capsys)
     assert doc["kind"] == "measure"
     assert doc["report"]["valid"] is False
+
+
+def test_validate_agrees_with_gap_near_sqrt2(tmp_path, torus, capsys):
+    # just below sqrt(2) beyond GAP_FLOOR: gap() raises, so validate must fail
+    below = tmp_path / "below.json"
+    fileio.save(below, constant_structure(torus, math.sqrt(2) * (1 - 1e-10)))
+    assert run(["validate", str(below)]) == 2
+    checks = {c["name"]: c for c in read_doc(capsys)["report"]["checks"]}
+    assert checks["gaps_nonnegative"]["passed"] is False
+    # within GAP_FLOOR: gap() clamps to zero, so every command accepts it
+    edge = tmp_path / "edge.json"
+    fileio.save(edge, constant_structure(torus, math.sqrt(2) * (1 - 1e-13)))
+    for command in ("validate", "holonomy", "ray"):
+        assert run([command, str(edge)]) == 0
+        capsys.readouterr()
 
 
 def test_unreadable_files_exit_1(tmp_path):

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_triangulation
+
 from brokensurf import forms, samples
 from brokensurf.errors import ChartMismatch, InvalidDecoration
 from brokensurf.foliation import BrokenMeasure
+from brokensurf.hyperbolic import DecoratedBrokenHyperbolic
 
 
 def test_wp_form_matrix_shape(torus):
@@ -88,7 +91,6 @@ def test_scaled_image(sphere, gen):
     m = forms.scaled_image(H, 0.25)
     for p in sphere.pairs:
         assert m.w[p] == pytest.approx(0.25 * H.gap(p), rel=1e-14)
-    assert forms.ScalePoint(H, 0.25).image().w == m.w
     with pytest.raises(ValueError):
         forms.scaled_image(H, -1.0)
 
@@ -160,3 +162,92 @@ def test_vector_helpers(torus, gen):
     m = samples.random_measure(torus, gen)
     vec = forms.weight_vector(m)
     assert vec[4] == m.w[(1, 1)]
+
+
+@pytest.mark.parametrize("faces", [2, 20, 200])
+def test_ranks_on_random_surfaces(faces):
+    T = random_triangulation(faces, seed=faces)
+    assert forms.rank_report(T).rank == 2 * faces
+    # Penner: the wp form on unbroken structures has rank 6g - 6 + 2s.
+    penner = 6 * T.genus - 6 + 2 * T.num_punctures
+    assert forms.unbroken_rank_report(T).rank == penner
+    assert forms.pullback_residual(T) == 0.0
+
+
+@pytest.mark.parametrize("faces", [2, 20])
+def test_constrained_tangent_on_random_surfaces(faces):
+    T = random_triangulation(faces, seed=faces)
+    H = samples.random_valid_structure(T, samples.rng(faces))
+    report = forms.rank_report(T, H, constrained=True)
+    s = T.num_punctures
+    assert report.num_constraints == s - 1
+    assert report.tangent_dim == 3 * faces - s + 1
+    assert len(report.singular_values) == report.tangent_dim
+
+
+def test_constrained_rank_of_vanishing_restriction():
+    # genus 0, corner cycles of lengths 1, 4, 1: the wp form vanishes on
+    # the holonomy level set, so the restriction is rounding noise only
+    T = random_triangulation(2, seed=1)
+    assert [len(c) for c in T.corner_cycles] == [1, 4, 1]
+    for seed in range(3):
+        H = samples.random_valid_structure(T, samples.rng(seed))
+        report = forms.rank_report(T, H, constrained=True)
+        assert max(report.singular_values) <= 1e-12
+        assert report.rank == 0
+
+
+def test_block_reports_match_dense_matrices():
+    T = random_triangulation(20, seed=20)
+    form = forms.wp_form(T)
+    dense = form.matrix
+    assert np.allclose(
+        form.singular_values(), np.linalg.svd(dense, compute_uv=False), atol=1e-12
+    )
+    gen = samples.rng(5)
+    u = samples.random_tangent(gen, 60)
+    v = samples.random_tangent(gen, 60)
+    assert form.evaluate(u, v) == pytest.approx(u @ dense @ v, rel=1e-12)
+
+    # unbroken: the dense edge-equal basis B gives B^T M B
+    basis = np.zeros((60, T.num_edges))
+    for e, (p, q) in enumerate(T.edges):
+        basis[3 * p[0] + p[1], e] = basis[3 * q[0] + q[1], e] = 1.0
+    want = np.linalg.svd(basis.T @ dense @ basis, compute_uv=False)
+    got = forms.unbroken_rank_report(T).singular_values
+    assert np.allclose(got, want, atol=1e-12)
+
+    # constrained: the null space from the Jacobian's full SVD
+    H = samples.random_valid_structure(T, samples.rng(20))
+    report = forms.rank_report(T, H, constrained=True)
+    null = np.linalg.svd(forms._holonomy_jacobian(H))[2][report.num_constraints:].T
+    want = np.linalg.svd(null.T @ dense @ null, compute_uv=False)
+    assert np.allclose(report.singular_values, want, atol=1e-12)
+
+
+def test_holonomy_jacobian_matches_central_differences():
+    T = random_triangulation(20, seed=20)
+    H = samples.random_valid_structure(T, samples.rng(3))
+    step = 1e-6
+
+    def log_holonomy(pair, factor):
+        lam = dict(H.lam)
+        lam[pair] *= factor
+        moved = DecoratedBrokenHyperbolic(T, lam)
+        return np.array(
+            [math.log(moved.puncture_holonomy(c.index, "gap")) for c in T.corner_cycles]
+        )
+
+    fd = np.column_stack([
+        (log_holonomy(p, math.exp(step)) - log_holonomy(p, math.exp(-step)))
+        / (2.0 * step)
+        for p in T.pairs
+    ])
+    jac = forms._holonomy_jacobian(H)
+    assert np.max(np.abs(jac - fd)) <= 1e-8 * np.max(np.abs(jac))
+
+
+def test_holonomy_jacobian_rejects_degenerate_gap(torus):
+    H = DecoratedBrokenHyperbolic(torus, {p: math.sqrt(2.0) for p in torus.pairs})
+    with pytest.raises(InvalidDecoration):
+        forms.rank_report(torus, H, constrained=True)

@@ -4,8 +4,6 @@ from brokensurf.errors import Disconnected, NonOrientable, OpenPath, SlotReused
 from brokensurf.triangulation import (
     build_triangulation,
     check_loop,
-    closed_paths,
-    dual_freeway,
     dual_loops,
     sphere_fixture,
     torus_fixture,
@@ -41,7 +39,6 @@ def test_gluing_is_involution(torus, sphere):
     for T in (torus, sphere):
         for p in T.pairs:
             assert T.gluing[T.gluing[p]] == p
-            assert T.other_side(p) == T.gluing[p]
 
 
 def test_self_gluing_rejected():
@@ -83,19 +80,6 @@ def test_roundtrip_dict(torus, sphere):
         assert T2.to_dict() == d
 
 
-def test_freeway_counts(torus, sphere):
-    for T in (torus, sphere):
-        fw = dual_freeway(T)
-        assert len(fw.large_edges) == 3 * T.faces  # one per edge side
-        assert len(fw.small_edges) == 3 * T.faces
-        assert len(fw.trivalent) == 3 * T.faces
-        assert len(fw.bivalent) == T.num_edges
-        # every switch joins one large end and two smalls
-        for large, smalls in fw.switches():
-            assert large in fw.large_edges
-            assert len(smalls) == 2
-
-
 def test_puncture_loops_close(torus, sphere):
     for T in (torus, sphere):
         for loop in dual_loops(T, which="punctures"):
@@ -116,13 +100,6 @@ def test_open_path_rejected(torus):
         check_loop(torus, [(0, 0), (0, 1)])
     with pytest.raises(OpenPath):
         check_loop(torus, [])
-
-
-def test_closed_paths_short(torus):
-    paths = closed_paths(torus, base=0, max_len=2)
-    assert paths  # crossing any edge and coming straight back
-    for p in paths:
-        check_loop(torus, p)
 
 
 def test_unfold_ball_counts(torus, sphere):
