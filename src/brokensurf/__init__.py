@@ -60,10 +60,13 @@ from .hyperbolic import (
 from .minkowski import (
     TriangleLift,
     extend_across,
+    hlengths,
     horocycle_arc,
+    horocycle_arcs,
     lambda_pair,
     mform,
     solve_triangle,
+    solve_triangles,
     tangency_point,
 )
 from .triangulation import (

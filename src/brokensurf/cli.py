@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 for unusable input (bad flags, unreadable or
-malformed files), 2 when a loaded object fails validation, 3 when a
-numerical check misses its tolerance.  Every command prints one JSON
+malformed files, calibrate --samples below 1, a develop --base that is
+not a face of the file), 2 when a loaded object fails validation, 3 when
+a numerical check misses its tolerance.  Every command prints one JSON
 document to stdout, or to --out when given.
 """
 
@@ -10,9 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-from . import fileio, forms, render, samples
+import numpy as np
+
+from . import fileio, forms, minkowski, render, samples
 from .develop import cusp_closure_residual, develop, path_holonomy
 from .errors import GeometryError
 from .foliation import BrokenMeasure
@@ -26,6 +30,10 @@ EXIT_TOLERANCE = 3
 
 MAX_DEPTH = 8
 
+# calibrate draws and solves this many lifts at a time, so memory stays
+# flat in --samples
+CALIBRATE_BLOCK = 2048
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad flags; the contract here is 1."""
@@ -34,6 +42,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts: a whole number of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"needs a positive integer, got {text!r}")
+    return value
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -130,6 +149,10 @@ def cmd_ray(args) -> int:
 
 def cmd_develop(args) -> int:
     H = _load_structure(args.file)
+    if not 0 <= args.base < H.T.faces:
+        print(f"--base {args.base} is not a face of {args.file} "
+              f"(0 to {H.T.faces - 1})", file=sys.stderr)
+        return EXIT_USAGE
     report = H.validate()
     if not report.valid:
         _emit({"report": report.to_dict()}, args.out)
@@ -145,17 +168,17 @@ def cmd_develop(args) -> int:
 
 def cmd_calibrate(args) -> int:
     gen = samples.rng(args.seed)
-    from . import minkowski
-
-    ratios = []
-    for _ in range(args.samples):
-        lift = samples.random_lift(gen)
-        i = int(gen.integers(0, 3))
-        ratios.append(
-            minkowski.horocycle_arc(lift, i) / minkowski.lift_hlength(lift, i)
-        )
-    mean = sum(ratios) / len(ratios)
-    spread = max(ratios) - min(ratios)
+    total, lo, hi = 0.0, math.inf, -math.inf
+    for start in range(0, args.samples, CALIBRATE_BLOCK):
+        m = min(CALIBRATE_BLOCK, args.samples - start)
+        points = samples.random_lifts(gen, m)
+        corner = gen.integers(0, 3, size=m)
+        every = minkowski.horocycle_arcs(points) / minkowski.hlengths(points)
+        ratios = every[np.arange(m), corner]
+        total += float(ratios.sum())
+        lo, hi = min(lo, float(ratios.min())), max(hi, float(ratios.max()))
+    mean = total / args.samples
+    spread = hi - lo
     expected = 2.0**0.5
     doc = {
         "samples": args.samples,
@@ -198,6 +221,7 @@ def cmd_holonomy(args) -> int:
                 "crossings": [list(c) for c in crossings],
                 "scale": hol.scale,
                 "lorentz_residual": res,
+                "backward_residual": hol.backward_residual(),
             }
         )
     doc = {"census": _census(H.T), "punctures": punctures, "loops": loops}
@@ -241,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_develop)
 
     p = sub.add_parser("calibrate", help="measure the arc/h-length constant")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
     common(p)

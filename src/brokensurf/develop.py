@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -210,11 +211,25 @@ class PathHolonomy:
     matrix: np.ndarray
     scale: float
 
+    @cached_property
+    def _defect(self) -> float:
+        """max |M^T J M - scale^2 J|, shared by both residuals."""
+        m = self.matrix
+        return float(np.max(np.abs(m.T @ _J @ m - self.scale**2 * _J)))
+
     def lorentz_residual(self) -> float:
         """How far matrix/scale is from the isometry group, max norm."""
-        m = self.matrix
-        r = m.T @ _J @ m - self.scale**2 * _J
-        return float(np.max(np.abs(r))) / self.scale**2
+        return self._defect / self.scale**2
+
+    def backward_residual(self) -> float:
+        """The same defect relative to max |M|^2, the size of M^T J M.
+
+        Rounding in a product of n crossings leaves a defect of about
+        n * eps * max|M|^2, which can be far above scale^2 on a long
+        loop; this ratio stays at rounding level when every crossing is
+        exact.
+        """
+        return self._defect / float(np.max(np.abs(self.matrix))) ** 2
 
     def apply(self, point) -> np.ndarray:
         return self.matrix @ np.asarray(point, dtype=float)
@@ -266,10 +281,13 @@ def tile_separation(points_a, points_b) -> float:
     """
 
     def flat(points):
-        return [(p[0] / p[2], p[1] / p[2]) for p in points]
+        # Python floats: on single coordinates numpy scalars cost more
+        # than the arithmetic
+        coords = (np.asarray(p).tolist() for p in points)
+        return [(x / z, y / z) for x, y, z in coords]
 
     a, b = flat(points_a), flat(points_b)
-    best = np.inf
+    best = math.inf
     for tri in (a, b):
         for i in range(3):
             ex = tri[(i + 1) % 3][0] - tri[i][0]
@@ -281,7 +299,7 @@ def tile_separation(points_a, points_b) -> float:
             norm = math.hypot(nx, ny)
             if norm > 0.0:
                 best = min(best, overlap / norm)
-    return float(best)
+    return best
 
 
 def cusp_closure_residual(

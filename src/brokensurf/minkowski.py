@@ -10,6 +10,8 @@ linear algebra: every solver here is closed-form.
 Conventions: a triangle lift stores its vertices in ccw order
 (det > 0 once oriented), vertex i faces the edge joining the other two,
 and lambdas passed to solve_triangle are indexed by the opposite vertex.
+The triangle solver, the horocycle arc and the h-length work on stacks
+of triangles, shape (..., 3, 3); the single-lift functions index them.
 """
 
 from __future__ import annotations
@@ -46,12 +48,44 @@ def renorm_lightcone(u):
     return np.array([float(u[0]), float(u[1]), r]), drift
 
 
-def lambda_pair(u, v, tol: float = 1e-12) -> float:
-    """Lambda length sqrt(-<u, v>) of two upper cone points."""
-    s = -mform(u, v)
-    if s <= tol * float(u[2]) * float(v[2]):
-        raise CollinearRays(f"cone points pair to {-s}, not negatively")
-    return math.sqrt(s)
+def _pairing(u, v):
+    """Minkowski pairing of stacked vectors along their last axis."""
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] - u[..., 2] * v[..., 2]
+
+
+def _first(bad):
+    """Index of the first True entry of a stacked check, or None."""
+    if not np.count_nonzero(bad):  # cheaper than .any() on small stacks
+        return None
+    return np.unravel_index(int(np.argmax(bad)), bad.shape)
+
+
+def _at(index) -> str:
+    """Where a stacked check failed, for error messages; '' when unstacked."""
+    if not index:
+        return ""
+    return f" at index {index[0] if len(index) == 1 else tuple(map(int, index))}"
+
+
+# vertex i's two neighbours in cyclic order: (i + 1) % 3 and (i + 2) % 3
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
+def lambda_pair(u, v, tol: float = 1e-12):
+    """Lambda length sqrt(-<u, v>) of two upper cone points.
+
+    u and v may be stacks of points along leading axes; a single pair
+    gives a float.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    s = -_pairing(u, v)
+    bad = _first(s <= tol * u[..., 2] * v[..., 2])
+    if bad is not None:
+        raise CollinearRays(f"cone points pair to {-s[bad]}, not negatively{_at(bad)}")
+    lam = np.sqrt(s)
+    return float(lam) if lam.ndim == 0 else lam
 
 
 @dataclass(frozen=True)
@@ -74,33 +108,46 @@ class TriangleLift:
         return self.det() > 0.0
 
 
-def solve_triangle(rays, lambdas, tol: float = 1e-12) -> TriangleLift:
-    """Scale three cone rays so that <u_i, u_j> = -lambdas[k]^2, k opposite.
+def solve_triangles(rays, lambdas, tol: float = 1e-12) -> np.ndarray:
+    """Scale cone rays so that <u_i, u_j> = -lambdas[k]^2, k opposite.
 
-    The system t_i * t_j = lambdas[k]^2 / (-<r_i, r_j>) has the unique
-    positive solution t_i = sqrt(m_j * m_k / m_i).  Rays may be given at
-    any positive scale; they are re-projected onto the cone along z.
+    rays has shape (..., 3, 3), one ray per row, and lambdas (..., 3);
+    returns the (..., 3, 3) cone points.  The system t_i * t_j =
+    lambdas[k]^2 / (-<r_i, r_j>) has the unique positive solution
+    t_i = sqrt(m_j * m_k / m_i).  Rays may be given at any positive
+    scale; they are re-projected onto the cone along z.  Every check
+    runs over the whole stack and the first failing triangle is named.
     """
-    rays = [renorm_lightcone(np.asarray(r, dtype=float))[0] for r in rays]
-    if len(rays) != 3 or len(lambdas) != 3:
-        raise ValueError("need three rays and three lambdas")
-    if min(lambdas) <= 0.0:
-        raise ValueError(f"lambdas must be positive, got {tuple(lambdas)}")
-    if abs(np.linalg.det(np.column_stack(rays))) <= tol:
-        raise DegenerateRays("rays do not span R^3")
-    m = []
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        g = -mform(rays[i], rays[j])
-        if g <= tol * rays[i][2] * rays[j][2]:
-            raise CollinearRays(f"rays {i} and {j} are proportional")
-        m.append(float(lambdas[k]) ** 2 / g)
-    points = []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        t = math.sqrt(m[j] * m[k] / m[i])
-        points.append(t * rays[i])
-    return TriangleLift(tuple(points))
+    rays = np.asarray(rays, dtype=float)
+    lambdas = np.asarray(lambdas, dtype=float)
+    if rays.shape[-2:] != (3, 3) or lambdas.shape != rays.shape[:-1]:
+        raise ValueError("need three rays and three lambdas per triangle")
+    bad = _first(lambdas <= 0.0)
+    if bad is not None:
+        got = tuple(lambdas[bad[:-1]].tolist())
+        raise ValueError(f"lambdas must be positive, got {got}{_at(bad[:-1])}")
+    cone = rays.copy()
+    cone[..., 2] = np.hypot(rays[..., 0], rays[..., 1])
+    bad = _first(np.abs(np.linalg.det(cone.swapaxes(-1, -2))) <= tol)
+    if bad is not None:
+        raise DegenerateRays(f"rays do not span R^3{_at(bad)}")
+    # slot k pairs the two rays opposite vertex k
+    head, tail = cone.take(_NEXT, axis=-2), cone.take(_PREV, axis=-2)
+    g = -_pairing(head, tail)
+    bad = _first(g <= tol * head[..., 2] * tail[..., 2])
+    if bad is not None:
+        i, j = (bad[-1] + 1) % 3, (bad[-1] + 2) % 3
+        raise CollinearRays(f"rays {i} and {j} are proportional{_at(bad[:-1])}")
+    # libm pow rather than x * x, which differs in the last bit for about
+    # one lambda in a thousand: lifts match Python's float ** 2 exactly
+    m = np.float_power(lambdas, 2) / g
+    t = np.sqrt(m.take(_NEXT, axis=-1) * m.take(_PREV, axis=-1) / m)
+    return t[..., None] * cone
+
+
+def solve_triangle(rays, lambdas, tol: float = 1e-12) -> TriangleLift:
+    """One triangle of solve_triangles, as a lift."""
+    return TriangleLift(tuple(solve_triangles(rays, lambdas, tol)))
 
 
 def extend_across(u, v, lam_u, lam_v, side: int, tol: float = 1e-12):
@@ -135,31 +182,54 @@ def extend_across(u, v, lam_u, lam_v, side: int, tol: float = 1e-12):
 
 
 def horocycle_edge_point(u, v):
-    """Where h(u) crosses the geodesic from u to v: u/2 + v/lambda^2."""
-    lam_sq = -mform(u, v)
-    if lam_sq <= 0.0:
-        raise DegeneratePair("edge endpoints are proportional")
-    return 0.5 * np.asarray(u, dtype=float) + np.asarray(v, dtype=float) / lam_sq
+    """Where h(u) crosses the geodesic from u to v: u/2 + v/lambda^2.
+
+    u and v may be stacks of points along leading axes.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    lam_sq = -_pairing(u, v)
+    bad = _first(lam_sq <= 0.0)
+    if bad is not None:
+        raise DegeneratePair(f"edge endpoints are proportional{_at(bad)}")
+    return 0.5 * u + v / lam_sq[..., None]
+
+
+def horocycle_arcs(points) -> np.ndarray:
+    """Length along h(u_i) between the triangle's two edge planes.
+
+    points has shape (..., 3, 3), one cone point per row; returns the
+    (..., 3) arcs at every corner.  The crossing points p, q with the
+    flanking geodesics are closed-form, and two points of a level -1
+    horocycle at arc distance L satisfy <p, q> = -1 - L^2/2, so the
+    length needs no integration.
+    """
+    points = np.asarray(points, dtype=float)
+    p = horocycle_edge_point(points, points.take(_NEXT, axis=-2))
+    q = horocycle_edge_point(points, points.take(_PREV, axis=-2))
+    s = -2.0 * _pairing(p, q) - 2.0
+    return np.sqrt(np.maximum(s, 0.0))
+
+
+def hlengths(points) -> np.ndarray:
+    """Combinatorial h-lengths lambda_i / (lambda_j * lambda_k), every corner.
+
+    points has shape (..., 3, 3); lambda_i is the lambda of the edge
+    facing vertex i.  Returns shape (..., 3).
+    """
+    points = np.asarray(points, dtype=float)
+    lam = lambda_pair(points.take(_NEXT, axis=-2), points.take(_PREV, axis=-2))
+    return lam / (lam.take(_NEXT, axis=-1) * lam.take(_PREV, axis=-1))
 
 
 def horocycle_arc(lift: TriangleLift, i: int) -> float:
-    """Length along h(u_i) between the triangle's two edge planes.
-
-    The crossing points p, q with the flanking geodesics are closed-form,
-    and two points of a level -1 horocycle at arc distance L satisfy
-    <p, q> = -1 - L^2/2, so the length needs no integration.
-    """
-    j, k = (i + 1) % 3, (i + 2) % 3
-    p = horocycle_edge_point(lift.points[i], lift.points[j])
-    q = horocycle_edge_point(lift.points[i], lift.points[k])
-    s = -2.0 * mform(p, q) - 2.0
-    return math.sqrt(max(s, 0.0))
+    """Arc at vertex i of one lift; see horocycle_arcs."""
+    return float(horocycle_arcs(lift.points)[i])
 
 
 def lift_hlength(lift: TriangleLift, i: int) -> float:
-    """Combinatorial h-length lambda_i / (lambda_j * lambda_k) at vertex i."""
-    j, k = (i + 1) % 3, (i + 2) % 3
-    return lift.opposite_lam(i) / (lift.opposite_lam(j) * lift.opposite_lam(k))
+    """h-length at vertex i of one lift; see hlengths."""
+    return float(hlengths(lift.points)[i])
 
 
 def tangency_point(u, v, w):

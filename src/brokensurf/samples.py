@@ -93,8 +93,28 @@ def random_triangle_lambdas(gen: np.random.Generator):
     return [float(gen.uniform(0.5, 3.0)) for _ in range(3)]
 
 
+# One lift's uniforms in draw order: base angle, three angle jitters,
+# three ray scales, three lambdas (random_rays then random_triangle_lambdas).
+_LIFT_LOW = np.array([0.0] + [0.3] * 3 + [0.5] * 3 + [0.5] * 3)
+_LIFT_HIGH = np.array(
+    [2.0 * math.pi] + [2.0 * math.pi / 3.0 - 0.3] * 3 + [2.0] * 3 + [3.0] * 3
+)
+
+
+def random_lifts(gen: np.random.Generator, n: int) -> np.ndarray:
+    """n random lifts as an (n, 3, 3) stack of cone points.
+
+    Draws the same stream as n calls of random_lift.
+    """
+    u = gen.uniform(_LIFT_LOW, _LIFT_HIGH, size=(n, 10))
+    base, jitter, scales, lambdas = u[:, :1], u[:, 1:4], u[:, 4:7], u[:, 7:]
+    angles = base + np.array([0.0, 1.0, 2.0]) * (2.0 * math.pi / 3.0) + jitter
+    rays = np.stack([np.cos(angles), np.sin(angles), np.ones_like(angles)], axis=-1)
+    return minkowski.solve_triangles(scales[..., None] * rays, lambdas)
+
+
 def random_lift(gen: np.random.Generator) -> minkowski.TriangleLift:
-    return minkowski.solve_triangle(random_rays(gen), random_triangle_lambdas(gen))
+    return minkowski.TriangleLift(tuple(random_lifts(gen, 1)[0]))
 
 
 def random_tangent(gen: np.random.Generator, n: int) -> np.ndarray:

@@ -146,6 +146,15 @@ def test_develop_depth_is_capped(structure_file):
     assert run(["develop", structure_file, "--depth", "9"]) == 1
 
 
+@pytest.mark.parametrize("base", ["5", "2", "-1"])
+def test_develop_rejects_out_of_range_base(structure_file, base, capsys):
+    # the torus has faces 0 and 1
+    assert run(["develop", structure_file, "--base", base]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--base" in captured.err
+
+
 def test_develop_rejects_invalid_structure(tmp_path, torus, capsys):
     lam = {p: 2.0 for p in torus.pairs}
     lam[(1, 2)] = 40.0
@@ -162,6 +171,28 @@ def test_calibrate(capsys):
     assert doc["spread"] <= 1e-9
 
 
+@pytest.mark.parametrize("samples", ["0", "-3", "many"])
+def test_calibrate_rejects_bad_sample_count(samples, capsys):
+    assert run(["calibrate", "--samples", samples]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--samples" in captured.err and "Traceback" not in captured.err
+
+
+def test_calibrate_is_deterministic(tmp_path):
+    # more samples than one block, and a partial last block
+    texts = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        argv = ["calibrate", "--samples", "5000", "--seed", "3", "--out", str(out)]
+        assert run(argv) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    doc = json.loads(texts[0])
+    assert doc["samples"] == 5000
+    assert abs(doc["constant"] - math.sqrt(2.0)) <= 1e-12
+
+
 def test_holonomy_report(structure_file, capsys):
     assert run(["holonomy", structure_file]) == 0
     doc = read_doc(capsys)
@@ -172,6 +203,7 @@ def test_holonomy_report(structure_file, capsys):
         abs(math.log(row["lambda_holonomy"])), rel=1e-9
     )
     assert all(l["lorentz_residual"] <= 1e-9 for l in doc["loops"])
+    assert all(l["backward_residual"] <= 1e-14 for l in doc["loops"])
 
 
 def test_holonomy_basis_loops(structure_file, capsys):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_triangulation
+
 from brokensurf import minkowski, samples
 from brokensurf.develop import (
     DRIFT_BOUND,
@@ -160,6 +162,23 @@ def test_holonomy_scales_the_form(sphere, gen):
         lhs = minkowski.mform(hol.apply(u), hol.apply(v))
         rhs = hol.scale**2 * minkowski.mform(u, v)
         assert lhs == pytest.approx(rhs, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_backward_residual_on_long_loops(seed):
+    # lorentz_residual divides by scale^2 only and grows with loop length
+    # here; scaled by max|M|^2 the defect stays at rounding level
+    T = random_triangulation(200, seed)
+    H = samples.random_valid_structure(T, samples.rng(seed))
+    developed = 0
+    for loop in dual_loops(T, which="punctures"):
+        try:
+            hol = path_holonomy(H, loop)
+        except GeometryError:
+            continue
+        developed += 1
+        assert hol.backward_residual() <= 1e-14
+    assert developed > 0
 
 
 def test_composition_order(torus, gen):

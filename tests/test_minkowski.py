@@ -66,6 +66,75 @@ def test_solve_triangle_degenerate_rays():
         mk.solve_triangle([(1, 0, 1), (-1, 0, 1), (0, 0, 1)], (1, 1, 1))
 
 
+def seeded_stack(n, seed):
+    gen = samples.rng(seed)
+    rays = np.array([samples.random_rays(gen) for _ in range(n)])
+    lams = np.array([samples.random_triangle_lambdas(gen) for _ in range(n)])
+    return rays, lams
+
+
+def test_stacked_kernels_match_single_lifts():
+    rays, lams = seeded_stack(200, 11)
+    points = mk.solve_triangles(rays, lams)
+    arcs = mk.horocycle_arcs(points)
+    hls = mk.hlengths(points)
+    assert points.shape == (200, 3, 3)
+    assert arcs.shape == hls.shape == (200, 3)
+    for r in range(200):
+        lift = mk.solve_triangle(rays[r], lams[r])
+        assert np.array_equal(points[r], np.array(lift.points))
+        for i in range(3):
+            assert arcs[r, i] == mk.horocycle_arc(lift, i)
+            assert hls[r, i] == mk.lift_hlength(lift, i)
+    # any leading shape stacks the same way
+    grid = mk.solve_triangles(rays.reshape(20, 10, 3, 3), lams.reshape(20, 10, 3))
+    assert np.array_equal(grid.reshape(200, 3, 3), points)
+
+
+def test_stacked_solver_names_the_failing_row():
+    rays, lams = seeded_stack(6, 12)
+    flat = rays.copy()
+    flat[4] = [(1, 0, 1), (-1, 0, 1), (0, 0, 1)]  # spans only a plane
+    with pytest.raises(DegenerateRays, match="index 4"):
+        mk.solve_triangles(flat, lams)
+    # nearly the same ray twice, at a scale that keeps the determinant large
+    close = rays.copy()
+    close[2] = 1e6 * np.array(
+        [(1.0, 0.0, 1.0), (math.cos(1e-7), math.sin(1e-7), 1.0), (-1.0, 0.0, 1.0)]
+    )
+    with pytest.raises(CollinearRays, match="rays 0 and 1 .*index 2"):
+        mk.solve_triangles(close, lams)
+    negative = lams.copy()
+    negative[3, 1] = -1.0
+    with pytest.raises(ValueError, match="index 3"):
+        mk.solve_triangles(rays, negative)
+
+
+def test_stacked_arcs_reject_proportional_points():
+    rays, lams = seeded_stack(5, 13)
+    points = mk.solve_triangles(rays, lams)
+    points[1, 2] = 2.0 * points[1, 0]
+    with pytest.raises(DegeneratePair, match=r"index \(1, 2\)"):
+        mk.horocycle_arcs(points)
+    with pytest.raises(CollinearRays, match=r"index \(1, 1\)"):
+        mk.hlengths(points)
+
+
+def test_random_lifts_keep_the_single_lift_stream():
+    # random_lifts draws what random_rays then random_triangle_lambdas draw
+    g1, g2 = samples.rng(17), samples.rng(17)
+    for _ in range(50):
+        got = samples.random_lifts(g1, 1)[0]
+        want = mk.solve_triangle(
+            samples.random_rays(g2), samples.random_triangle_lambdas(g2)
+        )
+        assert np.array_equal(got, np.array(want.points))
+    g1, g2 = samples.rng(18), samples.rng(18)
+    block = samples.random_lifts(g1, 40)
+    singles = [samples.random_lift(g2).points for _ in range(40)]
+    assert np.array_equal(block, np.array(singles))
+
+
 def test_extend_across_example():
     # the sqrt2 chord from (1,0,1) to (-1,0,1); side fixes sign(det(u,v,z)),
     # and det(u, v, (0,-2,2)) = +4
