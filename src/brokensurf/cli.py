@@ -5,6 +5,11 @@ malformed files, calibrate --samples below 1, a develop --base that is
 not a face of the file), 2 when a loaded object fails validation, 3 when
 a numerical check misses its tolerance.  Every command prints one JSON
 document to stdout, or to --out when given.
+
+Where a zero gap (lambda = sqrt(2)) leaves a figure undefined, the
+command reports it as null and keeps its exit code: holonomy's
+gap_holonomy at a puncture meeting such a pair, and forms --constrained's
+constrained_rank when any pair has one.
 """
 
 from __future__ import annotations
@@ -121,9 +126,12 @@ def cmd_forms(args) -> int:
         if structure is None:
             structure = samples.random_valid_structure(T, samples.rng(args.seed))
             doc["constrained_at"] = f"random structure, seed {args.seed}"
-        doc["constrained_rank"] = forms.rank_report(
-            T, structure, constrained=True
-        ).to_dict()
+        # every pair is asked: gap() raises for a lambda below sqrt(2)
+        degenerate = [structure.is_degenerate(p) for p in T.pairs]
+        doc["constrained_rank"] = (
+            None if any(degenerate)
+            else forms.rank_report(T, structure, constrained=True).to_dict()
+        )
     _emit(doc, args.out)
     return EXIT_OK if residual <= args.tol else EXIT_TOLERANCE
 
@@ -197,8 +205,8 @@ def cmd_holonomy(args) -> int:
     punctures = []
     for cyc in H.T.corner_cycles:
         degenerate = any(
-            H.is_degenerate(c.near) or H.is_degenerate(c.far)
-            for c in cyc.crossings
+            H.is_degenerate(near) or H.is_degenerate(H.T.gluing[near])
+            for near in cyc.crossings
         )
         row = {
             "puncture": cyc.index,

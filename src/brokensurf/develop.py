@@ -313,8 +313,7 @@ def cusp_closure_residual(
     matches the structure's own, and the mismatch factor is exactly the
     loop's lambda-convention holonomy.
     """
-    cyc = H.T.corner_cycles[puncture]
-    crossings = [c.near for c in cyc.crossings]
+    crossings = H.T.corner_cycles[puncture].crossings
     if base is not None:
         starts = [i for i, (f, _) in enumerate(crossings) if f == base]
         if not starts:

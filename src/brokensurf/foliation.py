@@ -156,9 +156,9 @@ def puncture_loop_vector(T: IdealTriangulation, puncture: int) -> BrokenMeasure:
     cycle and along both large branches of each crossed edge.
     """
     w = {p: 0.0 for p in T.pairs}
-    for crossing in T.corner_cycles[puncture].crossings:
-        w[crossing.near] += 1.0
-        w[crossing.far] += 1.0
+    for near in T.corner_cycles[puncture].crossings:
+        w[near] += 1.0
+        w[T.gluing[near]] += 1.0
     return BrokenMeasure(T, w)
 
 
@@ -174,9 +174,9 @@ class DecoratedFoliationPoint:
         T = self.measure.T
         w = dict(self.measure.w)
         for puncture, c in enumerate(self.collars):
-            for crossing in T.corner_cycles[puncture].crossings:
-                w[crossing.near] += c
-                w[crossing.far] += c
+            for near in T.corner_cycles[puncture].crossings:
+                w[near] += c
+                w[T.gluing[near]] += c
         return BrokenMeasure(T, w)
 
 

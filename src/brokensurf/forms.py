@@ -244,8 +244,8 @@ def _holonomy_jacobian(H: DecoratedBrokenHyperbolic) -> np.ndarray:
         raise InvalidDecoration("constrained rank needs every gap above GAP_FLOOR")
     rows, cols, signs = [], [], []
     for cyc in T.corner_cycles:
-        for crossing in cyc.crossings:
-            for (f, k), sign in ((crossing.far, 1.0), (crossing.near, -1.0)):
+        for near in cyc.crossings:
+            for (f, k), sign in ((T.gluing[near], 1.0), (near, -1.0)):
                 rows.append(cyc.index)
                 cols.append(3 * f + k)
                 signs.append(sign)

@@ -118,8 +118,8 @@ class DecoratedBrokenHyperbolic:
         cycle = self.T.corner_cycles[puncture]
         ratio = {"gap": self.gap_ratio, "lambda": self.lambda_ratio}[convention]
         phi = 1.0
-        for crossing in cycle.crossings:
-            phi *= ratio(crossing.near)
+        for near in cycle.crossings:
+            phi *= ratio(near)
         return phi
 
     def h_length(self, sector: Sector) -> float:

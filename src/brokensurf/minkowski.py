@@ -128,7 +128,10 @@ def solve_triangles(rays, lambdas, tol: float = 1e-12) -> np.ndarray:
         raise ValueError(f"lambdas must be positive, got {got}{_at(bad[:-1])}")
     cone = rays.copy()
     cone[..., 2] = np.hypot(rays[..., 0], rays[..., 1])
-    bad = _first(np.abs(np.linalg.det(cone.swapaxes(-1, -2))) <= tol)
+    # det / (z0 z1 z2) is the determinant of the rays scaled to z = 1, so
+    # the test holds at any scale; a zero z leaves a zero row and fails it
+    det = np.linalg.det(cone.swapaxes(-1, -2))
+    bad = _first(np.abs(det) <= tol * cone[..., 2].prod(axis=-1))
     if bad is not None:
         raise DegenerateRays(f"rays do not span R^3{_at(bad)}")
     # slot k pairs the two rays opposite vertex k

@@ -16,7 +16,7 @@ and unfolded balls used by the developing map.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import Disconnected, NonOrientable, OpenPath, SlotReused, SlotUnglued
 
@@ -40,31 +40,20 @@ def _check_pair(faces: int, p) -> Pair:
 
 
 @dataclass(frozen=True)
-class Crossing:
-    """One step of a corner cycle: the edge crossed and its two sides."""
-
-    edge: int
-    near: Pair   # pair on the side the cycle leaves
-    far: Pair    # pair on the side it enters
-
-
-@dataclass(frozen=True)
 class CornerCycle:
     """Sectors met in ccw order around one puncture.
 
-    crossings[i] sits between sectors[i] and sectors[(i+1) % len].
+    crossings[i] is the near-side pair crossed after sectors[i], on the
+    way to sectors[(i+1) % len]; its far side is T.gluing[crossings[i]].
+    Together the crossings form the puncture's boundary loop.
     """
 
     index: int
     sectors: tuple[Sector, ...]
-    crossings: tuple[Crossing, ...]
+    crossings: tuple[Pair, ...]
 
     def __len__(self) -> int:
         return len(self.sectors)
-
-    def loop(self) -> tuple[Pair, ...]:
-        """Boundary loop around the puncture, as near-side crossings."""
-        return tuple(c.near for c in self.crossings)
 
 
 class IdealTriangulation:
@@ -98,18 +87,20 @@ class IdealTriangulation:
 
         self._check_connected()
 
-        # Edges: canonical sorted pair-of-pairs, indexed in sorted order.
-        edges = sorted({tuple(sorted((p, q))) for p, q in gluing.items()})
-        self.edges: tuple[tuple[Pair, Pair], ...] = tuple(edges)
-        self.edge_index: dict[Pair, int] = {}
-        for i, (p, q) in enumerate(self.edges):
-            self.edge_index[p] = i
-            self.edge_index[q] = i
-
         self.pairs: tuple[Pair, ...] = tuple(
             (f, s) for f in range(faces) for s in (0, 1, 2)
         )
         self.sectors: tuple[Sector, ...] = self.pairs  # same index set
+
+        # Edges: (p, gluing[p]) with p < gluing[p], in the order of p, which
+        # is the sorted order of the canonical pair-of-pairs.
+        self.edges: tuple[tuple[Pair, Pair], ...] = tuple(
+            (p, gluing[p]) for p in self.pairs if p < gluing[p]
+        )
+        self.edge_index: dict[Pair, int] = {}
+        for i, (p, q) in enumerate(self.edges):
+            self.edge_index[p] = i
+            self.edge_index[q] = i
 
         self.corner_cycles: tuple[CornerCycle, ...] = self._trace_corner_cycles()
         self.puncture_of: dict[Sector, int] = {}
@@ -139,36 +130,29 @@ class IdealTriangulation:
             missing = sorted(set(range(self.faces)) - seen)
             raise Disconnected(f"faces unreachable from face 0: {missing}")
 
-    def step_ccw(self, sector: Sector) -> tuple[Sector, Crossing]:
-        """Rotate ccw about the sector's puncture into the next sector.
-
-        From corner c of face f the ccw exit edge is slot c+1; the far
-        side (f', k') receives the puncture at its corner k'+1.
-        """
-        f, c = sector
-        near = (f, (c + 1) % 3)
-        far = self.gluing[near]
-        crossing = Crossing(edge=self.edge_index[near], near=near, far=far)
-        return (far[0], (far[1] + 1) % 3), crossing
-
     def _trace_corner_cycles(self) -> tuple[CornerCycle, ...]:
+        # From corner c of face f the ccw exit edge is slot c+1; the far
+        # side (f', k') receives the puncture at its corner k'+1.  Each
+        # cycle starts at its smallest sector, so cycles come in the
+        # order of their starting sectors.
         cycles = []
-        unvisited = set(self.sectors)
-        while unvisited:
-            start = min(unvisited)
+        seen = set()
+        for start in self.sectors:
+            if start in seen:
+                continue
             secs = []
             crossings = []
-            cur = start
+            f, c = start
             while True:
-                secs.append(cur)
-                unvisited.discard(cur)
-                cur, crossing = self.step_ccw(cur)
-                crossings.append(crossing)
-                if cur == start:
+                secs.append((f, c))
+                near = (f, (c + 1) % 3)
+                crossings.append(near)
+                f, k = self.gluing[near]
+                c = (k + 1) % 3
+                if (f, c) == start:
                     break
-            cycles.append(
-                CornerCycle(len(cycles), tuple(secs), tuple(crossings))
-            )
+            seen.update(secs)
+            cycles.append(CornerCycle(len(cycles), tuple(secs), tuple(crossings)))
         return tuple(cycles)
 
     def euler_characteristic(self) -> int:
@@ -223,15 +207,14 @@ def check_loop(T: IdealTriangulation, crossings) -> tuple[Pair, ...]:
 def dual_loops(T: IdealTriangulation, which="punctures"):
     """Closed loops in the dual graph, as tuples of near-side crossings.
 
-    which: "punctures" for the boundary loop of each corner cycle,
-    "basis" for a fundamental cycle basis off a BFS tree rooted at face 0,
-    or an explicit list of loops to validate (OpenPath on failure).
+    which: "punctures" for the boundary loop of each corner cycle, or
+    "basis" for a fundamental cycle basis off a BFS tree rooted at face 0.
     """
     if which == "punctures":
-        return [cyc.loop() for cyc in T.corner_cycles]
+        return [cyc.crossings for cyc in T.corner_cycles]
     if which == "basis":
         return _cycle_basis(T)
-    return [check_loop(T, loop) for loop in which]
+    raise ValueError(f"unknown loop family: {which!r}")
 
 
 def _cycle_basis(T: IdealTriangulation):
@@ -271,7 +254,6 @@ class BallNode:
     parent: int | None
     entry_slot: int | None          # slot of this face crossed to enter
     crossed_from: Pair | None       # parent's (face, slot) that was crossed
-    children: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -285,9 +267,6 @@ class UnfoldedBall:
     base: int
     depth: int
     nodes: tuple
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
 
 def unfold_ball(T: IdealTriangulation, base: int, depth: int) -> UnfoldedBall:
@@ -310,7 +289,6 @@ def unfold_ball(T: IdealTriangulation, base: int, depth: int) -> UnfoldedBall:
                 len(nodes), far[0], node.depth + 1, node.index, far[1],
                 (node.face, s),
             )
-            node.children.append(child.index)
             nodes.append(child)
             queue.append(child)
     return UnfoldedBall(base, depth, tuple(nodes))

@@ -182,7 +182,7 @@ def test_criterion_09_shift_compatibility(torus, sphere, pools):
         for seed in range(SAMPLES):
             H = samples.random_unbroken(T, samples.rng(seed))
             for cyc in T.corner_cycles:
-                total = sum(H.shift(c.near) for c in cyc.crossings)
+                total = sum(H.shift(near) for near in cyc.crossings)
                 assert abs(total) <= 1e-9
 
 

@@ -113,6 +113,28 @@ def test_forms_constrained_from_seed(torus_file, capsys):
     assert "seed 3" in doc["constrained_at"]
 
 
+def test_forms_constrained_at_zero_gap(tmp_path, torus, capsys):
+    # every gap zero: valid, but the constrained rank is undefined
+    path = tmp_path / "flat.json"
+    fileio.save(path, constant_structure(torus, math.sqrt(2.0)))
+    assert run(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert run(["forms", str(path), "--constrained"]) == 0
+    doc = read_doc(capsys)
+    assert doc["constrained_rank"] is None
+    assert doc["rank"]["rank"] == 4
+
+
+def test_forms_constrained_rejects_lambda_below_sqrt2(tmp_path, torus, capsys):
+    # the low lambda sits on the last pair, after the zero gaps
+    lam = {p: math.sqrt(2.0) for p in torus.pairs}
+    lam[(1, 2)] = 1.3
+    path = tmp_path / "below.json"
+    fileio.save(path, DecoratedBrokenHyperbolic(torus, lam))
+    assert run(["forms", str(path), "--constrained"]) == 2
+    assert "InvalidDecoration" in capsys.readouterr().err
+
+
 def test_forms_impossible_tolerance(torus_file, capsys):
     assert run(["forms", torus_file, "--tol=-1"]) == 3
     capsys.readouterr()

@@ -78,9 +78,9 @@ def test_holonomy_is_cycle_product(torus, sphere, gen):
         m = samples.random_measure(T, gen)
         for cyc in T.corner_cycles:
             expected = 1.0
-            for crossing in cyc.crossings:
-                expected *= m.w[crossing.far] / m.w[crossing.near]
-            assert m.holonomy(cyc.loop()) == pytest.approx(expected, rel=1e-12)
+            for near in cyc.crossings:
+                expected *= m.w[T.gluing[near]] / m.w[near]
+            assert m.holonomy(cyc.crossings) == pytest.approx(expected, rel=1e-12)
 
 
 def test_measure_shift_scaling(sphere, gen):

@@ -93,21 +93,26 @@ def test_stacked_kernels_match_single_lifts():
 
 def test_stacked_solver_names_the_failing_row():
     rays, lams = seeded_stack(6, 12)
+    unscaled = mk.solve_triangles(rays, lams)
     flat = rays.copy()
     flat[4] = [(1, 0, 1), (-1, 0, 1), (0, 0, 1)]  # spans only a plane
-    with pytest.raises(DegenerateRays, match="index 4"):
-        mk.solve_triangles(flat, lams)
-    # nearly the same ray twice, at a scale that keeps the determinant large
+    # nearly the same ray twice: the rays span R^3, but 0 and 1 barely pair
     close = rays.copy()
-    close[2] = 1e6 * np.array(
-        [(1.0, 0.0, 1.0), (math.cos(1e-7), math.sin(1e-7), 1.0), (-1.0, 0.0, 1.0)]
-    )
-    with pytest.raises(CollinearRays, match="rays 0 and 1 .*index 2"):
-        mk.solve_triangles(close, lams)
+    close[2] = [
+        (1.0, 0.0, 1.0), (math.cos(1e-7), math.sin(1e-7), 1.0), (-1.0, 0.0, 1.0)
+    ]
     negative = lams.copy()
     negative[3, 1] = -1.0
-    with pytest.raises(ValueError, match="index 3"):
-        mk.solve_triangles(rays, negative)
+    # rays may come at any positive scale
+    for scale in (1.0, 1e-8, 1e-5, 1e5):
+        got = mk.solve_triangles(scale * rays, lams)
+        assert np.max(np.abs(got - unscaled)) <= 1e-12 * np.max(np.abs(unscaled))
+        with pytest.raises(DegenerateRays, match="index 4"):
+            mk.solve_triangles(scale * flat, lams)
+        with pytest.raises(CollinearRays, match="rays 0 and 1 .*index 2"):
+            mk.solve_triangles(scale * close, lams)
+        with pytest.raises(ValueError, match="index 3"):
+            mk.solve_triangles(scale * rays, negative)
 
 
 def test_stacked_arcs_reject_proportional_points():

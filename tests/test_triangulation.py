@@ -1,4 +1,7 @@
+from functools import partial
+
 import pytest
+from conftest import random_triangulation
 
 from brokensurf.errors import Disconnected, NonOrientable, OpenPath, SlotReused
 from brokensurf.triangulation import (
@@ -29,10 +32,31 @@ def test_sphere_census(sphere):
     assert [len(c.sectors) for c in sphere.corner_cycles] == [2, 2, 2]
 
 
-def test_corner_cycles_partition_sectors(torus, sphere):
-    for T in (torus, sphere):
-        seen = [sec for cyc in T.corner_cycles for sec in cyc.sectors]
-        assert sorted(seen) == sorted(T.sectors)
+SURFACES = {
+    "torus": torus_fixture,
+    "sphere": sphere_fixture,
+    **{f"random-{F}": partial(random_triangulation, F, F) for F in (2, 20, 200)},
+}
+
+
+@pytest.mark.parametrize("surface", SURFACES)
+def test_corner_cycles_partition_sectors(surface):
+    T = SURFACES[surface]()
+    seen = [sec for cyc in T.corner_cycles for sec in cyc.sectors]
+    assert sorted(seen) == sorted(T.sectors)
+    # puncture i is the cycle through the i-th smallest cycle start
+    starts = [cyc.sectors[0] for cyc in T.corner_cycles]
+    assert starts == sorted(starts)
+    for i, cyc in enumerate(T.corner_cycles):
+        assert cyc.index == i
+        assert cyc.sectors[0] == min(cyc.sectors)
+        assert len(cyc.crossings) == len(cyc.sectors)
+        for j, (f, c) in enumerate(cyc.sectors):
+            assert cyc.crossings[j] == (f, (c + 1) % 3)
+            g, k = T.gluing[cyc.crossings[j]]
+            assert cyc.sectors[(j + 1) % len(cyc)] == (g, (k + 1) % 3)
+            assert T.puncture_of[(f, c)] == i
+    assert T.edges == tuple(sorted({tuple(sorted((p, T.gluing[p]))) for p in T.pairs}))
 
 
 def test_gluing_is_involution(torus, sphere):
