@@ -31,7 +31,6 @@ from .errors import (
 from .foliation import (
     BrokenMeasure,
     CollarSplit,
-    DecoratedFoliationPoint,
     from_small_weights,
     puncture_loop_vector,
     split_collars,

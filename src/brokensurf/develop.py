@@ -43,36 +43,17 @@ def _cross_edge(H: DecoratedBrokenHyperbolic, face: int, slot: int, points):
 
     The far triple is placed so the far face's own slot labels index it:
     gluing reverses the edge, so the near corner slot+1 lands at the far
-    corner k2+2 and vice versa.
-
-    The fresh corner is the fixed combination z = x*tail + y*head +
-    t*apex of the near lift's corners.  With l, a, b the near face's
-    lambdas of head-tail, apex-head and apex-tail, and p, q the far
-    face's lambdas to tail and head rescaled by r = l / lambda(far),
-    <z, tail> = -p^2, <z, head> = -q^2 and <z, z> = 0 give
-    y*l^2 + t*b^2 = p^2, x*l^2 + t*a^2 = q^2 and t^2 = (pq/ab)^2; t = +1
-    is the apex itself, so t = -pq/(ab) is the far side.  All of these
+    corner k2+2 and vice versa.  The fresh corner is the combination
+    x*tail + y*head + t*apex of the near lift's corners, with the pair's
+    coefficients and lambda ratio step read from H.crossing_rows; they
     hold at any common scale of the lift, so the lift's own homothety
-    factor carries over and no lambda is read back from it.  The
-    returned step is the combinatorial lambda ratio near/far, the factor
-    the crossing multiplies onto the running scale.
+    factor carries over and no lambda is read back from it.
     """
-    lam = H.lam
-    far = H.T.gluing[(face, slot)]
+    far, x, y, t, step = H.crossing_rows[3 * face + slot]
     g, k2 = far
     apex = points[slot]
     shared_head = points[(slot + 1) % 3]  # far corner k2 + 2
     shared_tail = points[(slot + 2) % 3]  # far corner k2 + 1
-
-    ell = lam[(face, slot)]
-    a = lam[(face, (slot + 2) % 3)]
-    b = lam[(face, (slot + 1) % 3)]
-    step = ell / lam[far]
-    p = step * lam[(g, (k2 + 2) % 3)]
-    q = step * lam[(g, (k2 + 1) % 3)]
-    t = -p * q / (a * b)
-    x = q * (q + p * a / b) / (ell * ell)
-    y = p * (p + q * b / a) / (ell * ell)
 
     # z = x*tail + y*head + t*apex, summed in Python floats: on 3-vectors
     # numpy's per-call overhead outweighs the arithmetic

@@ -15,59 +15,76 @@ tail and head taken along t's ccw boundary direction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import DegenerateEdge, TriangleInequalityViolated
 from .hyperbolic import ValidityReport
-from .triangulation import IdealTriangulation, Pair, Sector
+from .triangulation import NEXT, PREV, IdealTriangulation, Pair, Sector
+
+# Switch conditions per face, w(k) = small(k+1) + small(k+2), as the map
+# w = small @ LARGE_FROM_SMALL.T.  L @ L = L + 2I, so its inverse (L - I)/2,
+# exact in floats, is the corner equations small(c) = (w(c+1) + w(c+2) - w(c))/2.
+LARGE_FROM_SMALL = 1.0 - np.eye(3)
+SMALL_FROM_LARGE = (LARGE_FROM_SMALL - np.eye(3)) / 2.0
 
 
 class BrokenMeasure:
-    """Nonnegative large-branch weights on an ideal triangulation's freeway."""
+    """Nonnegative large-branch weights on an ideal triangulation's freeway.
+
+    w is a read-only (F, 3) float array indexed [face, slot], built like
+    DecoratedBrokenHyperbolic.lam; since it cannot change, the small
+    weights are computed on first use and kept on the measure.
+    """
 
     def __init__(self, T: IdealTriangulation, w) -> None:
         self.T = T
-        table = {}
-        for pair in T.pairs:
-            if pair not in w:
-                raise ValueError(f"missing weight for pair {pair}")
-            value = float(w[pair])
-            if not math.isfinite(value):
-                raise ValueError(f"weight at {pair} must be finite, got {value}")
-            table[pair] = value
-        extra = set(w) - set(T.pairs)
-        if extra:
-            raise ValueError(f"weights given for unknown pairs: {sorted(extra)}")
-        self.w = table
+        self.w = T.pair_table(w, "weight", positive=False)
+
+    @cached_property
+    def _smalls(self) -> np.ndarray:
+        """Unclamped small weights, w @ SMALL_FROM_LARGE.T.
+
+        Evaluated as (neighbour sum - own weight) / 2, the order the corner
+        equations are written in, so each value rounds the same way.
+        """
+        return 0.5 * (self.w @ LARGE_FROM_SMALL.T - self.w)
+
+    @cached_property
+    def _face_scale(self) -> np.ndarray:
+        """max(1, |w|) over each face's three slots, shape (F, 1)."""
+        return np.maximum(1.0, np.abs(self.w).max(axis=1, keepdims=True))
 
     def small(self, sector: Sector, tol: float = 1e-12) -> float:
         """Small-branch weight at the sector's corner; clamps float dust."""
         f, c = sector
-        value = 0.5 * (
-            self.w[(f, (c + 1) % 3)] + self.w[(f, (c + 2) % 3)] - self.w[(f, c)]
-        )
-        scale = max(1.0, *(abs(self.w[(f, s)]) for s in (0, 1, 2)))
-        if value < -tol * scale:
+        value = float(self._smalls[sector])
+        if value < -tol * float(self._face_scale[f, 0]):
             raise TriangleInequalityViolated(
                 f"face {f} weights give small weight {value} at corner {c}"
             )
         return max(value, 0.0)
 
-    def small_weights(self) -> dict:
-        return {sec: self.small(sec) for sec in self.T.sectors}
+    def small_weights(self, tol: float = 1e-12) -> np.ndarray:
+        """Every small weight as an (F, 3) array; raises as small() does."""
+        bad = np.flatnonzero(self._smalls < -tol * self._face_scale)
+        if bad.size:
+            self.small(self.T.sectors[bad[0]], tol)
+        return np.maximum(self._smalls, 0.0)
 
     def homothety_factor(self, pair: Pair) -> float:
         """w(far)/w(near) across the pair's edge."""
         far = self.T.gluing[pair]
         if self.w[pair] == 0.0:
             raise DegenerateEdge(f"zero weight at {pair} in a ratio denominator")
-        return self.w[far] / self.w[pair]
+        return float(self.w[far] / self.w[pair])
 
     def scale(self, r: float) -> "BrokenMeasure":
         if r < 0.0:
             raise ValueError("scaling factor must be nonnegative")
-        return BrokenMeasure(self.T, {p: r * v for p, v in self.w.items()})
+        return BrokenMeasure(self.T, r * self.w)
 
     def shift(self, pair: Pair) -> float:
         """Signed offset of the far face's singular-leaf hit point.
@@ -85,7 +102,7 @@ class BrokenMeasure:
             raise DegenerateEdge(f"zero weight on edge of {pair}; gluing unpinned")
         own = self.small((f, (k + 1) % 3))
         foreign = self.small((g, (k2 + 2) % 3))  # far corner at our tail end
-        return foreign * (self.w[pair] / self.w[far]) - own
+        return float(foreign * (self.w[pair] / self.w[far]) - own)
 
     def holonomy(self, loop) -> float:
         """Product of homothety factors along a closed dual path."""
@@ -96,57 +113,57 @@ class BrokenMeasure:
 
     def validate(self, tol: float = 1e-12) -> ValidityReport:
         report = ValidityReport(valid=True)
-        negative = [p for p in self.T.pairs if self.w[p] < 0.0]
+        w = self.w
+        negative = self.T.pairs_where(w < 0.0)
         report.add(
             "weights_nonnegative",
             not negative,
-            max((-self.w[p] for p in negative), default=0.0),
+            float(-w.min()) if negative else 0.0,
             f"negative weights at pairs: {negative}" if negative else "",
         )
 
-        bad_faces = []
-        worst = 0.0
-        for f in range(self.T.faces):
-            ws = [self.w[(f, s)] for s in (0, 1, 2)]
-            scale = max(1.0, *(abs(x) for x in ws))
-            for c in range(3):
-                value = 0.5 * (ws[(c + 1) % 3] + ws[(c + 2) % 3] - ws[c])
-                worst = min(worst, value / scale)
-                if value < -tol * scale:
-                    bad_faces.append((f, c, value))
+        smalls, scale = self._smalls, self._face_scale
+        short = smalls < -tol * scale
+        bad_faces = [
+            (f, c, value)
+            for (f, c), value in zip(self.T.pairs_where(short), smalls[short].tolist())
+        ]
         report.add(
             "triangle_inequalities",
             not bad_faces,
-            -worst,
+            -min(0.0, float((smalls / scale).min())),
             f"negative small weights at (face, corner, value): {bad_faces}"
             if bad_faces else "",
         )
 
         if not bad_faces and not negative:
-            worst_switch = 0.0
-            for f in range(self.T.faces):
-                for k in range(3):
-                    lhs = self.small((f, (k + 1) % 3)) + self.small((f, (k + 2) % 3))
-                    scale = max(1.0, abs(self.w[(f, k)]))
-                    worst_switch = max(
-                        worst_switch, abs(lhs - self.w[(f, k)]) / scale
-                    )
+            lhs = self.small_weights() @ LARGE_FROM_SMALL.T
+            worst_switch = float(np.max(np.abs(lhs - w) / np.maximum(1.0, np.abs(w))))
             report.add("switch_conditions", worst_switch <= tol, worst_switch)
         return report
 
     def to_dict(self) -> dict:
-        return {
-            "triangulation": self.T.to_dict(),
-            "w": {f"{f}.{s}": self.w[(f, s)] for f, s in self.T.pairs},
-        }
+        return {"triangulation": self.T.to_dict(), "w": self.T.pair_dict(self.w)}
 
 
 def from_small_weights(T: IdealTriangulation, smalls) -> BrokenMeasure:
-    """Rebuild large weights from small ones through the switch conditions."""
-    w = {}
-    for f, k in T.pairs:
-        w[(f, k)] = smalls[(f, (k + 1) % 3)] + smalls[(f, (k + 2) % 3)]
-    return BrokenMeasure(T, w)
+    """Rebuild large weights from small ones through the switch conditions.
+
+    smalls is keyed by sector, as a mapping or an (F, 3) array.
+    """
+    table = T.pair_table(smalls, "small weight", positive=False)
+    return BrokenMeasure(T, table @ LARGE_FROM_SMALL.T)
+
+
+def _collar_weights(T: IdealTriangulation, collars) -> np.ndarray:
+    """Weights of sum_i collars[i] * (puncture i's boundary loop), per pair.
+
+    The loop around a puncture runs along both large branches of each
+    edge it crosses, so a pair carries the collars of the punctures at
+    its two ends, the corners k+1 and k+2 of its face.
+    """
+    c = np.asarray(collars, dtype=float)
+    return c[T.puncture_of[:, NEXT]] + c[T.puncture_of[:, PREV]]
 
 
 def puncture_loop_vector(T: IdealTriangulation, puncture: int) -> BrokenMeasure:
@@ -155,40 +172,24 @@ def puncture_loop_vector(T: IdealTriangulation, puncture: int) -> BrokenMeasure:
     The loop runs along the small branch of each sector in the corner
     cycle and along both large branches of each crossed edge.
     """
-    w = {p: 0.0 for p in T.pairs}
-    for near in T.corner_cycles[puncture].crossings:
-        w[near] += 1.0
-        w[T.gluing[near]] += 1.0
-    return BrokenMeasure(T, w)
-
-
-@dataclass(frozen=True)
-class DecoratedFoliationPoint:
-    """A broken measure together with one collar weight per puncture."""
-
-    measure: BrokenMeasure
-    collars: tuple
-
-    def total(self) -> BrokenMeasure:
-        """Recombine collars into the carried measure."""
-        T = self.measure.T
-        w = dict(self.measure.w)
-        for puncture, c in enumerate(self.collars):
-            for near in T.corner_cycles[puncture].crossings:
-                w[near] += c
-                w[T.gluing[near]] += c
-        return BrokenMeasure(T, w)
+    return BrokenMeasure(T, _collar_weights(T, np.arange(T.num_punctures) == puncture))
 
 
 @dataclass(frozen=True)
 class CollarSplit:
-    """Result of peeling maximal boundary-parallel collars off a measure."""
+    """A measure's core and one collar weight per puncture.
+
+    Together they are the paper's decorated foliation point; total()
+    recombines them into the measure that was split.
+    """
 
     core: BrokenMeasure
     collars: tuple
 
-    def point(self) -> DecoratedFoliationPoint:
-        return DecoratedFoliationPoint(self.core, self.collars)
+    def total(self) -> BrokenMeasure:
+        """Recombine collars into the carried measure."""
+        T = self.core.T
+        return BrokenMeasure(T, self.core.w + _collar_weights(T, self.collars))
 
 
 def split_collars(m: BrokenMeasure) -> CollarSplit:
@@ -199,15 +200,7 @@ def split_collars(m: BrokenMeasure) -> CollarSplit:
     vectors leaves a core whose per-puncture minimum small weight is zero.
     """
     T = m.T
-    smalls = m.small_weights()
-    collars = []
-    for cyc in T.corner_cycles:
-        collars.append(min(smalls[sec] for sec in cyc.sectors))
-    w = {}
-    for f, k in T.pairs:
-        w[(f, k)] = (
-            m.w[(f, k)]
-            - collars[T.puncture_of[(f, (k + 1) % 3)]]
-            - collars[T.puncture_of[(f, (k + 2) % 3)]]
-        )
-    return CollarSplit(BrokenMeasure(T, w), tuple(collars))
+    collars = np.full(T.num_punctures, np.inf)
+    np.minimum.at(collars, T.puncture_of.ravel(), m.small_weights().ravel())
+    core = BrokenMeasure(T, m.w - _collar_weights(T, collars))
+    return CollarSplit(core, tuple(collars.tolist()))

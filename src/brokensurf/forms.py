@@ -17,15 +17,14 @@ through the corner equations, not written down by hand.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ChartMismatch, InvalidDecoration
-from .foliation import BrokenMeasure
+from .foliation import SMALL_FROM_LARGE, BrokenMeasure
 from .hyperbolic import GAP_FLOOR, DecoratedBrokenHyperbolic
-from .triangulation import IdealTriangulation
+from .triangulation import NEXT, PREV, IdealTriangulation
 
 CHART_LOG_LAMBDA = "log_lambda"
 CHART_LARGE = "large_weight"
@@ -34,8 +33,6 @@ CHART_SMALL = "small_weight"
 _CYCLIC = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
 WP_BLOCK = -2.0 * _CYCLIC
 THURSTON_BLOCK = -0.5 * _CYCLIC
-# Corner equations per face: small(c) = (w(c+1) + w(c+2) - w(c)) / 2.
-SMALL_FROM_LARGE = 0.5 - np.eye(3)
 
 # Singular values at most this fraction of a scale count as zero: the
 # matrix's largest singular value, or the form's norm for its restrictions.
@@ -123,26 +120,16 @@ def thurston_form(T: IdealTriangulation, chart: str = CHART_SMALL) -> TwoForm:
 
 def to_measure(H: DecoratedBrokenHyperbolic) -> BrokenMeasure:
     """Gap chart: large weight of each pair is its horocycle gap."""
-    return BrokenMeasure(H.T, {p: H.gap(p) for p in H.T.pairs})
+    return BrokenMeasure(H.T, H.gaps())
 
 
 def from_measure(m: BrokenMeasure) -> DecoratedBrokenHyperbolic:
     """Inverse gap chart: lambda = sqrt(2 e^w), defined for w >= 0."""
-    lam = {}
-    for p in m.T.pairs:
-        w = m.w[p]
-        if w < -1e-12:
-            raise InvalidDecoration(f"negative weight {w} at {p} has no lambda")
-        lam[p] = math.sqrt(2.0 * math.exp(max(w, 0.0)))
-    return DecoratedBrokenHyperbolic(m.T, lam)
-
-
-def log_lambda_vector(H: DecoratedBrokenHyperbolic) -> np.ndarray:
-    return np.array([math.log(H.lam[p]) for p in H.T.pairs])
-
-
-def weight_vector(m: BrokenMeasure) -> np.ndarray:
-    return np.array([m.w[p] for p in m.T.pairs])
+    negative = np.flatnonzero(m.w < -1e-12)
+    if negative.size:
+        p = m.T.pairs[negative[0]]
+        raise InvalidDecoration(f"negative weight {float(m.w[p])} at {p} has no lambda")
+    return DecoratedBrokenHyperbolic(m.T, np.sqrt(2.0 * np.exp(np.maximum(m.w, 0.0))))
 
 
 def pullback_residual(T: IdealTriangulation) -> float:
@@ -171,7 +158,7 @@ def scale_lambdas(
     """Structure with every lambda multiplied by the same factor."""
     if factor <= 0.0:
         raise ValueError("factor must be positive")
-    return DecoratedBrokenHyperbolic(H.T, {p: factor * H.lam[p] for p in H.T.pairs})
+    return DecoratedBrokenHyperbolic(H.T, factor * H.lam)
 
 
 def ray_measure(H: DecoratedBrokenHyperbolic, n: float) -> BrokenMeasure:
@@ -183,7 +170,7 @@ def ray_measure(H: DecoratedBrokenHyperbolic, n: float) -> BrokenMeasure:
     """
     if n <= 0.0:
         raise ValueError("ray parameter must be positive")
-    return BrokenMeasure(H.T, {p: 1.0 + H.gap(p) / n for p in H.T.pairs})
+    return BrokenMeasure(H.T, 1.0 + H.gaps() / n)
 
 
 def scaling_identity_residual(H, x: float, u, v) -> float:
@@ -237,20 +224,18 @@ def _holonomy_jacobian(H: DecoratedBrokenHyperbolic) -> np.ndarray:
     The holonomy's log is the sum of log gap(far) - log gap(near) over
     the puncture's crossings, and gap = 2 ell - log 2 gives
     d log gap / d ell = 2 / gap, which needs every gap nondegenerate.
+    Pair (f, k) is crossed out of its face around the puncture at its
+    corner k+2 and into it around the puncture at its corner k+1.
     """
     T = H.T
-    gaps = 2.0 * log_lambda_vector(H) - math.log(2.0)
+    gaps = H.gaps()
     if np.any(gaps <= GAP_FLOOR):
         raise InvalidDecoration("constrained rank needs every gap above GAP_FLOOR")
-    rows, cols, signs = [], [], []
-    for cyc in T.corner_cycles:
-        for near in cyc.crossings:
-            for (f, k), sign in ((T.gluing[near], 1.0), (near, -1.0)):
-                rows.append(cyc.index)
-                cols.append(3 * f + k)
-                signs.append(sign)
-    jac = np.zeros((T.num_punctures, gaps.size))
-    np.add.at(jac, (rows, cols), np.array(signs) * 2.0 / gaps[cols])
+    slope = (2.0 / gaps).ravel()
+    pairs = np.arange(slope.size)
+    jac = np.zeros((T.num_punctures, slope.size))
+    jac[T.puncture_of[:, NEXT].ravel(), pairs] += slope
+    jac[T.puncture_of[:, PREV].ravel(), pairs] -= slope
     return jac
 
 
@@ -312,7 +297,7 @@ def unbroken_rank_report(T: IdealTriangulation) -> RankReport:
     lands on the E x E matrix at its three edge indices.
     """
     form = wp_form(T)
-    edge = np.array([T.edge_index[p] for p in T.pairs]).reshape(-1, 3)
+    edge = T.edge_index
     restricted = np.zeros((T.num_edges, T.num_edges))
     np.add.at(restricted, (edge[:, :, None], edge[:, None, :]), form.block)
     sv = np.linalg.svd(restricted, compute_uv=False)

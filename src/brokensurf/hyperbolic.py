@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from . import minkowski
 from .errors import DegenerateEdge, InvalidDecoration
-from .triangulation import IdealTriangulation, Pair, Sector
+from .triangulation import NEXT, PREV, IdealTriangulation, Pair, Sector
 
 SQRT2 = math.sqrt(2.0)
 
@@ -67,35 +70,39 @@ class ValidityReport:
 class DecoratedBrokenHyperbolic:
     """Per-pair lambda lengths on an ideal triangulation.
 
-    Treat instances as immutable; derived structures are recomputed on
-    demand (everything here is desk-scale).
+    lam is a read-only (F, 3) float array indexed [face, slot], built
+    from a pair-keyed mapping or an (F, 3) array; H.lam[(f, s)] reads
+    one pair.  Because lam cannot change, the signed gap table and the
+    per-pair crossing coefficients of the developing map are computed
+    on first use and kept on the structure.
     """
 
     def __init__(self, T: IdealTriangulation, lam) -> None:
         self.T = T
-        table = {}
-        for pair in T.pairs:
-            if pair not in lam:
-                raise ValueError(f"missing lambda for pair {pair}")
-            value = float(lam[pair])
-            if not value > 0.0 or not math.isfinite(value):
-                raise ValueError(f"lambda at {pair} must be positive, got {value}")
-            table[pair] = value
-        extra = set(lam) - set(T.pairs)
-        if extra:
-            raise ValueError(f"lambdas given for unknown pairs: {sorted(extra)}")
-        self.lam = table
+        self.lam = T.pair_table(lam, "lambda", positive=True)
 
     # --- local quantities --------------------------------------------
 
+    @cached_property
+    def _gaps(self) -> np.ndarray:
+        """Signed gaps log(lambda^2 / 2), unclamped, one per pair."""
+        return np.log(self.lam**2 / 2.0)
+
     def gap(self, pair: Pair) -> float:
         """Horocycle gap delta = log(lambda^2 / 2); zero at lambda = sqrt(2)."""
-        d = math.log(self.lam[pair] ** 2 / 2.0)
+        d = float(self._gaps[pair])
         if d < -GAP_FLOOR:
             raise InvalidDecoration(
                 f"lambda at {pair} is below sqrt(2): gap {d}"
             )
         return max(d, 0.0)
+
+    def gaps(self) -> np.ndarray:
+        """Every pair's gap as an (F, 3) array; raises as gap() does."""
+        below = np.flatnonzero(self._gaps < -GAP_FLOOR)
+        if below.size:
+            self.gap(self.T.pairs[below[0]])
+        return np.maximum(self._gaps, 0.0)
 
     def is_degenerate(self, pair: Pair) -> bool:
         return self.gap(pair) <= GAP_FLOOR
@@ -111,7 +118,7 @@ class DecoratedBrokenHyperbolic:
     def lambda_ratio(self, pair: Pair) -> float:
         """lambda(far)/lambda(near); the developing map's crossing scale."""
         far = self.T.gluing[pair]
-        return self.lam[far] / self.lam[pair]
+        return float(self.lam[far] / self.lam[pair])
 
     def puncture_holonomy(self, puncture: int, convention: str = "gap") -> float:
         """Product of directed edge ratios around a corner cycle."""
@@ -125,16 +132,42 @@ class DecoratedBrokenHyperbolic:
     def h_length(self, sector: Sector) -> float:
         """Horocyclic length coordinate lambda_i / (lambda_j * lambda_k)."""
         f, c = sector
-        return self.lam[(f, c)] / (
-            self.lam[(f, (c + 1) % 3)] * self.lam[(f, (c + 2) % 3)]
-        )
+        lam = self.lam[f].tolist()
+        return lam[c] / (lam[(c + 1) % 3] * lam[(c + 2) % 3])
 
     def face_lift(self, f: int) -> minkowski.TriangleLift:
         """Hyperboloid lift of one face on the default rays."""
-        return minkowski.solve_triangle(
-            minkowski.DEFAULT_RAYS,
-            [self.lam[(f, 0)], self.lam[(f, 1)], self.lam[(f, 2)]],
-        )
+        return minkowski.solve_triangle(minkowski.DEFAULT_RAYS, self.lam[f])
+
+    @cached_property
+    def crossing_rows(self) -> list:
+        """Row 3 * f + s: (far pair, x, y, t, step) for crossing pair (f, s).
+
+        Developing places the fresh far corner at z = x*tail + y*head +
+        t*apex of the near lift's corners.  With l, a, b the near face's
+        lambdas of head-tail, apex-head and apex-tail, and p, q the far
+        face's lambdas to tail and head rescaled by step = l / lambda(far),
+        <z, tail> = -p^2, <z, head> = -q^2 and <z, z> = 0 give
+        y*l^2 + t*b^2 = p^2, x*l^2 + t*a^2 = q^2 and t = -pq/(ab) (+1 is
+        the apex itself).  These hold at any common scale of the lift, so
+        they depend on the glued pair alone (Penner's lambda-length
+        calculus); step is the factor the crossing puts on the scale.
+        """
+        lam = self.lam
+        flat = lam.ravel()
+        far = self.T.partner
+        far_face = far - far % 3
+        ell, a, b = lam, lam[:, PREV], lam[:, NEXT]
+        step = ell / flat[far]
+        p = step * flat[far_face + (far + 2) % 3]
+        q = step * flat[far_face + (far + 1) % 3]
+        t = -p * q / (a * b)
+        x = q * (q + p * a / b) / (ell * ell)
+        y = p * (p + q * b / a) / (ell * ell)
+        return list(zip(
+            map(self.T.gluing.__getitem__, self.T.pairs),
+            *(v.ravel().tolist() for v in (x, y, t, step)),
+        ))
 
     def geometric_arc(self, sector: Sector) -> float:
         """Decoration horocycle arc cut off inside the sector's face.
@@ -161,13 +194,16 @@ class DecoratedBrokenHyperbolic:
 
     # --- shift coordinates -------------------------------------------
 
-    def _foot_positions(self, pair: Pair) -> tuple[float, float]:
-        """Distinguished-point coordinates on the pair's edge.
+    def shift(self, pair: Pair) -> float:
+        """Signed offset between the two faces' feet of perpendiculars.
 
-        The edge is parametrized by arc length in the near face's metric,
-        zero at the near face's tail-end decoration crossing, increasing
-        along the near face's ccw boundary direction.  Returns (own foot,
-        foreign foot), the foreign one transported through the gluing.
+        Measured along the edge by arc length in the near face's metric,
+        from the near face's tail-end decoration crossing along its ccw
+        boundary direction; the foreign foot is transported through the
+        gluing, which the decoration crossings pin.  The two sides of a
+        pair measure from opposite ends, so their shifts are not simple
+        rescalings of each other; matching the weight-chart shift is the
+        invariant checked in the tests.
         """
         far = self.T.gluing[pair]
         f, k = pair
@@ -176,111 +212,73 @@ class DecoratedBrokenHyperbolic:
         far_gap = self.gap(far)
         if own_gap <= GAP_FLOOR or far_gap <= GAP_FLOOR:
             raise DegenerateEdge(f"zero gap on edge of {pair}; gluing unpinned")
+        mine, theirs = self.lam[f].tolist(), self.lam[g].tolist()
         own = math.log(
-            self.lam[(f, k)] * self.lam[(f, (k + 2) % 3)]
-            / (SQRT2 * self.lam[(f, (k + 1) % 3)])
+            mine[k] * mine[(k + 2) % 3] / (SQRT2 * mine[(k + 1) % 3])
         )
         # Far face seen from the near side: its corner k2+2 sits at our
         # tail, its corner k2+1 at our head, so its own tail/head roles swap.
         foreign = math.log(
-            self.lam[(g, k2)] * self.lam[(g, (k2 + 1) % 3)]
-            / (SQRT2 * self.lam[(g, (k2 + 2) % 3)])
+            theirs[k2] * theirs[(k2 + 1) % 3] / (SQRT2 * theirs[(k2 + 2) % 3])
         )
-        return own, foreign * (own_gap / far_gap)
-
-    def shift(self, pair: Pair) -> float:
-        """Signed offset between the two faces' feet of perpendiculars.
-
-        Measured along the edge in the near face's metric, oriented by
-        its ccw boundary direction, with the gluing pinned by the
-        decoration crossings.  The two sides of a pair measure from
-        opposite ends, so their shifts are not simple rescalings of each
-        other; matching the weight-chart shift is the invariant checked
-        in the tests.
-        """
-        own, foreign = self._foot_positions(pair)
-        return foreign - own
+        return foreign * (own_gap / far_gap) - own
 
     # --- global checks ------------------------------------------------
 
     def validate(self, tol: float = 1e-9) -> ValidityReport:
         report = ValidityReport(valid=True)
-        worst = 0.0
-        bad = []
-        for f in range(self.T.faces):
-            lams = [self.lam[(f, s)] for s in (0, 1, 2)]
-            for i in range(3):
-                j, k = (i + 1) % 3, (i + 2) % 3
-                margin = lams[j] * lams[k] - SQRT2 * lams[i]
-                rel = margin / (lams[j] * lams[k])
-                worst = min(worst, rel)
-                if rel < -tol:
-                    bad.append((f, i))
+        lam = self.lam
+        # slot i: lambda_j * lambda_k >= sqrt(2) * lambda_i, relative margin
+        both = lam[:, NEXT] * lam[:, PREV]
+        rel = (both - SQRT2 * lam) / both
+        bad = self.T.pairs_where(rel < -tol)
         report.add(
             "face_inequalities",
             not bad,
-            -worst,
+            -min(0.0, float(rel.min())),
             f"violations at (face, slot): {bad}" if bad else "",
         )
 
         # Same predicate as gap(), so a structure that passes never makes
         # gap() raise.
-        below = [
-            p for p in self.T.pairs
-            if math.log(self.lam[p] ** 2 / 2.0) < -GAP_FLOOR
-        ]
+        below = self.T.pairs_where(self._gaps < -GAP_FLOOR)
         report.add(
             "gaps_nonnegative",
             not below,
-            max((SQRT2 - self.lam[p]) / SQRT2 for p in self.T.pairs)
-            if below else 0.0,
+            float(np.max((SQRT2 - lam) / SQRT2)) if below else 0.0,
             f"lambda below sqrt(2) at pairs: {below}" if below else "",
         )
 
-        degenerate = [
-            p for p in self.T.pairs
-            if abs(self.lam[p] - SQRT2) <= SQRT2 * tol
-        ]
+        degenerate = self.T.pairs_where(np.abs(lam - SQRT2) <= SQRT2 * tol)
         if degenerate:
             report.warnings.append(
                 f"degenerate decoration (zero horocycle gap) at pairs {degenerate}"
             )
 
         if degenerate or below:
-            report.add(
-                "puncture_holonomy",
-                True,
-                0.0,
-                "skipped: gap ratios undefined on degenerate pairs",
-            )
+            skipped = "skipped: gap ratios undefined on degenerate pairs"
+            report.add("puncture_holonomy", True, 0.0, skipped)
         else:
-            worst_phi = 0.0
-            bad_cycles = []
-            for cyc in self.T.corner_cycles:
-                phi = self.puncture_holonomy(cyc.index, "gap")
-                err = abs(phi - 1.0)
-                worst_phi = max(worst_phi, err)
-                if err > tol:
-                    bad_cycles.append((cyc.index, phi))
+            phis = [self.puncture_holonomy(i) for i in range(self.T.num_punctures)]
+            errs = [abs(phi - 1.0) for phi in phis]
+            bad_cycles = [(i, phis[i]) for i, err in enumerate(errs) if err > tol]
             report.add(
                 "puncture_holonomy",
                 not bad_cycles,
-                worst_phi,
+                max(0.0, *errs),
                 f"nontrivial at punctures: {bad_cycles}" if bad_cycles else "",
             )
         return report
 
     def is_unbroken(self, tol: float = 0.0) -> bool:
-        return all(
-            abs(self.lam[p] - self.lam[q]) <= tol * self.lam[p]
-            for p, q in self.T.edges
-        )
+        """Both sides of every edge agree within tol, relative to the side p < q."""
+        lam = self.lam.ravel()
+        far = self.T.partner.ravel()
+        near = np.flatnonzero(np.arange(far.size) < far)
+        return bool(np.all(np.abs(lam[near] - lam[far[near]]) <= tol * lam[near]))
 
     def to_dict(self) -> dict:
-        return {
-            "triangulation": self.T.to_dict(),
-            "lambda": {f"{f}.{s}": self.lam[(f, s)] for f, s in self.T.pairs},
-        }
+        return {"triangulation": self.T.to_dict(), "lambda": self.T.pair_dict(self.lam)}
 
 
 def embed_unbroken(T: IdealTriangulation, edge_lambdas) -> DecoratedBrokenHyperbolic:
@@ -288,16 +286,10 @@ def embed_unbroken(T: IdealTriangulation, edge_lambdas) -> DecoratedBrokenHyperb
 
     edge_lambdas maps edge index to lambda, or is a sequence in edge order.
     """
-    if not isinstance(edge_lambdas, dict):
-        edge_lambdas = dict(enumerate(edge_lambdas))
-    lam = {}
-    for i, (p, q) in enumerate(T.edges):
-        value = float(edge_lambdas[i])
-        lam[p] = value
-        lam[q] = value
-    return DecoratedBrokenHyperbolic(T, lam)
+    values = np.array([edge_lambdas[i] for i in range(T.num_edges)], dtype=float)
+    return DecoratedBrokenHyperbolic(T, values[T.edge_index])
 
 
 def constant_structure(T: IdealTriangulation, value: float = SQRT2):
     """All pairs equal; value sqrt(2) is the fully symmetric boundary case."""
-    return DecoratedBrokenHyperbolic(T, {p: value for p in T.pairs})
+    return DecoratedBrokenHyperbolic(T, np.full((T.faces, 3), value))

@@ -27,6 +27,7 @@ from .errors import (
     DegenerateRays,
     NoRealSolution,
 )
+from .triangulation import NEXT, PREV
 
 # Right-handed: any positive lambdas on these rays give det(u0,u1,u2) > 0.
 DEFAULT_RAYS = (
@@ -65,11 +66,6 @@ def _at(index) -> str:
     if not index:
         return ""
     return f" at index {index[0] if len(index) == 1 else tuple(map(int, index))}"
-
-
-# vertex i's two neighbours in cyclic order: (i + 1) % 3 and (i + 2) % 3
-_NEXT = np.array([1, 2, 0])
-_PREV = np.array([2, 0, 1])
 
 
 def lambda_pair(u, v, tol: float = 1e-12):
@@ -135,7 +131,7 @@ def solve_triangles(rays, lambdas, tol: float = 1e-12) -> np.ndarray:
     if bad is not None:
         raise DegenerateRays(f"rays do not span R^3{_at(bad)}")
     # slot k pairs the two rays opposite vertex k
-    head, tail = cone.take(_NEXT, axis=-2), cone.take(_PREV, axis=-2)
+    head, tail = cone.take(NEXT, axis=-2), cone.take(PREV, axis=-2)
     g = -_pairing(head, tail)
     bad = _first(g <= tol * head[..., 2] * tail[..., 2])
     if bad is not None:
@@ -144,7 +140,7 @@ def solve_triangles(rays, lambdas, tol: float = 1e-12) -> np.ndarray:
     # libm pow rather than x * x, which differs in the last bit for about
     # one lambda in a thousand: lifts match Python's float ** 2 exactly
     m = np.float_power(lambdas, 2) / g
-    t = np.sqrt(m.take(_NEXT, axis=-1) * m.take(_PREV, axis=-1) / m)
+    t = np.sqrt(m.take(NEXT, axis=-1) * m.take(PREV, axis=-1) / m)
     return t[..., None] * cone
 
 
@@ -208,8 +204,8 @@ def horocycle_arcs(points) -> np.ndarray:
     length needs no integration.
     """
     points = np.asarray(points, dtype=float)
-    p = horocycle_edge_point(points, points.take(_NEXT, axis=-2))
-    q = horocycle_edge_point(points, points.take(_PREV, axis=-2))
+    p = horocycle_edge_point(points, points.take(NEXT, axis=-2))
+    q = horocycle_edge_point(points, points.take(PREV, axis=-2))
     s = -2.0 * _pairing(p, q) - 2.0
     return np.sqrt(np.maximum(s, 0.0))
 
@@ -221,8 +217,8 @@ def hlengths(points) -> np.ndarray:
     facing vertex i.  Returns shape (..., 3).
     """
     points = np.asarray(points, dtype=float)
-    lam = lambda_pair(points.take(_NEXT, axis=-2), points.take(_PREV, axis=-2))
-    return lam / (lam.take(_NEXT, axis=-1) * lam.take(_PREV, axis=-1))
+    lam = lambda_pair(points.take(NEXT, axis=-2), points.take(PREV, axis=-2))
+    return lam / (lam.take(NEXT, axis=-1) * lam.take(PREV, axis=-1))
 
 
 def horocycle_arc(lift: TriangleLift, i: int) -> float:

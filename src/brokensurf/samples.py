@@ -33,11 +33,9 @@ def random_valid_structure(
     """
     beta = gen.uniform(1.0, 1.9, size=T.num_edges)
     mu = gen.uniform(0.6, 1.7, size=T.faces)
-    lam = {}
-    for f, s in T.pairs:
-        gap = mu[f] * beta[T.edge_index[(f, s)]]
-        lam[(f, s)] = math.sqrt(2.0 * math.exp(gap))
-    return DecoratedBrokenHyperbolic(T, lam)
+    gaps = mu[:, None] * beta[T.edge_index]
+    lam = [math.sqrt(2.0 * math.exp(gap)) for gap in gaps.ravel().tolist()]
+    return DecoratedBrokenHyperbolic(T, np.reshape(lam, (-1, 3)))
 
 
 def random_boxed_structure(
@@ -54,8 +52,7 @@ def random_boxed_structure(
     """
     if lo * lo < math.sqrt(2.0) * hi:
         raise ValueError("box allows triangle inequality violations")
-    lam = {p: float(gen.uniform(lo, hi)) for p in T.pairs}
-    return DecoratedBrokenHyperbolic(T, lam)
+    return DecoratedBrokenHyperbolic(T, gen.uniform(lo, hi, size=(T.faces, 3)))
 
 
 def random_unbroken(
@@ -68,13 +65,11 @@ def random_unbroken(
     if lo * lo < math.sqrt(2.0) * hi:
         raise ValueError("box allows triangle inequality violations")
     per_edge = gen.uniform(lo, hi, size=T.num_edges)
-    lam = {p: float(per_edge[T.edge_index[p]]) for p in T.pairs}
-    return DecoratedBrokenHyperbolic(T, lam)
+    return DecoratedBrokenHyperbolic(T, per_edge[T.edge_index])
 
 
 def random_measure(T: IdealTriangulation, gen: np.random.Generator) -> BrokenMeasure:
-    smalls = {sec: float(gen.uniform(0.0, 1.0)) for sec in T.sectors}
-    return from_small_weights(T, smalls)
+    return from_small_weights(T, gen.uniform(0.0, 1.0, size=(T.faces, 3)))
 
 
 def random_rays(gen: np.random.Generator, min_gap: float = 0.3):

@@ -10,18 +10,26 @@ direction; that is the only identification an oriented surface admits,
 so the matching alone determines the surface.
 
 Derived combinatorics: corner cycles (one per puncture), dual loops,
-and unfolded balls used by the developing map.
+and unfolded balls used by the developing map.  Per-pair data is an
+(F, 3) array indexed [face, slot], read row by row in pair order.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import Disconnected, NonOrientable, OpenPath, SlotReused, SlotUnglued
 
 Pair = tuple[int, int]      # (face, slot)
 Sector = tuple[int, int]    # (face, corner); corner k is opposite slot k
+
+# Columns of slots (or corners) k+1 and k+2 of a face, for each k.
+NEXT = np.array([1, 2, 0])
+PREV = np.array([2, 0, 1])
 
 
 def _check_pair(faces: int, p) -> Pair:
@@ -97,16 +105,19 @@ class IdealTriangulation:
         self.edges: tuple[tuple[Pair, Pair], ...] = tuple(
             (p, gluing[p]) for p in self.pairs if p < gluing[p]
         )
-        self.edge_index: dict[Pair, int] = {}
-        for i, (p, q) in enumerate(self.edges):
-            self.edge_index[p] = i
-            self.edge_index[q] = i
+        # partner[f, s] is the flat index 3 * g + k of gluing[(f, s)] = (g, k);
+        # edge_index[f, s] is the position in edges of the edge through (f, s)
+        partner = np.array([3 * g + k for g, k in map(gluing.__getitem__, self.pairs)])
+        near = np.flatnonzero(np.arange(partner.size) < partner)
+        edge_index = np.empty_like(partner)
+        edge_index[near] = edge_index[partner[near]] = np.arange(near.size)
+        self.partner = partner.reshape(faces, 3)
+        self.edge_index = edge_index.reshape(faces, 3)
 
         self.corner_cycles: tuple[CornerCycle, ...] = self._trace_corner_cycles()
-        self.puncture_of: dict[Sector, int] = {}
-        for cyc in self.corner_cycles:
-            for sec in cyc.sectors:
-                self.puncture_of[sec] = cyc.index
+        of = {sec: cyc.index for cyc in self.corner_cycles for sec in cyc.sectors}
+        # puncture_of[f, c] is the puncture at corner c of face f
+        self.puncture_of = np.array([of[sec] for sec in self.sectors]).reshape(faces, 3)
 
         self.num_punctures = len(self.corner_cycles)
         self.num_edges = len(self.edges)
@@ -154,6 +165,44 @@ class IdealTriangulation:
             seen.update(secs)
             cycles.append(CornerCycle(len(cycles), tuple(secs), tuple(crossings)))
         return tuple(cycles)
+
+    def pair_table(self, values, noun: str, positive: bool) -> np.ndarray:
+        """One float per (face, slot) pair, as a read-only (F, 3) array.
+
+        values is a mapping keyed by pairs or an array of shape (F, 3).
+        The first pair in pair order that is missing, not finite or, when
+        positive is set, not above zero raises ValueError; so do mapping
+        keys that name no pair.
+        """
+        keyed = isinstance(values, Mapping)
+        if keyed:
+            table = np.array([values.get(p, np.nan) for p in self.pairs], dtype=float)
+            table = table.reshape(self.faces, 3)
+        else:
+            table = np.array(values, dtype=float)
+            if table.shape != (self.faces, 3):
+                need = (self.faces, 3)
+                raise ValueError(f"{noun} table shape {table.shape} is not {need}")
+        bad = ~np.isfinite(table) | (positive & (table <= 0.0))
+        if bad.any():
+            pair = self.pairs[np.flatnonzero(bad)[0]]
+            if keyed and pair not in values:
+                raise ValueError(f"missing {noun} for pair {pair}")
+            need = "positive" if positive else "finite"
+            raise ValueError(f"{noun} at {pair} must be {need}, got {table[pair]}")
+        if keyed and len(values) > len(self.pairs):
+            extra = sorted(set(values) - set(self.pairs))
+            raise ValueError(f"{noun}s given for unknown pairs: {extra}")
+        table.flags.writeable = False
+        return table
+
+    def pairs_where(self, mask: np.ndarray) -> list[Pair]:
+        """The pairs at which an (F, 3) boolean table holds, in pair order."""
+        return [self.pairs[i] for i in np.flatnonzero(mask)]
+
+    def pair_dict(self, table: np.ndarray) -> dict:
+        """A pair table keyed "face.slot", the form files store."""
+        return dict(zip((f"{f}.{s}" for f, s in self.pairs), table.ravel().tolist()))
 
     def euler_characteristic(self) -> int:
         return self.faces - self.num_edges

@@ -3,7 +3,8 @@
 Twelve numbered checks, one test each, in a fixed order.  Each asserts
 one headline identity at its stated tolerance on the two standard
 fixtures plus seeded random structures, so `pytest -v` prints a single
-pass/fail line per check.
+pass/fail line per check.  Checks 02, 06, 07, 09 and 10 also run on
+seeded random triangulations of 2, 20 and 200 faces.
 """
 
 import json
@@ -12,6 +13,7 @@ import re
 import time
 
 import pytest
+from conftest import random_triangulation
 
 from brokensurf import cli, fileio, forms, minkowski, render, samples
 from brokensurf.develop import (
@@ -41,8 +43,14 @@ def pool(T):
 
 
 @pytest.fixture(scope="module")
-def pools(torus, sphere):
-    return {torus: pool(torus), sphere: pool(sphere)}
+def surfaces(torus, sphere):
+    """The two fixtures, then random surfaces of 2, 20 and 200 faces."""
+    return [torus, sphere] + [random_triangulation(F, seed=F) for F in (2, 20, 200)]
+
+
+@pytest.fixture(scope="module")
+def pools(surfaces):
+    return {T: pool(T) for T in surfaces}
 
 
 def test_criterion_01_form_preservation(torus, sphere, pools):
@@ -58,8 +66,8 @@ def test_criterion_01_form_preservation(torus, sphere, pools):
     assert time.monotonic() - start < 1.0
 
 
-def test_criterion_02_chart_identity(torus, sphere, pools):
-    for T in (torus, sphere):
+def test_criterion_02_chart_identity(surfaces, pools):
+    for T in surfaces:
         for H in pools[T]:
             m = forms.to_measure(H)
             assert max(abs(m.w[p] - H.gap(p)) for p in T.pairs) <= 1e-12
@@ -129,30 +137,33 @@ def test_criterion_05_hlength_calibration(torus):
     assert (max(ratios) - min(ratios)) / mean <= 1e-9
 
 
-def test_criterion_06_coupling_equations(torus, sphere):
-    for T in (torus, sphere):
+def test_criterion_06_coupling_equations(surfaces):
+    for T in surfaces:
         for seed in range(SAMPLES):
             H = samples.random_unbroken(T, samples.rng(seed))
             assert max(abs(H.coupling_residual(p)) for p in T.pairs) <= 1e-12
 
 
-def test_criterion_07_holonomy_telescoping(torus, sphere, pools):
+def test_criterion_07_holonomy_telescoping(surfaces, pools):
     # single puncture: the gap-convention product telescopes identically
-    for H in pools[torus]:
-        assert abs(H.puncture_holonomy(0, "gap") - 1.0) <= 1e-12
+    for T in surfaces:
+        if T.num_punctures == 1:
+            for H in pools[T]:
+                assert abs(H.puncture_holonomy(0, "gap") - 1.0) <= 1e-12
     # several punctures: only the product over all of them does
-    for T in (torus, sphere):
+    for T in surfaces:
         for H in pools[T]:
             prod = 1.0
             for p in range(T.num_punctures):
                 prod *= H.puncture_holonomy(p, "gap")
             assert abs(prod - 1.0) <= 1e-12
     # concatenation multiplies the scale part
-    loop = dual_loops(torus, "punctures")[0]
-    for H in pools[torus][:20]:
-        once = path_holonomy(H, loop).scale
-        twice = path_holonomy(H, loop + loop).scale
-        assert abs(twice - once * once) <= 1e-12 * once * once
+    for T in surfaces:
+        loop = dual_loops(T, "punctures")[0]
+        for H in pools[T][:20]:
+            once = path_holonomy(H, loop).scale
+            twice = path_holonomy(H, loop + loop).scale
+            assert abs(twice - once * once) <= 1e-12 * once * once
 
 
 def test_criterion_08_developing(torus):
@@ -174,8 +185,8 @@ def test_criterion_08_developing(torus):
     assert time.monotonic() - start < 1.0
 
 
-def test_criterion_09_shift_compatibility(torus, sphere, pools):
-    for T in (torus, sphere):
+def test_criterion_09_shift_compatibility(surfaces, pools):
+    for T in surfaces:
         for H in pools[T]:
             m = forms.to_measure(H)
             assert max(abs(H.shift(p) - m.shift(p)) for p in T.pairs) <= 1e-9
@@ -186,7 +197,7 @@ def test_criterion_09_shift_compatibility(torus, sphere, pools):
                 assert abs(total) <= 1e-9
 
 
-def test_criterion_10_collar_extraction(torus, sphere):
+def test_criterion_10_collar_extraction(torus, surfaces):
     w = {(f, s): float(v) for f in range(2) for s, v in enumerate((3.0, 4.0, 5.0))}
     split = split_collars(BrokenMeasure(torus, w))
     assert split.collars == (1.0,)
@@ -196,7 +207,7 @@ def test_criterion_10_collar_extraction(torus, sphere):
             2.0,
             3.0,
         )
-    for T in (torus, sphere):
+    for T in surfaces:
         for seed in range(50):
             m = samples.random_measure(T, samples.rng(seed))
             first = split_collars(m)

@@ -228,6 +228,23 @@ def test_holonomy_report(structure_file, capsys):
     assert all(l["backward_residual"] <= 1e-14 for l in doc["loops"])
 
 
+@pytest.mark.parametrize("loops", ["punctures", "basis"])
+def test_holonomy_rejects_invalid_structure(tmp_path, torus, loops, capsys):
+    # zero gaps first, then a lambda below sqrt(2): holonomy must not stop
+    # at the zero gaps and report an undefined figure with exit 0
+    lam = {p: math.sqrt(2.0) for p in torus.pairs}
+    lam[(1, 2)] = 1.3
+    path = tmp_path / "below.json"
+    fileio.save(path, DecoratedBrokenHyperbolic(torus, lam))
+    assert run(["holonomy", str(path), "--loops", loops]) == 2
+    doc = read_doc(capsys)
+    assert list(doc) == ["report"]
+    assert doc["report"]["valid"] is False
+    for command in ("validate", "ray", "develop"):
+        assert run([command, str(path)]) == 2
+    capsys.readouterr()
+
+
 def test_holonomy_basis_loops(structure_file, capsys):
     assert run(["holonomy", structure_file, "--loops", "basis"]) == 0
     doc = read_doc(capsys)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from brokensurf import samples
@@ -108,7 +109,7 @@ def test_puncture_loop_vector_torus(torus):
     # the single cycle has every pair once as near and once as far
     assert all(vec.w[p] == 2.0 for p in torus.pairs)
     assert vec.validate().valid
-    assert all(s == pytest.approx(1.0) for s in vec.small_weights().values())
+    assert vec.small_weights().ravel().tolist() == pytest.approx([1.0] * 6)
 
 
 def test_puncture_loop_vectors_sum(sphere):
@@ -125,14 +126,14 @@ def test_puncture_loop_vectors_sum(sphere):
 def test_split_collars_345(torus):
     split = split_collars(measure_345(torus))
     assert split.collars == (1.0,)
-    assert sorted(set(split.core.w.values())) == [1.0, 2.0, 3.0]
+    assert np.unique(split.core.w).tolist() == [1.0, 2.0, 3.0]
 
 
 def test_split_collars_recombines(torus, sphere, gen):
     for T in (torus, sphere):
         m = samples.random_measure(T, gen)
         split = split_collars(m)
-        back = split.point().total()
+        back = split.total()
         for p in T.pairs:
             assert back.w[p] == pytest.approx(m.w[p], abs=1e-12)
 

@@ -154,13 +154,15 @@ def test_unbroken_rank(torus, sphere):
         assert 0 <= report.rank <= T.num_edges
 
 
-def test_vector_helpers(torus, gen):
+def test_tables_flatten_in_chart_order(torus, gen):
+    # a pair table read row by row is the chart vector the forms take
     H = samples.random_valid_structure(torus, gen)
-    ell = forms.log_lambda_vector(H)
+    ell = np.log(H.lam).ravel()
     assert ell.shape == (6,)
     assert ell[0] == pytest.approx(math.log(H.lam[(0, 0)]))
     m = samples.random_measure(torus, gen)
-    vec = forms.weight_vector(m)
+    vec = m.w.ravel()
+    assert forms.wp_form(torus).labels[4] == (1, 1)
     assert vec[4] == m.w[(1, 1)]
 
 
@@ -231,7 +233,7 @@ def test_holonomy_jacobian_matches_central_differences():
     step = 1e-6
 
     def log_holonomy(pair, factor):
-        lam = dict(H.lam)
+        lam = H.lam.copy()
         lam[pair] *= factor
         moved = DecoratedBrokenHyperbolic(T, lam)
         return np.array(

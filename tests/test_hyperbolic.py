@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from brokensurf import samples
 from brokensurf.errors import DegenerateEdge, InvalidDecoration
+from brokensurf.foliation import BrokenMeasure
 from brokensurf.hyperbolic import (
     SQRT2,
     DecoratedBrokenHyperbolic,
@@ -38,6 +40,27 @@ def test_constructor_rejects_bad_tables(torus):
         DecoratedBrokenHyperbolic(torus, {p: -1.0 for p in torus.pairs})
     with pytest.raises(ValueError):
         DecoratedBrokenHyperbolic(torus, {(0, 0): 2.0})
+    # structures and measures share one read-only (F, 3) table contract
+    values = {p: 2.0 + 0.1 * (3 * p[0] + p[1]) for p in torus.pairs}
+    array = np.array([[values[(f, s)] for s in range(3)] for f in range(2)])
+    for cls, noun, table_of in (
+        (DecoratedBrokenHyperbolic, "lambda", lambda H: H.lam),
+        (BrokenMeasure, "weight", lambda m: m.w),
+    ):
+        table = table_of(cls(torus, values))
+        assert table.shape == (2, 3)
+        assert table[(1, 2)] == values[(1, 2)]
+        with pytest.raises(ValueError):
+            table[0, 0] = 3.0
+        assert np.array_equal(table_of(cls(torus, array)), table)
+        with pytest.raises(ValueError, match="shape"):
+            cls(torus, np.ones((3, 3)))
+        with pytest.raises(ValueError, match=rf"missing {noun} for pair \(0, 1\)"):
+            cls(torus, {p: v for p, v in values.items() if p != (0, 1)})
+        with pytest.raises(ValueError, match=rf"{noun}s given for unknown pairs"):
+            cls(torus, {**values, (2, 0): 1.0})
+        with pytest.raises(ValueError, match=rf"{noun} at \(1, 0\) must be"):
+            cls(torus, {**values, (1, 0): math.inf})
 
 
 def test_ratio_conventions(sphere):

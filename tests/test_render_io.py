@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from brokensurf import fileio, render, samples
@@ -57,7 +58,7 @@ def test_structure_roundtrip_is_byte_stable(tmp_path, sphere, gen):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     fileio.save(p1, H)
     loaded = fileio.load(p1)
-    assert loaded.lam == H.lam
+    assert np.array_equal(loaded.lam, H.lam)
     fileio.save(p2, loaded)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -67,7 +68,7 @@ def test_measure_roundtrip_is_byte_stable(tmp_path, torus, gen):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     fileio.save(p1, m)
     loaded = fileio.load(p1)
-    assert loaded.w == m.w
+    assert np.array_equal(loaded.w, m.w)
     fileio.save(p2, loaded)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -77,12 +78,12 @@ def test_structure_references_triangulation_file(tmp_path, torus, gen):
     fileio.save(tmp_path / "tri.json", torus)
     doc = {
         "triangulation": "tri.json",
-        "lambda": {fileio.pair_key(p): v for p, v in H.lam.items()},
+        "lambda": {fileio.pair_key(p): float(H.lam[p]) for p in torus.pairs},
     }
     path = tmp_path / "structure.json"
     path.write_text(fileio.canonical_json(doc), encoding="utf-8")
     loaded = fileio.load(path)
-    assert loaded.lam == H.lam
+    assert np.array_equal(loaded.lam, H.lam)
 
 
 def test_pair_keys():
