@@ -137,7 +137,7 @@ class BrokenMeasure:
         )
 
         if not bad_faces and not negative:
-            lhs = self.small_weights() @ LARGE_FROM_SMALL.T
+            lhs = self.small_weights(tol) @ LARGE_FROM_SMALL.T
             worst_switch = float(np.max(np.abs(lhs - w) / np.maximum(1.0, np.abs(w))))
             report.add("switch_conditions", worst_switch <= tol, worst_switch)
         return report

@@ -86,7 +86,8 @@ class DecoratedBrokenHyperbolic:
     @cached_property
     def _gaps(self) -> np.ndarray:
         """Signed gaps log(lambda^2 / 2), unclamped, one per pair."""
-        return np.log(self.lam**2 / 2.0)
+        # float_power squares through libm pow, as Python's float ** 2 does
+        return np.log(np.float_power(self.lam, 2) / 2.0)
 
     def gap(self, pair: Pair) -> float:
         """Horocycle gap delta = log(lambda^2 / 2); zero at lambda = sqrt(2)."""

@@ -72,6 +72,19 @@ def test_validate_flags_negative_sector(tmp_path, torus, capsys):
     assert doc["report"]["valid"] is False
 
 
+def test_validate_measure_switch_check_uses_tol(tmp_path, torus, capsys):
+    # small weight -1e-10 at face 0's corner 0: dust at the CLI's 1e-9
+    # tolerance, so the switch check must clamp at that tolerance too
+    w = {p: 1.0 for p in torus.pairs}
+    w[(0, 0)] = 2.0 + 2e-10
+    path = tmp_path / "measure.json"
+    fileio.save(path, BrokenMeasure(torus, w))
+    assert run(["validate", str(path)]) == 0
+    checks = {c["name"]: c for c in read_doc(capsys)["report"]["checks"]}
+    assert checks["triangle_inequalities"]["passed"] is True
+    assert checks["switch_conditions"]["passed"] is True
+
+
 def test_validate_agrees_with_gap_near_sqrt2(tmp_path, torus, capsys):
     # just below sqrt(2) beyond GAP_FLOOR: gap() raises, so validate must fail
     below = tmp_path / "below.json"
