@@ -7,10 +7,13 @@ a numerical check misses its tolerance.  develop and holonomy validate
 their structure first and on failure print only its report and exit 2.
 Every command prints one JSON document to stdout, or to --out when given.
 
-Where a zero gap (lambda = sqrt(2)) leaves a figure undefined, the
-command reports it as null and keeps its exit code: holonomy's
-gap_holonomy at a puncture meeting such a pair, and forms --constrained's
-constrained_rank when any pair has one.
+A zero gap is one with |log(lambda^2 / 2)| <= GAP_FLOOR, everywhere.
+Where it leaves a figure undefined, the command reports it as null and
+keeps its exit code: holonomy's gap_holonomy at a puncture whose corner
+cycle meets one on either side of a crossing, and forms --constrained's
+constrained_rank when any pair has one.  validate passes puncture i when
+|phi_i - 1| <= tol + 4 eps sum(1/g_near + 1/g_far) over its crossings,
+which allows for the rounding of the gaps the ratios divide by.
 """
 
 from __future__ import annotations
@@ -24,9 +27,8 @@ import numpy as np
 
 from . import fileio, forms, minkowski, render, samples
 from .develop import cusp_closure_residual, develop, path_holonomy
-from .errors import GeometryError
-from .foliation import BrokenMeasure
-from .hyperbolic import GAP_FLOOR, DecoratedBrokenHyperbolic
+from .errors import DegenerateEdge, GeometryError
+from .hyperbolic import DecoratedBrokenHyperbolic
 from .triangulation import IdealTriangulation, dual_loops
 
 EXIT_OK = 0
@@ -135,9 +137,9 @@ def cmd_forms(args) -> int:
         if structure is None:
             structure = samples.random_valid_structure(T, samples.rng(args.seed))
             doc["constrained_at"] = f"random structure, seed {args.seed}"
-        # gaps() raises for a lambda below sqrt(2) anywhere
+        structure.gaps()  # raises for a lambda below sqrt(2) anywhere
         doc["constrained_rank"] = (
-            None if np.any(structure.gaps() <= GAP_FLOOR)
+            None if structure.zero_gap.any()
             else forms.rank_report(T, structure, constrained=True).to_dict()
         )
     _emit(doc, args.out)
@@ -205,26 +207,27 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
+def _gap_holonomy(H: DecoratedBrokenHyperbolic, puncture: int) -> float | None:
+    try:
+        return H.puncture_holonomy(puncture, "gap")
+    except DegenerateEdge:
+        return None
+
+
 def cmd_holonomy(args) -> int:
     H = _load_structure(args.file)
     if not _valid(H, args.out):
         return EXIT_INVALID
-    punctures = []
-    for cyc in H.T.corner_cycles:
-        degenerate = any(
-            H.is_degenerate(near) or H.is_degenerate(H.T.gluing[near])
-            for near in cyc.crossings
-        )
-        row = {
+    punctures = [
+        {
             "puncture": cyc.index,
             "length": len(cyc.sectors),
             "lambda_holonomy": H.puncture_holonomy(cyc.index, "lambda"),
-            "gap_holonomy": (
-                None if degenerate else H.puncture_holonomy(cyc.index, "gap")
-            ),
+            "gap_holonomy": _gap_holonomy(H, cyc.index),
             "cusp_closure_residual": cusp_closure_residual(H, cyc.index),
         }
-        punctures.append(row)
+        for cyc in H.T.corner_cycles
+    ]
     loops = []
     worst = 0.0
     for crossings in dual_loops(H.T, which=args.loops):

@@ -33,11 +33,6 @@ DRIFT_BOUND = 1e-10
 _J = np.diag([1.0, 1.0, -1.0])
 
 
-def _as_arrays(points) -> tuple:
-    """A start lift's corners as float arrays, which _cross_edge expects."""
-    return tuple(np.asarray(p, dtype=float) for p in points)
-
-
 def _cross_edge(H: DecoratedBrokenHyperbolic, face: int, slot: int, points):
     """Develop across one glued edge; returns (far pair, far points, step, drift).
 
@@ -123,19 +118,12 @@ class DevelopedBall:
 
 
 def develop(
-    H: DecoratedBrokenHyperbolic,
-    base: int = 0,
-    depth: int = 2,
-    normalization: minkowski.TriangleLift | None = None,
+    H: DecoratedBrokenHyperbolic, base: int = 0, depth: int = 2
 ) -> DevelopedBall:
     """Develop the combinatorial ball of the given depth around a face."""
     ball = unfold_ball(H.T, base, depth)
-    root = normalization if normalization is not None else H.face_lift(base)
-    if not root.oriented():
-        raise GeometryError("normalization lift is not positively oriented")
-
     nodes: list[DevelopedNode] = [
-        DevelopedNode(0, base, 0, None, None, _as_arrays(root.points), 1.0, 0.0)
+        DevelopedNode(0, base, 0, None, None, H.face_lift(base).points, 1.0, 0.0)
     ]
     for bn in ball.nodes[1:]:
         parent = nodes[bn.parent]
@@ -157,15 +145,11 @@ def develop(
     return DevelopedBall(base, depth, tuple(nodes))
 
 
-def develop_along(
-    H: DecoratedBrokenHyperbolic,
-    crossings,
-    start: minkowski.TriangleLift | None = None,
-):
+def develop_along(H: DecoratedBrokenHyperbolic, crossings):
     """Develop face by face along a crossing sequence.
 
     Returns (start lift, final points, final scale, final face): the
-    lift the path starts from, the developed lift of the face the last
+    first face's own lift, the developed lift of the face the last
     crossing enters, the running scale there and that face's index.
     Consecutive crossings must chain: each one leaves the face the
     previous one entered.
@@ -174,8 +158,8 @@ def develop_along(
     if not crossings:
         raise OpenPath("need at least one crossing")
     face = crossings[0][0]
-    lift = start if start is not None else H.face_lift(face)
-    points = _as_arrays(lift.points)
+    lift = H.face_lift(face)
+    points = lift.points
     scale = 1.0
     for f, s in crossings:
         if f != face:
@@ -219,11 +203,7 @@ class PathHolonomy:
         return PathHolonomy(self.matrix @ other.matrix, self.scale * other.scale)
 
 
-def path_holonomy(
-    H: DecoratedBrokenHyperbolic,
-    loop,
-    normalization: minkowski.TriangleLift | None = None,
-) -> PathHolonomy:
+def path_holonomy(H: DecoratedBrokenHyperbolic, loop) -> PathHolonomy:
     """Holonomy pair of a closed dual path: end frame times inverse start frame.
 
     Composition is contravariant: the pair of loop1 + loop2 is
@@ -233,7 +213,7 @@ def path_holonomy(
     if not loop:
         return PathHolonomy(np.eye(3), 1.0)
     check_loop(H.T, loop)
-    start, points, scale, _ = develop_along(H, loop, start=normalization)
+    start, points, scale, _ = develop_along(H, loop)
     m_0 = np.column_stack(start.points)
     m_1 = np.column_stack(points)
     return PathHolonomy(m_1 @ np.linalg.inv(m_0), scale)

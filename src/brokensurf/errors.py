@@ -30,7 +30,7 @@ class InvalidDecoration(GeometryError):
 
 
 class DegenerateEdge(GeometryError):
-    """A ratio across an edge is requested where the denominator vanishes."""
+    """A zero gap leaves a ratio or holonomy across its edge undefined."""
 
 
 class TriangleInequalityViolated(GeometryError):

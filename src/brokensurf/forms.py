@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ChartMismatch, InvalidDecoration
 from .foliation import SMALL_FROM_LARGE, BrokenMeasure
-from .hyperbolic import GAP_FLOOR, DecoratedBrokenHyperbolic
+from .hyperbolic import DecoratedBrokenHyperbolic
 from .triangulation import NEXT, PREV, IdealTriangulation
 
 CHART_LOG_LAMBDA = "log_lambda"
@@ -229,7 +229,7 @@ def _holonomy_jacobian(H: DecoratedBrokenHyperbolic) -> np.ndarray:
     """
     T = H.T
     gaps = H.gaps()
-    if np.any(gaps <= GAP_FLOOR):
+    if H.zero_gap.any():
         raise InvalidDecoration("constrained rank needs every gap above GAP_FLOOR")
     slope = (2.0 / gaps).ravel()
     pairs = np.arange(slope.size)

@@ -10,7 +10,7 @@ delta(far)/delta(near) and vanishing gaps leave the gluing underdetermined.
 
 Validity: per face, lambda_j * lambda_k >= sqrt(2) * lambda_i for each
 slot i (equivalently the dual small weights are nonnegative), and the
-gap-ratio product around every puncture is 1.
+gap-ratio product around every puncture is 1 up to its gaps' rounding.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import DegenerateEdge, InvalidDecoration
 from .triangulation import NEXT, PREV, IdealTriangulation, Pair, Sector
 
 SQRT2 = math.sqrt(2.0)
+EPS = float(np.finfo(float).eps)
 
 # Gaps this close to zero count as exactly degenerate decoration.
 GAP_FLOOR = 1e-12
@@ -72,9 +73,10 @@ class DecoratedBrokenHyperbolic:
 
     lam is a read-only (F, 3) float array indexed [face, slot], built
     from a pair-keyed mapping or an (F, 3) array; H.lam[(f, s)] reads
-    one pair.  Because lam cannot change, the signed gap table and the
-    per-pair crossing coefficients of the developing map are computed
-    on first use and kept on the structure.
+    one pair.  Because lam cannot change, the signed gap table, the
+    zero-gap mask, the far/near ratio tables and the per-pair crossing
+    coefficients of the developing map are computed on first use and
+    kept on the structure.
     """
 
     def __init__(self, T: IdealTriangulation, lam) -> None:
@@ -105,29 +107,52 @@ class DecoratedBrokenHyperbolic:
             self.gap(self.T.pairs[below[0]])
         return np.maximum(self._gaps, 0.0)
 
-    def is_degenerate(self, pair: Pair) -> bool:
-        return self.gap(pair) <= GAP_FLOOR
+    @cached_property
+    def zero_gap(self) -> np.ndarray:
+        """Pairs with |log(lambda^2 / 2)| <= GAP_FLOOR: the one zero-gap test.
+
+        A zero gap on either side of an edge leaves its gluing unpinned.
+        """
+        zero = np.abs(self._gaps) <= GAP_FLOOR
+        zero.flags.writeable = False
+        return zero
+
+    @cached_property
+    def _lambda_ratios(self) -> np.ndarray:
+        """lambda(far) / lambda(near) for every pair."""
+        return self.lam.ravel()[self.T.partner] / self.lam
+
+    @cached_property
+    def _gap_ratios(self) -> np.ndarray:
+        """gap(far) / gap(near) for every pair; NaN on an edge with a zero gap."""
+        gaps = self.gaps()
+        far = self.T.partner
+        dead = self.zero_gap | self.zero_gap.ravel()[far]
+        nan = np.full_like(gaps, np.nan)
+        return np.divide(gaps.ravel()[far], gaps, out=nan, where=~dead)
 
     def gap_ratio(self, pair: Pair) -> float:
         """Homothety factor across the pair's edge, near side to far side."""
-        far = self.T.gluing[pair]
-        denom = self.gap(pair)
-        if denom <= GAP_FLOOR:
-            raise DegenerateEdge(f"zero gap at {pair} pins no gluing scale")
-        return self.gap(far) / denom
+        ratio = float(self._gap_ratios[pair])
+        if math.isnan(ratio):
+            raise DegenerateEdge(f"zero gap on the edge of {pair} pins no gluing scale")
+        return ratio
 
     def lambda_ratio(self, pair: Pair) -> float:
         """lambda(far)/lambda(near); the developing map's crossing scale."""
-        far = self.T.gluing[pair]
-        return float(self.lam[far] / self.lam[pair])
+        return float(self._lambda_ratios[pair])
 
     def puncture_holonomy(self, puncture: int, convention: str = "gap") -> float:
-        """Product of directed edge ratios around a corner cycle."""
-        cycle = self.T.corner_cycles[puncture]
-        ratio = {"gap": self.gap_ratio, "lambda": self.lambda_ratio}[convention]
-        phi = 1.0
-        for near in cycle.crossings:
-            phi *= ratio(near)
+        """Product of the far/near ratios of a corner cycle's crossings, in order.
+
+        Under the gap convention a cycle that meets a zero gap on either
+        side of a crossing raises DegenerateEdge.
+        """
+        table = {"gap": "_gap_ratios", "lambda": "_lambda_ratios"}[convention]
+        ratios = getattr(self, table)
+        phi = math.prod(ratios.ravel()[self.T.cycle_crossings[puncture]].tolist())
+        if math.isnan(phi):
+            raise DegenerateEdge(f"puncture {puncture} meets a zero gap")
         return phi
 
     def h_length(self, sector: Sector) -> float:
@@ -209,10 +234,7 @@ class DecoratedBrokenHyperbolic:
         far = self.T.gluing[pair]
         f, k = pair
         g, k2 = far
-        own_gap = self.gap(pair)
-        far_gap = self.gap(far)
-        if own_gap <= GAP_FLOOR or far_gap <= GAP_FLOOR:
-            raise DegenerateEdge(f"zero gap on edge of {pair}; gluing unpinned")
+        own_over_far = self.gap_ratio(far)  # raises for a zero gap on the edge
         mine, theirs = self.lam[f].tolist(), self.lam[g].tolist()
         own = math.log(
             mine[k] * mine[(k + 2) % 3] / (SQRT2 * mine[(k + 1) % 3])
@@ -222,7 +244,7 @@ class DecoratedBrokenHyperbolic:
         foreign = math.log(
             theirs[k2] * theirs[(k2 + 1) % 3] / (SQRT2 * theirs[(k2 + 2) % 3])
         )
-        return foreign * (own_gap / far_gap) - own
+        return foreign * own_over_far - own
 
     # --- global checks ------------------------------------------------
 
@@ -250,7 +272,7 @@ class DecoratedBrokenHyperbolic:
             f"lambda below sqrt(2) at pairs: {below}" if below else "",
         )
 
-        degenerate = self.T.pairs_where(np.abs(lam - SQRT2) <= SQRT2 * tol)
+        degenerate = self.T.pairs_where(self.zero_gap)
         if degenerate:
             report.warnings.append(
                 f"degenerate decoration (zero horocycle gap) at pairs {degenerate}"
@@ -262,7 +284,14 @@ class DecoratedBrokenHyperbolic:
         else:
             phis = [self.puncture_holonomy(i) for i in range(self.T.num_punctures)]
             errs = [abs(phi - 1.0) for phi in phis]
-            bad_cycles = [(i, phis[i]) for i, err in enumerate(errs) if err > tol]
+            # a gap g carries about eps of rounding, so a ratio across it
+            # is good to about eps / g; allow for that on every crossing
+            inv = 1.0 / self.gaps()
+            spread = (inv + inv.ravel()[self.T.partner]).ravel()
+            near = self.T.puncture_of[:, PREV].ravel()  # puncture crossing each pair
+            rounding = np.bincount(near, spread, self.T.num_punctures)
+            cap = (tol + 4.0 * EPS * rounding).tolist()
+            bad_cycles = [(i, phis[i]) for i, err in enumerate(errs) if err > cap[i]]
             report.add(
                 "puncture_holonomy",
                 not bad_cycles,
@@ -271,12 +300,9 @@ class DecoratedBrokenHyperbolic:
             )
         return report
 
-    def is_unbroken(self, tol: float = 0.0) -> bool:
-        """Both sides of every edge agree within tol, relative to the side p < q."""
-        lam = self.lam.ravel()
-        far = self.T.partner.ravel()
-        near = np.flatnonzero(np.arange(far.size) < far)
-        return bool(np.all(np.abs(lam[near] - lam[far[near]]) <= tol * lam[near]))
+    def is_unbroken(self) -> bool:
+        """Both sides of every edge carry the same lambda."""
+        return bool(np.all(self.lam == self.lam.ravel()[self.T.partner]))
 
     def to_dict(self) -> dict:
         return {"triangulation": self.T.to_dict(), "lambda": self.T.pair_dict(self.lam)}

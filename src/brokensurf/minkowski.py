@@ -29,6 +29,9 @@ from .errors import (
 )
 from .triangulation import NEXT, PREV
 
+# Pairings and determinants up to this times the z coordinates' product are zero.
+DEGENERATE_TOL = 1e-12
+
 # Right-handed: any positive lambdas on these rays give det(u0,u1,u2) > 0.
 DEFAULT_RAYS = (
     np.array([1.0, 0.0, 1.0]),
@@ -68,7 +71,7 @@ def _at(index) -> str:
     return f" at index {index[0] if len(index) == 1 else tuple(map(int, index))}"
 
 
-def lambda_pair(u, v, tol: float = 1e-12):
+def lambda_pair(u, v):
     """Lambda length sqrt(-<u, v>) of two upper cone points.
 
     u and v may be stacks of points along leading axes; a single pair
@@ -77,7 +80,7 @@ def lambda_pair(u, v, tol: float = 1e-12):
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     s = -_pairing(u, v)
-    bad = _first(s <= tol * u[..., 2] * v[..., 2])
+    bad = _first(s <= DEGENERATE_TOL * u[..., 2] * v[..., 2])
     if bad is not None:
         raise CollinearRays(f"cone points pair to {-s[bad]}, not negatively{_at(bad)}")
     lam = np.sqrt(s)
@@ -104,7 +107,7 @@ class TriangleLift:
         return self.det() > 0.0
 
 
-def solve_triangles(rays, lambdas, tol: float = 1e-12) -> np.ndarray:
+def solve_triangles(rays, lambdas) -> np.ndarray:
     """Scale cone rays so that <u_i, u_j> = -lambdas[k]^2, k opposite.
 
     rays has shape (..., 3, 3), one ray per row, and lambdas (..., 3);
@@ -127,13 +130,13 @@ def solve_triangles(rays, lambdas, tol: float = 1e-12) -> np.ndarray:
     # det / (z0 z1 z2) is the determinant of the rays scaled to z = 1, so
     # the test holds at any scale; a zero z leaves a zero row and fails it
     det = np.linalg.det(cone.swapaxes(-1, -2))
-    bad = _first(np.abs(det) <= tol * cone[..., 2].prod(axis=-1))
+    bad = _first(np.abs(det) <= DEGENERATE_TOL * cone[..., 2].prod(axis=-1))
     if bad is not None:
         raise DegenerateRays(f"rays do not span R^3{_at(bad)}")
     # slot k pairs the two rays opposite vertex k
     head, tail = cone.take(NEXT, axis=-2), cone.take(PREV, axis=-2)
     g = -_pairing(head, tail)
-    bad = _first(g <= tol * head[..., 2] * tail[..., 2])
+    bad = _first(g <= DEGENERATE_TOL * head[..., 2] * tail[..., 2])
     if bad is not None:
         i, j = (bad[-1] + 1) % 3, (bad[-1] + 2) % 3
         raise CollinearRays(f"rays {i} and {j} are proportional{_at(bad[:-1])}")
@@ -144,12 +147,12 @@ def solve_triangles(rays, lambdas, tol: float = 1e-12) -> np.ndarray:
     return t[..., None] * cone
 
 
-def solve_triangle(rays, lambdas, tol: float = 1e-12) -> TriangleLift:
+def solve_triangle(rays, lambdas) -> TriangleLift:
     """One triangle of solve_triangles, as a lift."""
-    return TriangleLift(tuple(solve_triangles(rays, lambdas, tol)))
+    return TriangleLift(tuple(solve_triangles(rays, lambdas)))
 
 
-def extend_across(u, v, lam_u, lam_v, side: int, tol: float = 1e-12):
+def extend_across(u, v, lam_u, lam_v, side: int):
     """Third cone point z with <z, u> = -lam_u^2, <z, v> = -lam_v^2.
 
     side (+1 or -1) picks the sign of det(u, v, z), i.e. the half-space
@@ -164,7 +167,7 @@ def extend_across(u, v, lam_u, lam_v, side: int, tol: float = 1e-12):
     if min(lam_u, lam_v) <= 0.0:
         raise ValueError("lambdas must be positive")
     lam_uv_sq = -mform(u, v)
-    if lam_uv_sq <= tol * float(u[2]) * float(v[2]):
+    if lam_uv_sq <= DEGENERATE_TOL * float(u[2]) * float(v[2]):
         raise DegeneratePair("edge endpoints are proportional")
     a = float(lam_v) ** 2 / lam_uv_sq
     b = float(lam_u) ** 2 / lam_uv_sq

@@ -3,9 +3,8 @@
 Tiles are drawn by their geodesic sides: the circular arc through the
 two boundary points, orthogonal to the unit circle (a diameter when the
 points are antipodal).  Corner decorations become the horocycle circles
-tangent to the boundary.  Repeated edges and horocycles are deduplicated
-by their rounded coordinates, since glued tiles share them exactly up to
-float noise.
+tangent to the boundary.  A developed ball is a tree of tiles, so each
+side and each horocycle is drawn once, by the tile that introduces it.
 """
 
 from __future__ import annotations
@@ -15,8 +14,14 @@ import math
 from .develop import DevelopedBall
 from .minkowski import horocycle_disk_circle
 
-# Antipodal test and dedup rounding both live at the output precision.
+# The antipodal test lives at the output precision.
 ANTIPODAL_TOL = 1e-9
+
+# Width and height of the picture, and the unit disk's radius and
+# centre in it, in pixels.
+SIZE = 600.0
+SCALE = (SIZE - 2.0 * 10.0) / 2.0
+MID = SIZE / 2.0
 
 
 def fmt(x: float) -> str:
@@ -29,100 +34,77 @@ def _ray_point(u) -> tuple[float, float]:
     return x / n, y / n
 
 
-class _Canvas:
-    """Maps disk coordinates to pixels (y flipped) and collects elements."""
-
-    def __init__(self, size: float, margin: float):
-        self.size = size
-        self.scale = (size - 2.0 * margin) / 2.0
-        self.mid = size / 2.0
-        self.body: list[str] = []
-        self.seen: set = set()
-
-    def pix(self, p) -> tuple[float, float]:
-        return self.mid + self.scale * p[0], self.mid - self.scale * p[1]
-
-    def emit_once(self, key, element: str) -> None:
-        if key not in self.seen:
-            self.seen.add(key)
-            self.body.append(element)
+def _pix(p) -> tuple[float, float]:
+    """Disk coordinates to pixels, y flipped."""
+    return MID + SCALE * p[0], MID - SCALE * p[1]
 
 
-def _round_key(*vals):
-    return tuple(float(fmt(v)) for v in vals)
-
-
-def _edge_element(canvas: _Canvas, e1, e2, cls: str) -> None:
-    key = (cls,) + tuple(sorted([_round_key(*e1), _round_key(*e2)]))
-    x1, y1 = canvas.pix(e1)
-    x2, y2 = canvas.pix(e2)
+def _edge_element(e1, e2) -> str:
+    x1, y1 = _pix(e1)
+    x2, y2 = _pix(e2)
     dot = e1[0] * e2[0] + e1[1] * e2[1]
     if 1.0 + dot <= ANTIPODAL_TOL:
-        el = (
-            f'<line class="{cls}" x1="{fmt(x1)}" y1="{fmt(y1)}" '
+        return (
+            f'<line class="edge" x1="{fmt(x1)}" y1="{fmt(y1)}" '
             f'x2="{fmt(x2)}" y2="{fmt(y2)}"/>'
         )
-        canvas.emit_once(key, el)
-        return
     cx = (e1[0] + e2[0]) / (1.0 + dot)
     cy = (e1[1] + e2[1]) / (1.0 + dot)
-    r = math.sqrt(max(cx * cx + cy * cy - 1.0, 0.0)) * canvas.scale
-    pcx, pcy = canvas.pix((cx, cy))
+    r = math.sqrt(max(cx * cx + cy * cy - 1.0, 0.0)) * SCALE
+    pcx, pcy = _pix((cx, cy))
     # (P2-P1) x (C-P1) equals (P1-C) x (P2-C); positive means the short
     # way around C runs in SVG's positive-angle direction.
     cross = (x2 - x1) * (pcy - y1) - (y2 - y1) * (pcx - x1)
     sweep = 1 if cross > 0.0 else 0
-    el = (
-        f'<path class="{cls}" d="M {fmt(x1)} {fmt(y1)} '
+    return (
+        f'<path class="edge" d="M {fmt(x1)} {fmt(y1)} '
         f'A {fmt(r)} {fmt(r)} 0 0 {sweep} {fmt(x2)} {fmt(y2)}"/>'
     )
-    canvas.emit_once(key, el)
 
 
-def _horocycle_element(canvas: _Canvas, u) -> None:
+def _horocycle_element(u) -> str:
     center, hr = horocycle_disk_circle(u)
-    hx, hy = float(center[0]), float(center[1])
-    key = ("horo",) + _round_key(hx, hy, hr)
-    px, py = canvas.pix((hx, hy))
-    el = (
+    px, py = _pix((float(center[0]), float(center[1])))
+    return (
         f'<circle class="horocycle" cx="{fmt(px)}" cy="{fmt(py)}" '
-        f'r="{fmt(hr * canvas.scale)}"/>'
+        f'r="{fmt(hr * SCALE)}"/>'
     )
-    canvas.emit_once(key, el)
 
 
-def tiles_svg(point_triples, horocycles: bool = True, size: float = 600.0) -> str:
-    """SVG document for a collection of lifted tiles (light-cone triples)."""
-    canvas = _Canvas(size, margin=10.0)
-    for points in point_triples:
-        rays = [_ray_point(u) for u in points]
-        for i in range(3):
-            _edge_element(canvas, rays[(i + 1) % 3], rays[(i + 2) % 3], "edge")
+def ball_svg(ball: DevelopedBall, horocycles: bool = True) -> str:
+    """SVG document for a developed ball, each side and horocycle drawn once.
+
+    A child tile shares its entry side, and the two corners on it, with
+    its parent and with no other tile: the root draws its three sides and
+    corners, every other tile its two other sides and its fresh corner,
+    the one at its entry slot.
+    """
+    body = []
+    for n in ball.nodes:
+        rays = [_ray_point(u) for u in n.points]
+        body.extend(
+            _edge_element(rays[(i + 1) % 3], rays[(i + 2) % 3])
+            for i in range(3)
+            if i != n.entry_slot
+        )
     if horocycles:
-        for points in point_triples:
-            for u in points:
-                _horocycle_element(canvas, u)
-    bx, by = canvas.pix((0.0, 0.0))
+        root, *rest = ball.nodes
+        body.extend(_horocycle_element(u) for u in root.points)
+        body.extend(_horocycle_element(n.points[n.entry_slot]) for n in rest)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(size)}" '
-        f'height="{fmt(size)}" viewBox="0 0 {fmt(size)} {fmt(size)}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(SIZE)}" '
+        f'height="{fmt(SIZE)}" viewBox="0 0 {fmt(SIZE)} {fmt(SIZE)}">',
         "<style>",
         ".boundary { fill: none; stroke: #000; stroke-width: 1.5; }",
         ".edge { fill: none; stroke: #1f4e8c; stroke-width: 1; }",
         ".horocycle { fill: none; stroke: #b24a1b; stroke-width: 0.75; }",
         "</style>",
-        f'<circle class="boundary" cx="{fmt(bx)}" cy="{fmt(by)}" '
-        f'r="{fmt(canvas.scale)}"/>',
+        f'<circle class="boundary" cx="{fmt(MID)}" cy="{fmt(MID)}" '
+        f'r="{fmt(SCALE)}"/>',
     ]
-    parts.extend(canvas.body)
+    parts.extend(body)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def ball_svg(ball: DevelopedBall, horocycles: bool = True, size: float = 600.0) -> str:
-    return tiles_svg(
-        [n.points for n in ball.nodes], horocycles=horocycles, size=size
-    )
 
 
 def write_svg(path, svg: str) -> None:

@@ -115,10 +115,6 @@ class IdealTriangulation:
         self.edge_index = edge_index.reshape(faces, 3)
 
         self.corner_cycles: tuple[CornerCycle, ...] = self._trace_corner_cycles()
-        of = {sec: cyc.index for cyc in self.corner_cycles for sec in cyc.sectors}
-        # puncture_of[f, c] is the puncture at corner c of face f
-        self.puncture_of = np.array([of[sec] for sec in self.sectors]).reshape(faces, 3)
-
         self.num_punctures = len(self.corner_cycles)
         self.num_edges = len(self.edges)
         # chi = F - E = 2 - 2g - s; always negative since E = 3F/2.
@@ -145,25 +141,33 @@ class IdealTriangulation:
         # From corner c of face f the ccw exit edge is slot c+1; the far
         # side (f', k') receives the puncture at its corner k'+1.  Each
         # cycle starts at its smallest sector, so cycles come in the
-        # order of their starting sectors.
+        # order of their starting sectors.  The same walk fills
+        # puncture_of[f, c], the puncture at corner c of face f, and
+        # cycle_crossings[i], the flat indices 3 * f + s of cycle i's
+        # crossed near pairs in crossing order.
         cycles = []
-        seen = set()
+        of = [-1] * (3 * self.faces)
+        crossed = []
         for start in self.sectors:
-            if start in seen:
+            if of[3 * start[0] + start[1]] >= 0:
                 continue
             secs = []
             crossings = []
             f, c = start
             while True:
+                of[3 * f + c] = len(cycles)
                 secs.append((f, c))
                 near = (f, (c + 1) % 3)
                 crossings.append(near)
+                crossed.append(3 * f + near[1])
                 f, k = self.gluing[near]
                 c = (k + 1) % 3
                 if (f, c) == start:
                     break
-            seen.update(secs)
             cycles.append(CornerCycle(len(cycles), tuple(secs), tuple(crossings)))
+        self.puncture_of = np.array(of).reshape(self.faces, 3)
+        ends = np.cumsum([len(cyc) for cyc in cycles[:-1]], dtype=int)
+        self.cycle_crossings = tuple(np.split(np.array(crossed), ends))
         return tuple(cycles)
 
     def pair_table(self, values, noun: str, positive: bool) -> np.ndarray:

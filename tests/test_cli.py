@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from brokensurf import cli, fileio, samples
+from brokensurf.errors import DegenerateEdge
 from brokensurf.foliation import BrokenMeasure
 from brokensurf.hyperbolic import DecoratedBrokenHyperbolic, constant_structure
 
@@ -98,6 +100,45 @@ def test_validate_agrees_with_gap_near_sqrt2(tmp_path, torus, capsys):
     for command in ("validate", "holonomy", "ray"):
         assert run([command, str(edge)]) == 0
         capsys.readouterr()
+
+
+def test_validate_checks_holonomy_next_to_a_small_gap(tmp_path, sphere, capsys):
+    # the gap at (0, 0) is 2e-10: small, but not zero, so the puncture
+    # holonomies (0.87, 3.2e-10 and 3.6e9) must be checked, and fail
+    r2 = math.sqrt(2.0)
+    lam = [[r2 * (1 + 1e-10), 2.3, 2.3], [2.1, 2.6, 2.4]]
+    path = tmp_path / "open.json"
+    fileio.save(path, DecoratedBrokenHyperbolic(sphere, lam))
+    for command in ("validate", "develop", "holonomy"):
+        assert run([command, str(path)]) == 2
+        checks = {c["name"]: c for c in read_doc(capsys)["report"]["checks"]}
+        assert checks["puncture_holonomy"]["passed"] is False
+
+
+def test_validate_allows_for_rounding_across_tiny_gaps(tmp_path, sphere, capsys):
+    # gap = mu_f * beta_e closes every puncture exactly; the 1e-8 gaps
+    # leave the computed ratios good to only about eps / 1e-8
+    beta = np.array([1e-8, 1.4, 1.4])
+    mu = np.array([0.9, 1.3])
+    lam = np.sqrt(2.0 * np.exp(mu[:, None] * beta[sphere.edge_index]))
+    path = tmp_path / "closed.json"
+    fileio.save(path, DecoratedBrokenHyperbolic(sphere, lam))
+    assert run(["validate", str(path)]) == 0
+    checks = {c["name"]: c for c in read_doc(capsys)["report"]["checks"]}
+    assert checks["puncture_holonomy"]["passed"] is True
+
+
+def test_holonomy_null_exactly_where_undefined(tmp_path, sphere, capsys):
+    lam = np.full((2, 3), 2.0)
+    lam[0, 0] = math.sqrt(2.0)
+    H = DecoratedBrokenHyperbolic(sphere, lam)
+    path = tmp_path / "zero.json"
+    fileio.save(path, H)
+    assert run(["holonomy", str(path)]) == 0
+    rows = read_doc(capsys)["punctures"]
+    assert [row["gap_holonomy"] for row in rows] == [1.0, None, None]
+    with pytest.raises(DegenerateEdge):
+        H.puncture_holonomy(1, "gap")
 
 
 def test_unreadable_files_exit_1(tmp_path):

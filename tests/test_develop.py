@@ -98,14 +98,6 @@ def test_unbroken_ball_keeps_unit_scale(torus):
     assert all(n.scale == 1.0 for n in ball.nodes)
 
 
-def test_develop_rejects_flipped_normalization(torus, gen):
-    H = samples.random_boxed_structure(torus, gen)
-    p = H.face_lift(0).points
-    mirrored = minkowski.TriangleLift((p[0], p[2], p[1]))
-    with pytest.raises(GeometryError):
-        develop(H, normalization=mirrored)
-
-
 def test_develop_along_chains(torus, gen):
     H = samples.random_boxed_structure(torus, gen)
     loop = dual_loops(torus, "punctures")[0]

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_triangulation
+
 from brokensurf import samples
 from brokensurf.errors import DegenerateEdge, InvalidDecoration
 from brokensurf.foliation import BrokenMeasure
 from brokensurf.hyperbolic import (
+    GAP_FLOOR,
     SQRT2,
     DecoratedBrokenHyperbolic,
     constant_structure,
@@ -24,7 +27,7 @@ def test_gap_definition(torus):
         assert H.gap(p) == pytest.approx(math.log(2.0), abs=1e-15)
     H2 = constant_structure(torus)  # all sqrt2: gaps at rounding level
     assert all(abs(H2.gap(p)) <= 1e-15 for p in torus.pairs)
-    assert all(H2.is_degenerate(p) for p in torus.pairs)
+    assert np.all(H2.gaps() <= GAP_FLOOR)
 
 
 def test_gap_rejects_short_lambda(torus):
@@ -105,6 +108,58 @@ def test_holonomy_product_over_punctures(sphere):
     assert max(abs(phi - 1.0) for phi in phis) > 1e-3
     total = phis[0] * phis[1] * phis[2]
     assert total == pytest.approx(1.0, rel=1e-12)
+
+
+def sequential_holonomy(H, puncture, convention):
+    """The far/near ratio product, taken crossing by crossing."""
+    phi = 1.0
+    for near in H.T.corner_cycles[puncture].crossings:
+        far = H.T.gluing[near]
+        if convention == "gap":
+            phi *= H.gap(far) / H.gap(near)
+        else:
+            phi *= float(H.lam[far] / H.lam[near])
+    return phi
+
+
+@pytest.mark.parametrize("faces", [None, 2, 20, 200, 2000])
+def test_puncture_holonomy_is_the_sequential_product(torus, sphere, faces):
+    if faces is None:
+        surfaces = [torus, sphere]
+    else:
+        surfaces = [random_triangulation(faces, faces)]
+    for T in surfaces:
+        for H in (samples.random_valid_structure(T, samples.rng(1)), boxed(T)):
+            for i in range(T.num_punctures):
+                for convention in ("gap", "lambda"):
+                    want = sequential_holonomy(H, i, convention)
+                    assert H.puncture_holonomy(i, convention) == want
+
+
+def test_zero_gap_voids_every_puncture_it_meets(sphere):
+    # the zero gap at (0, 0) is crossed into around one end of its edge
+    # and out of around the other: both ends' holonomies are undefined
+    lam = np.full((2, 3), 2.0)
+    lam[0, 0] = SQRT2
+    H = DecoratedBrokenHyperbolic(sphere, lam)
+    assert H.puncture_holonomy(0, "gap") == 1.0
+    for i in (1, 2):
+        with pytest.raises(DegenerateEdge):
+            H.puncture_holonomy(i, "gap")
+    for p in ((0, 0), (1, 0)):
+        with pytest.raises(DegenerateEdge):
+            H.gap_ratio(p)
+    assert [H.puncture_holonomy(i, "lambda") for i in range(3)] == [
+        sequential_holonomy(H, i, "lambda") for i in range(3)
+    ]
+
+
+def test_puncture_holonomy_rejects_short_lambda(torus):
+    lam = np.full((2, 3), 2.0)
+    lam[1, 2] = 1.2
+    H = DecoratedBrokenHyperbolic(torus, lam)
+    with pytest.raises(InvalidDecoration):
+        H.puncture_holonomy(0, "gap")
 
 
 def test_validate_valid(sphere, gen):

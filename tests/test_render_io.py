@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 
+from conftest import random_triangulation
+
 from brokensurf import fileio, render, samples
 from brokensurf.develop import develop
 from brokensurf.hyperbolic import constant_structure
@@ -127,10 +129,10 @@ def test_arcs_are_orthogonal_circles(torus):
 
 
 def test_lines_are_diameters(torus):
-    # the default normalization puts two corners at antipodal rays, so
-    # the root tile alone already draws one straight edge
+    # the root lift puts two corners at antipodal rays, so the root tile
+    # alone already draws one straight edge
     H = constant_structure(torus, 2.0)
-    svg = render.tiles_svg([H.face_lift(0).points])
+    svg = render.ball_svg(develop(H, depth=0))
     lines = LINE.findall(svg)
     assert lines
     for x1, y1, x2, y2 in lines:
@@ -152,13 +154,20 @@ def test_horocycles_tangent_to_boundary(torus):
 
 
 def test_shared_elements_deduplicated(torus):
-    H = constant_structure(torus, 2.0)
-    ball = develop(H, depth=2)
-    svg = render.ball_svg(ball)
-    drawn = len(ARC.findall(svg)) + len(LINE.findall(svg))
-    assert 0 < drawn < 3 * len(ball.nodes)
-    body = svg.splitlines()
-    assert len(body) == len(set(body))
+    # the root draws 3 sides and 3 horocycles; every other tile shares
+    # its entry side and two corners with its parent, so adds 2 and 1
+    f20 = random_triangulation(20, seed=20)
+    for H, depth in (
+        (constant_structure(torus, 2.0), 2),
+        (samples.random_valid_structure(f20, samples.rng(0)), 6),
+    ):
+        ball = develop(H, depth=depth)
+        n = len(ball.nodes)
+        svg = render.ball_svg(ball)
+        assert len(ARC.findall(svg)) + len(LINE.findall(svg)) == 3 + 2 * (n - 1)
+        assert len(HORO.findall(svg)) == n + 2
+        body = svg.splitlines()
+        assert len(body) == len(set(body))
 
 
 def test_svg_skeleton(tmp_path, torus):
