@@ -57,7 +57,6 @@ from .hyperbolic import (
     embed_unbroken,
 )
 from .minkowski import (
-    TriangleLift,
     extend_across,
     hlengths,
     horocycle_arc,

@@ -1,6 +1,8 @@
 """Developing maps into the light cone, holonomy pairs, and cusp closure.
 
-A lift of a face is the triple of light-cone positions of its corners.
+A developed lift of a face is the triple of light-cone positions of
+its corners, each an (x, y, z) tuple of floats: per-node work is Python
+arithmetic, which on 3-vectors is cheaper than numpy calls.
 Crossing an edge keeps the shared two positions (swapped, since gluing
 reverses orientation) and places the third at a fixed linear
 combination of the near lift's corners, its coefficients set by the
@@ -47,16 +49,10 @@ def _cross_edge(H: DecoratedBrokenHyperbolic, face: int, slot: int, points):
     far, x, y, t, step = H.crossing_rows[3 * face + slot]
     g, k2 = far
     apex = points[slot]
-    shared_head = points[(slot + 1) % 3]  # far corner k2 + 2
-    shared_tail = points[(slot + 2) % 3]  # far corner k2 + 1
+    head = points[(slot + 1) % 3]  # far corner k2 + 2
+    tail = points[(slot + 2) % 3]  # far corner k2 + 1
 
-    # z = x*tail + y*head + t*apex, summed in Python floats: on 3-vectors
-    # numpy's per-call overhead outweighs the arithmetic
-    (ux, uy, uz), (vx, vy, vz), (wx, wy, wz) = (
-        shared_tail.tolist(),
-        shared_head.tolist(),
-        apex.tolist(),
-    )
+    (ux, uy, uz), (vx, vy, vz), (wx, wy, wz) = tail, head, apex
     z, drift = minkowski.renorm_lightcone(
         (
             x * ux + y * vx + t * wx,
@@ -69,8 +65,8 @@ def _cross_edge(H: DecoratedBrokenHyperbolic, face: int, slot: int, points):
 
     far_points = [None, None, None]
     far_points[k2] = z
-    far_points[(k2 + 1) % 3] = shared_tail
-    far_points[(k2 + 2) % 3] = shared_head
+    far_points[(k2 + 1) % 3] = tail
+    far_points[(k2 + 2) % 3] = head
     return far, tuple(far_points), step, drift
 
 
@@ -81,12 +77,9 @@ class DevelopedNode:
     depth: int
     parent: int | None
     entry_slot: int | None
-    points: tuple
+    points: tuple  # three (x, y, z) float tuples
     scale: float
     drift: float
-
-    def lift(self) -> minkowski.TriangleLift:
-        return minkowski.TriangleLift(self.points)
 
 
 @dataclass(frozen=True)
@@ -109,7 +102,7 @@ class DevelopedBall:
                     "depth": n.depth,
                     "parent": n.parent,
                     "entry_slot": n.entry_slot,
-                    "points": [list(map(float, p)) for p in n.points],
+                    "points": [list(p) for p in n.points],
                     "scale": n.scale,
                 }
                 for n in self.nodes
@@ -122,9 +115,8 @@ def develop(
 ) -> DevelopedBall:
     """Develop the combinatorial ball of the given depth around a face."""
     ball = unfold_ball(H.T, base, depth)
-    nodes: list[DevelopedNode] = [
-        DevelopedNode(0, base, 0, None, None, H.face_lift(base).points, 1.0, 0.0)
-    ]
+    root = tuple(map(tuple, H.face_lift(base).tolist()))
+    nodes: list[DevelopedNode] = [DevelopedNode(0, base, 0, None, None, root, 1.0, 0.0)]
     for bn in ball.nodes[1:]:
         parent = nodes[bn.parent]
         pf, pslot = bn.crossed_from
@@ -149,8 +141,8 @@ def develop_along(H: DecoratedBrokenHyperbolic, crossings):
     """Develop face by face along a crossing sequence.
 
     Returns (start lift, final points, final scale, final face): the
-    first face's own lift, the developed lift of the face the last
-    crossing enters, the running scale there and that face's index.
+    first face's own (3, 3) lift, the developed lift of the face the
+    last crossing enters, the running scale there and that face's index.
     Consecutive crossings must chain: each one leaves the face the
     previous one entered.
     """
@@ -159,7 +151,7 @@ def develop_along(H: DecoratedBrokenHyperbolic, crossings):
         raise OpenPath("need at least one crossing")
     face = crossings[0][0]
     lift = H.face_lift(face)
-    points = lift.points
+    points = tuple(map(tuple, lift.tolist()))
     scale = 1.0
     for f, s in crossings:
         if f != face:
@@ -214,25 +206,23 @@ def path_holonomy(H: DecoratedBrokenHyperbolic, loop) -> PathHolonomy:
         return PathHolonomy(np.eye(3), 1.0)
     check_loop(H.T, loop)
     start, points, scale, _ = develop_along(H, loop)
-    m_0 = np.column_stack(start.points)
-    m_1 = np.column_stack(points)
+    m_0, m_1 = np.array((start, points)).swapaxes(1, 2)  # points as columns
     return PathHolonomy(m_1 @ np.linalg.inv(m_0), scale)
 
 
 def deck_candidates(H: DecoratedBrokenHyperbolic, ball: DevelopedBall):
     """Holonomy pairs read off repeats of the base face inside a ball."""
-    root_inv = np.linalg.inv(np.column_stack(ball.nodes[0].points))
     repeats = [n for n in ball.nodes[1:] if n.face == ball.base]
-    # frames stacked as (N, 3, 3) with the lift's points as columns
-    frames = np.array([n.points for n in repeats], dtype=float).reshape(-1, 3, 3)
-    mats = frames.transpose(0, 2, 1) @ root_inv
+    # the root's frame, then every repeat's, with the lift's points as columns
+    frames = np.array([n.points for n in (ball.nodes[0], *repeats)]).swapaxes(1, 2)
+    mats = frames[1:] @ np.linalg.inv(frames[0])
     return [
         (n.index, PathHolonomy(m, n.scale)) for n, m in zip(repeats, mats)
     ]
 
 
 def tile_separation(points_a, points_b) -> float:
-    """Separating-axis margin between two developed tiles.
+    """Separating-axis margin between two developed lifts (float triples).
 
     An ideal triangle is the straight-edge hull of its boundary points
     in the projective (Klein) disk, so two tiles have disjoint open
@@ -242,10 +232,7 @@ def tile_separation(points_a, points_b) -> float:
     """
 
     def flat(points):
-        # Python floats: on single coordinates numpy scalars cost more
-        # than the arithmetic
-        coords = (np.asarray(p).tolist() for p in points)
-        return [(x / z, y / z) for x, y, z in coords]
+        return [(x / z, y / z) for x, y, z in points]
 
     a, b = flat(points_a), flat(points_b)
     best = math.inf

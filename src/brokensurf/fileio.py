@@ -2,9 +2,10 @@
 
 One serializer, sorted keys, two-space indent, trailing newline; floats
 go through repr, so save/load/save is byte-stable.  Pair keys are
-"face.slot" strings.  Structure and measure files may either inline
-their triangulation or name another file by path, resolved relative to
-the referring file.
+"face.slot" strings, written and read back by IdealTriangulation's
+pair_dict and pairs_from_dict.  Structure and measure files may either
+inline their triangulation or name another file by path, resolved
+relative to the referring file.
 """
 
 from __future__ import annotations
@@ -21,22 +22,9 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def pair_key(pair) -> str:
-    return f"{pair[0]}.{pair[1]}"
-
-
-def parse_pair_key(key: str) -> tuple[int, int]:
-    f, _, s = key.partition(".")
-    return int(f), int(s)
-
-
 def triangulation_from_dict(d: dict) -> IdealTriangulation:
     pairs = [(tuple(p), tuple(q)) for p, q in d["gluing"]]
-    return build_triangulation(int(d["faces"]), pairs)
-
-
-def _values_from_dict(T: IdealTriangulation, table: dict) -> dict:
-    return {parse_pair_key(k): float(v) for k, v in table.items()}
+    return build_triangulation(d["faces"], pairs)
 
 
 def _resolve_triangulation(entry, base_dir: str | None) -> IdealTriangulation:
@@ -53,10 +41,10 @@ def from_jsonable(d: dict, base_dir: str | None = None):
     """Rebuild whichever object the dict encodes, keyed by its table name."""
     if "lambda" in d:
         T = _resolve_triangulation(d["triangulation"], base_dir)
-        return DecoratedBrokenHyperbolic(T, _values_from_dict(T, d["lambda"]))
+        return DecoratedBrokenHyperbolic(T, T.pairs_from_dict(d["lambda"], "lambda"))
     if "w" in d:
         T = _resolve_triangulation(d["triangulation"], base_dir)
-        return BrokenMeasure(T, _values_from_dict(T, d["w"]))
+        return BrokenMeasure(T, T.pairs_from_dict(d["w"], "weight"))
     if "faces" in d and "gluing" in d:
         return triangulation_from_dict(d)
     raise ValueError("dict is not a triangulation, structure, or measure")

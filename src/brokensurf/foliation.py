@@ -131,7 +131,7 @@ class BrokenMeasure:
         report.add(
             "triangle_inequalities",
             not bad_faces,
-            -min(0.0, float((smalls / scale).min())),
+            max(0.0, -float((smalls / scale).min())),
             f"negative small weights at (face, corner, value): {bad_faces}"
             if bad_faces else "",
         )

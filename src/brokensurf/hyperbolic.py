@@ -161,8 +161,8 @@ class DecoratedBrokenHyperbolic:
         lam = self.lam[f].tolist()
         return lam[c] / (lam[(c + 1) % 3] * lam[(c + 2) % 3])
 
-    def face_lift(self, f: int) -> minkowski.TriangleLift:
-        """Hyperboloid lift of one face on the default rays."""
+    def face_lift(self, f: int) -> np.ndarray:
+        """Hyperboloid lift of one face on the default rays, as a (3, 3) array."""
         return minkowski.solve_triangle(minkowski.DEFAULT_RAYS, self.lam[f])
 
     @cached_property
@@ -258,7 +258,7 @@ class DecoratedBrokenHyperbolic:
         report.add(
             "face_inequalities",
             not bad,
-            -min(0.0, float(rel.min())),
+            max(0.0, -float(rel.min())),
             f"violations at (face, slot): {bad}" if bad else "",
         )
 

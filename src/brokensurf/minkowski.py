@@ -1,23 +1,23 @@
 """Geometry in the Minkowski space R^{2,1} and its hyperboloid model.
 
-Points are numpy arrays (x, y, z) with the bilinear form
-<u, v> = ux*vx + uy*vy - uz*vz.  The hyperboloid H is <w, w> = -1,
+Points are (x, y, z) triples, numpy arrays or float tuples, with the
+bilinear form <u, v> = ux*vx + uy*vy - uz*vz.  The hyperboloid H is <w, w> = -1,
 z > 0; the upper light cone L+ is <u, u> = 0, z > 0.  A cone point u
 is dual to the horocycle h(u) = {w in H : <w, u> = -1}, and the lambda
 length of two cone points is sqrt(-<u, v>), so edge decorations become
 linear algebra: every solver here is closed-form.
 
-Conventions: a triangle lift stores its vertices in ccw order
-(det > 0 once oriented), vertex i faces the edge joining the other two,
-and lambdas passed to solve_triangle are indexed by the opposite vertex.
-The triangle solver, the horocycle arc and the h-length work on stacks
-of triangles, shape (..., 3, 3); the single-lift functions index them.
+Conventions: a triangle lift is a (3, 3) array, one cone point per
+row, in ccw order (det > 0), vertex i faces the edge joining the other
+two, and lambdas passed to solve_triangle are indexed by the opposite
+vertex.  The triangle solver, the horocycle arc and the h-length work on
+stacks of triangles, shape (..., 3, 3); the single-lift functions index
+them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,10 +46,10 @@ def mform(u, v) -> float:
 
 
 def renorm_lightcone(u):
-    """Project back to the cone along z; returns (point, relative drift)."""
-    r = math.hypot(float(u[0]), float(u[1]))
+    """Project back to the cone along z; returns (float triple, relative drift)."""
+    x, y = float(u[0]), float(u[1])
     drift = abs(mform(u, u)) / (float(u[2]) ** 2) if u[2] else float("inf")
-    return np.array([float(u[0]), float(u[1]), r]), drift
+    return (x, y, math.hypot(x, y)), drift
 
 
 def _pairing(u, v):
@@ -85,26 +85,6 @@ def lambda_pair(u, v):
         raise CollinearRays(f"cone points pair to {-s[bad]}, not negatively{_at(bad)}")
     lam = np.sqrt(s)
     return float(lam) if lam.ndim == 0 else lam
-
-
-@dataclass(frozen=True)
-class TriangleLift:
-    """Three upper cone points spanning a decorated ideal triangle."""
-
-    points: tuple
-
-    def lam(self, i: int, j: int) -> float:
-        return lambda_pair(self.points[i], self.points[j])
-
-    def opposite_lam(self, k: int) -> float:
-        """Lambda of the edge facing vertex k."""
-        return self.lam((k + 1) % 3, (k + 2) % 3)
-
-    def det(self) -> float:
-        return float(np.linalg.det(np.column_stack(self.points)))
-
-    def oriented(self) -> bool:
-        return self.det() > 0.0
 
 
 def solve_triangles(rays, lambdas) -> np.ndarray:
@@ -147,9 +127,9 @@ def solve_triangles(rays, lambdas) -> np.ndarray:
     return t[..., None] * cone
 
 
-def solve_triangle(rays, lambdas) -> TriangleLift:
-    """One triangle of solve_triangles, as a lift."""
-    return TriangleLift(tuple(solve_triangles(rays, lambdas)))
+def solve_triangle(rays, lambdas) -> np.ndarray:
+    """One triangle of solve_triangles: its (3, 3) lift."""
+    return solve_triangles(rays, lambdas)
 
 
 def extend_across(u, v, lam_u, lam_v, side: int):
@@ -224,14 +204,9 @@ def hlengths(points) -> np.ndarray:
     return lam / (lam.take(NEXT, axis=-1) * lam.take(PREV, axis=-1))
 
 
-def horocycle_arc(lift: TriangleLift, i: int) -> float:
-    """Arc at vertex i of one lift; see horocycle_arcs."""
-    return float(horocycle_arcs(lift.points)[i])
-
-
-def lift_hlength(lift: TriangleLift, i: int) -> float:
-    """h-length at vertex i of one lift; see hlengths."""
-    return float(hlengths(lift.points)[i])
+def horocycle_arc(points, i: int) -> float:
+    """Arc at vertex i of one (3, 3) lift; see horocycle_arcs."""
+    return float(horocycle_arcs(points)[i])
 
 
 def tangency_point(u, v, w):
@@ -270,7 +245,7 @@ def horocycle_disk_circle(u):
     Internally tangent to the unit circle at the ray's boundary point;
     radius 1/(z + 1) shrinks as the horoball deepens.
     """
-    u, _ = renorm_lightcone(np.asarray(u, dtype=float))
+    u, _ = renorm_lightcone(u)
     if u[2] <= 0.0:
         raise ValueError("cone ray must point up")
     r = 1.0 / (u[2] + 1.0)

@@ -108,8 +108,8 @@ def random_lifts(gen: np.random.Generator, n: int) -> np.ndarray:
     return minkowski.solve_triangles(scales[..., None] * rays, lambdas)
 
 
-def random_lift(gen: np.random.Generator) -> minkowski.TriangleLift:
-    return minkowski.TriangleLift(tuple(random_lifts(gen, 1)[0]))
+def random_lift(gen: np.random.Generator) -> np.ndarray:
+    return random_lifts(gen, 1)[0]
 
 
 def random_tangent(gen: np.random.Generator, n: int) -> np.ndarray:

@@ -32,11 +32,16 @@ NEXT = np.array([1, 2, 0])
 PREV = np.array([2, 0, 1])
 
 
+def _is_int(x) -> bool:
+    """An int proper: bool is a subclass of int, but True is no index."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_pair(faces: int, p) -> Pair:
     if (
         not isinstance(p, (tuple, list))
         or len(p) != 2
-        or not all(isinstance(x, int) for x in p)
+        or not all(_is_int(x) for x in p)
     ):
         raise ValueError(f"malformed (face, slot) pair: {p!r}")
     f, s = p
@@ -71,7 +76,7 @@ class IdealTriangulation:
     """
 
     def __init__(self, faces: int, gluing_pairs) -> None:
-        if not isinstance(faces, int) or faces < 1:
+        if not _is_int(faces) or faces < 1:
             raise ValueError(f"face count must be a positive integer, got {faces!r}")
         self.faces = faces
 
@@ -204,9 +209,32 @@ class IdealTriangulation:
         """The pairs at which an (F, 3) boolean table holds, in pair order."""
         return [self.pairs[i] for i in np.flatnonzero(mask)]
 
+    def _pair_keys(self):
+        """The "face.slot" key of every pair, in pair order: the file format."""
+        return (f"{f}.{s}" for f, s in self.pairs)
+
     def pair_dict(self, table: np.ndarray) -> dict:
         """A pair table keyed "face.slot", the form files store."""
-        return dict(zip((f"{f}.{s}" for f, s in self.pairs), table.ravel().tolist()))
+        return dict(zip(self._pair_keys(), table.ravel().tolist()))
+
+    def pairs_from_dict(self, d: dict, noun: str) -> dict:
+        """Read back what pair_dict writes: the same values keyed by pairs.
+
+        A key spelled other than pair_dict spells it, or a value that is
+        not an int or float (bools included), raises ValueError naming
+        the key; so no two keys can name one pair.
+        """
+        if not isinstance(d, Mapping):
+            raise ValueError(f"{noun} table must map pair keys to values, got {d!r}")
+        pair_of = dict(zip(self._pair_keys(), self.pairs))
+        values = {}
+        for key, value in d.items():
+            if key not in pair_of:
+                raise ValueError(f'{noun} key {key!r} names no "face.slot" pair')
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{noun} at {key!r} must be a number, got {value!r}")
+            values[pair_of[key]] = value
+        return values
 
     def euler_characteristic(self) -> int:
         return self.faces - self.num_edges

@@ -111,13 +111,13 @@ def test_criterion_04_minkowski_solvers():
     for _ in range(1000):
         rays = samples.random_rays(gen)
         lams = samples.random_triangle_lambdas(gen)
-        pts = minkowski.solve_triangle(rays, lams).points
+        pts = minkowski.solve_triangle(rays, lams)
         for i in range(3):
             got = minkowski.lambda_pair(pts[(i + 1) % 3], pts[(i + 2) % 3])
             assert abs(got - lams[i]) <= 1e-10 * lams[i]
     lift = minkowski.solve_triangle(minkowski.DEFAULT_RAYS, (math.sqrt(2.0),) * 3)
     expected = ((1.0, 0.0, 1.0), (0.0, 2.0, 2.0), (-1.0, 0.0, 1.0))
-    for got, want in zip(lift.points, expected):
+    for got, want in zip(lift, expected):
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
 
 
@@ -131,7 +131,7 @@ def test_criterion_05_hlength_calibration(torus):
         sample = samples.random_lift(gen)
         i = int(gen.integers(0, 3))
         ratios.append(
-            minkowski.horocycle_arc(sample, i) / minkowski.lift_hlength(sample, i)
+            minkowski.horocycle_arc(sample, i) / minkowski.hlengths(sample)[i]
         )
     mean = sum(ratios) / len(ratios)
     assert (max(ratios) - min(ratios)) / mean <= 1e-9

@@ -148,6 +148,67 @@ def test_unreadable_files_exit_1(tmp_path):
     assert run(["validate", str(tmp_path / "missing.json")]) == 1
 
 
+def write_doc(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("key", ["0.01", " 0.1", "0_0.1", "+0.1"])
+def test_pair_keys_must_be_canonical(tmp_path, torus, key, capsys):
+    # int() reads every one of these as pair (0, 1), so a second spelling
+    # of one pair would silently override the first
+    doc = constant_structure(torus, 2.0).to_dict()
+    doc["lambda"][key] = 9.0
+    assert run(["validate", write_doc(tmp_path, doc)]) == 1
+    assert repr(key) in capsys.readouterr().err
+
+
+TORUS = {"faces": 2, "gluing": [[[0, 0], [1, 1]], [[0, 1], [1, 2]], [[0, 2], [1, 0]]]}
+KEYS = [f"{f}.{s}" for f in range(2) for s in range(3)]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**TORUS, "faces": 2.9},
+        {**TORUS, "faces": "2"},
+        {**TORUS, "gluing": [[[0, 0], [True, True]], *TORUS["gluing"][1:]]},
+        {"triangulation": TORUS, "lambda": {**dict.fromkeys(KEYS, 2.0), "0.0": "2.0"}},
+        {"triangulation": TORUS, "w": dict.fromkeys(KEYS, True)},
+        {"triangulation": TORUS, "lambda": [2.0] * 6},
+    ],
+    ids=[
+        "float-faces",
+        "string-faces",
+        "bool-index",
+        "string-lambda",
+        "bool-weights",
+        "list-lambda",
+    ],
+)
+def test_loader_does_not_coerce(tmp_path, doc, capsys):
+    # the first five used to load as the valid torus file they resemble;
+    # a list for a table raised AttributeError past the CLI's handler
+    assert run(["validate", write_doc(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["structure", "measure"])
+def test_validate_reports_positive_zero_residual(tmp_path, torus, kind, capsys):
+    # every inequality holds strictly: the residual is 0.0, not -0.0
+    if kind == "structure":
+        obj, check = constant_structure(torus, 2.0), "face_inequalities"
+    else:
+        obj = samples.random_measure(torus, samples.rng(1))
+        check = "triangle_inequalities"
+    path = tmp_path / "valid.json"
+    fileio.save(path, obj)
+    assert run(["validate", str(path)]) == 0
+    checks = {c["name"]: c for c in read_doc(capsys)["report"]["checks"]}
+    assert math.copysign(1.0, checks[check]["residual"]) == 1.0
+
+
 def test_ray_wants_structure_not_triangulation(torus_file):
     assert run(["ray", torus_file]) == 1
 

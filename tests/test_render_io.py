@@ -80,7 +80,7 @@ def test_structure_references_triangulation_file(tmp_path, torus, gen):
     fileio.save(tmp_path / "tri.json", torus)
     doc = {
         "triangulation": "tri.json",
-        "lambda": {fileio.pair_key(p): float(H.lam[p]) for p in torus.pairs},
+        "lambda": torus.pair_dict(H.lam),
     }
     path = tmp_path / "structure.json"
     path.write_text(fileio.canonical_json(doc), encoding="utf-8")
@@ -88,11 +88,13 @@ def test_structure_references_triangulation_file(tmp_path, torus, gen):
     assert np.array_equal(loaded.lam, H.lam)
 
 
-def test_pair_keys():
-    assert fileio.pair_key((12, 2)) == "12.2"
-    assert fileio.parse_pair_key("12.2") == (12, 2)
-    with pytest.raises(ValueError):
-        fileio.parse_pair_key("nonsense")
+def test_pair_keys(torus):
+    keyed = torus.pair_dict(np.arange(6.0).reshape(2, 3))
+    assert list(keyed) == ["0.0", "0.1", "0.2", "1.0", "1.1", "1.2"]
+    want = dict(zip(torus.pairs, range(6)))
+    assert torus.pairs_from_dict(keyed, "lambda") == want
+    with pytest.raises(ValueError, match="'nonsense'"):
+        torus.pairs_from_dict({"nonsense": 1.0}, "lambda")
 
 
 def test_unrecognized_payloads():
