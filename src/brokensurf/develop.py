@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from .triangulation import check_loop, unfold_ball
 
 # A renormalized light-cone point should never wander this far off cone.
 DRIFT_BOUND = 1e-10
+
+# Tiles whose Klein geometry tile_separation keeps: a depth-10 ball's worth.
+TILE_CACHE_SIZE = 4096
 
 _J = np.diag([1.0, 1.0, -1.0])
 
@@ -221,32 +224,65 @@ def deck_candidates(H: DecoratedBrokenHyperbolic, ball: DevelopedBall):
     ]
 
 
+@lru_cache(maxsize=TILE_CACHE_SIZE)
+def _tile_geometry(points):
+    """One tile's Klein-disk geometry, shared by every pair it meets.
+
+    Returns (vertices, axes): the flat (x0, y0, x1, y1, x2, y2) and, for
+    each edge of nonzero length, (nx, ny, lo, hi): the edge's unit
+    normal and the interval the tile itself projects onto it.
+    """
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = points
+    x0, y0, x1, y1, x2, y2 = x0 / z0, y0 / z0, x1 / z1, y1 / z1, x2 / z2, y2 / z2
+    axes = []
+    for ax, ay, bx, by in ((x0, y0, x1, y1), (x1, y1, x2, y2), (x2, y2, x0, y0)):
+        nx, ny = ay - by, bx - ax
+        norm = math.hypot(nx, ny)
+        if norm > 0.0:
+            nx, ny = nx / norm, ny / norm
+            p0, p1, p2 = nx * x0 + ny * y0, nx * x1 + ny * y1, nx * x2 + ny * y2
+            axes.append((nx, ny, min(p0, p1, p2), max(p0, p1, p2)))
+    return (x0, y0, x1, y1, x2, y2), tuple(axes)
+
+
+def _tile(points):
+    """_tile_geometry of a (3, 3)-like input, keyed on its float triples."""
+    try:
+        return _tile_geometry(points)
+    except TypeError:  # unhashable: a list, an array or a tuple of arrays
+        return _tile_geometry(tuple(tuple(map(float, p)) for p in points))
+
+
 def tile_separation(points_a, points_b) -> float:
-    """Separating-axis margin between two developed lifts (float triples).
+    """Separating-axis margin between two developed lifts.
 
     An ideal triangle is the straight-edge hull of its boundary points
     in the projective (Klein) disk, so two tiles have disjoint open
     interiors exactly when the flat triangles do.  Returns the smallest
     axis overlap: <= 0 means disjoint interiors (0 for tiles sharing an
-    edge), > 0 means genuine overlap of that depth.
+    edge), > 0 means genuine overlap of that depth.  Edges of zero
+    length give no axis.  Each lift may be any (3, 3)-like input; the
+    per-tile geometry is cached on its float triples, so a sweep over
+    all pairs of n tiles builds it n times, not n^2.
     """
-
-    def flat(points):
-        return [(x / z, y / z) for x, y, z in points]
-
-    a, b = flat(points_a), flat(points_b)
+    verts_a, axes_a = _tile(points_a)
+    verts_b, axes_b = _tile(points_b)
     best = math.inf
-    for tri in (a, b):
-        for i in range(3):
-            ex = tri[(i + 1) % 3][0] - tri[i][0]
-            ey = tri[(i + 1) % 3][1] - tri[i][1]
-            nx, ny = -ey, ex
-            pa = [nx * x + ny * y for x, y in a]
-            pb = [nx * x + ny * y for x, y in b]
-            overlap = min(max(pa), max(pb)) - max(min(pa), min(pb))
-            norm = math.hypot(nx, ny)
-            if norm > 0.0:
-                best = min(best, overlap / norm)
+    # each tile's own axes against the other tile's three vertices
+    for axes, (x0, y0, x1, y1, x2, y2) in ((axes_a, verts_b), (axes_b, verts_a)):
+        for nx, ny, lo, hi in axes:
+            p0, p1, p2 = nx * x0 + ny * y0, nx * x1 + ny * y1, nx * x2 + ny * y2
+            if p0 < p1:
+                other_lo, other_hi = p0, p1
+            else:
+                other_lo, other_hi = p1, p0
+            if p2 < other_lo:
+                other_lo = p2
+            elif p2 > other_hi:
+                other_hi = p2
+            overlap = (hi if hi < other_hi else other_hi) - (lo if lo > other_lo else other_lo)
+            if overlap < best:
+                best = overlap
     return best
 
 

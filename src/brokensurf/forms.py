@@ -51,11 +51,6 @@ class TwoForm:
     def faces(self) -> int:
         return len(self.labels) // 3
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense 3F x 3F view, for tests and small surfaces."""
-        return np.kron(np.eye(self.faces), self.block)
-
     def evaluate(self, u, v, chart: str | None = None) -> float:
         if chart is not None and chart != self.chart:
             raise ChartMismatch(f"form lives in {self.chart}, not {chart}")

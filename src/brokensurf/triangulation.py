@@ -221,8 +221,9 @@ class IdealTriangulation:
         """Read back what pair_dict writes: the same values keyed by pairs.
 
         A key spelled other than pair_dict spells it, or a value that is
-        not an int or float (bools included), raises ValueError naming
-        the key; so no two keys can name one pair.
+        not an int or float (bools included) or is an int beyond float
+        range, raises ValueError naming the key; so no two keys can name
+        one pair.
         """
         if not isinstance(d, Mapping):
             raise ValueError(f"{noun} table must map pair keys to values, got {d!r}")
@@ -233,6 +234,10 @@ class IdealTriangulation:
                 raise ValueError(f'{noun} key {key!r} names no "face.slot" pair')
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{noun} at {key!r} must be a number, got {value!r}")
+            try:
+                float(value)
+            except OverflowError:
+                raise ValueError(f"{noun} at {key!r} is too large for a float") from None
             values[pair_of[key]] = value
         return values
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from brokensurf import samples, sphere_fixture, torus_fixture
@@ -21,6 +22,11 @@ def random_triangulation(faces: int, seed: int):
             return build_triangulation(faces, pairs)
         except Disconnected:
             continue
+
+
+def dense(form) -> np.ndarray:
+    """A two-form's dense 3F x 3F matrix: its block once per face."""
+    return np.kron(np.eye(form.faces), form.block)
 
 
 @pytest.fixture(scope="session")

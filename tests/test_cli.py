@@ -194,6 +194,15 @@ def test_loader_does_not_coerce(tmp_path, doc, capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("table", ["lambda", "w"])
+def test_loader_rejects_int_beyond_float_range(tmp_path, table, capsys):
+    # used to escape the CLI's handler as OverflowError with a traceback
+    doc = {"triangulation": TORUS, table: {**dict.fromkeys(KEYS, 2), "0.0": 10**400}}
+    assert run(["validate", write_doc(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read ") and "'0.0'" in err
+
+
 @pytest.mark.parametrize("kind", ["structure", "measure"])
 def test_validate_reports_positive_zero_residual(tmp_path, torus, kind, capsys):
     # every inequality holds strictly: the residual is 0.0, not -0.0

@@ -9,6 +9,7 @@ from brokensurf import minkowski, samples
 from brokensurf.develop import (
     DRIFT_BOUND,
     _cross_edge,
+    _tile_geometry,
     cusp_closure_residual,
     deck_candidates,
     develop,
@@ -222,6 +223,33 @@ def test_cusp_closure_base_rotation(torus, gen):
         cusp_closure_residual(H, 0, base=5)
 
 
+def oracle_tile_separation(points_a, points_b) -> float:
+    """Per-pair separating-axis margin: both tiles recomputed for every pair."""
+
+    def flat(points):
+        return [(x / z, y / z) for x, y, z in points]
+
+    a, b = flat(points_a), flat(points_b)
+    best = math.inf
+    for tri in (a, b):
+        for i in range(3):
+            ex = tri[(i + 1) % 3][0] - tri[i][0]
+            ey = tri[(i + 1) % 3][1] - tri[i][1]
+            nx, ny = -ey, ex
+            pa = [nx * x + ny * y for x, y in a]
+            pb = [nx * x + ny * y for x, y in b]
+            overlap = min(max(pa), max(pb)) - max(min(pa), min(pb))
+            norm = math.hypot(nx, ny)
+            if norm > 0.0:
+                best = min(best, overlap / norm)
+    return best
+
+
+def _sweep(points, separation=tile_separation):
+    n = len(points)
+    return [separation(points[i], points[j]) for i in range(n) for j in range(i + 1, n)]
+
+
 def test_tiles_do_not_overlap(torus):
     H = constant_structure(torus, 2.0)
     nodes = develop(H, depth=3).nodes
@@ -235,3 +263,62 @@ def test_tile_against_itself_overlaps(torus):
     H = constant_structure(torus, 2.0)
     pts = develop(H, depth=1).nodes[0].points
     assert tile_separation(pts, pts) > 0.0
+    assert tile_separation(pts, pts) == pytest.approx(
+        oracle_tile_separation(pts, pts), abs=4e-15
+    )
+
+
+@pytest.mark.parametrize("surface", ["torus", "sphere", 20, 200])
+@pytest.mark.parametrize("kind", ["broken", "unbroken"])
+def test_tile_separation_matches_oracle(request, surface, kind):
+    if isinstance(surface, int):
+        T = random_triangulation(surface, surface)
+    else:
+        T = request.getfixturevalue(surface)
+    gen = samples.rng(3)
+    make = samples.random_boxed_structure if kind == "broken" else samples.random_unbroken
+    points = [n.points for n in develop(make(T, gen), depth=4).nodes]
+    want = _sweep(points, oracle_tile_separation)
+    got = _sweep(points)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 4e-15
+    assert max(got) <= 1e-9  # the ball embeds
+
+
+def test_tile_separation_cold_and_warm_sweeps_agree(torus):
+    H = samples.random_boxed_structure(torus, samples.rng(4))
+    points = [n.points for n in develop(H, depth=4).nodes]
+    _tile_geometry.cache_clear()
+    cold = _sweep(points)
+    assert _tile_geometry.cache_info().misses == len(points)
+    assert _sweep(points) == cold
+
+
+def test_tile_separation_accepts_any_3x3(torus):
+    H = samples.random_boxed_structure(torus, samples.rng(5))
+    ball = develop(H, depth=2)
+    lift = H.face_lift(ball.nodes[0].face)
+    other = ball.nodes[4].points
+    forms = [
+        tuple(map(tuple, lift.tolist())),
+        lift.tolist(),
+        lift,
+        tuple(lift),  # a tuple of numpy rows
+    ]
+    margins = [tile_separation(f, other) for f in forms]
+    margins += [tile_separation(other, f) for f in forms]
+    assert len(set(margins)) == 1
+    assert margins[0] == pytest.approx(oracle_tile_separation(lift, other), abs=4e-15)
+
+
+def test_tile_with_collapsed_edge():
+    ideal = [(math.cos(t), math.sin(t), 1.0) for t in (0.0, 2.0, 4.0)]
+    collapsed = (ideal[0], ideal[0], ideal[2])  # edge 0 -> 1 has length 0
+    point = (ideal[1], ideal[1], ideal[1])  # no edge at all
+    far = tuple((math.cos(t), math.sin(t), 1.0) for t in (2.1, 2.2, 2.3))
+    for a, b in [(collapsed, ideal), (collapsed, far), (point, ideal), (collapsed, collapsed)]:
+        for x, y in [(a, b), (b, a)]:
+            assert tile_separation(x, y) == pytest.approx(
+                oracle_tile_separation(x, y), abs=4e-15
+            )
+    assert tile_separation(collapsed, far) < 0.0
+    assert tile_separation(point, point) == math.inf  # no axis to separate on

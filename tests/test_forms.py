@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_triangulation
+from conftest import dense, random_triangulation
 
 from brokensurf import forms, samples
 from brokensurf.errors import ChartMismatch, InvalidDecoration
@@ -12,21 +12,22 @@ from brokensurf.hyperbolic import DecoratedBrokenHyperbolic
 
 
 def test_wp_form_matrix_shape(torus):
-    omega = forms.wp_form(torus)
+    omega = dense(forms.wp_form(torus))
     n = 3 * torus.faces
-    assert omega.matrix.shape == (n, n)
-    assert np.allclose(omega.matrix, -omega.matrix.T)
+    assert omega.shape == (n, n)
+    assert np.allclose(omega, -omega.T)
     # block per face, -2 above the cyclic diagonal
-    assert omega.matrix[0, 1] == -2.0
-    assert omega.matrix[1, 0] == 2.0
-    assert omega.matrix[0, 3] == 0.0
+    assert omega[0, 1] == -2.0
+    assert omega[1, 0] == 2.0
+    assert omega[0, 3] == 0.0
 
 
 def test_thurston_small_matrix(torus):
     iota = forms.thurston_form(torus)
     assert iota.chart == forms.CHART_SMALL
-    assert iota.matrix[0, 1] == -0.5
-    assert np.allclose(iota.matrix, -iota.matrix.T)
+    matrix = dense(iota)
+    assert matrix[0, 1] == -0.5
+    assert np.allclose(matrix, -matrix.T)
 
 
 def test_transporting_small_chart_reproduces_cyclic_pattern(torus, sphere):
@@ -35,8 +36,8 @@ def test_transporting_small_chart_reproduces_cyclic_pattern(torus, sphere):
     # since every entry is dyadic
     for T in (torus, sphere):
         large = forms.thurston_form(T, forms.CHART_LARGE)
-        direct = forms.thurston_form(T).matrix  # same block pattern
-        assert np.array_equal(large.matrix, direct)
+        direct = dense(forms.thurston_form(T))  # same block pattern
+        assert np.array_equal(dense(large), direct)
 
 
 def test_chart_mismatch(torus):
@@ -202,20 +203,20 @@ def test_constrained_rank_of_vanishing_restriction():
 def test_block_reports_match_dense_matrices():
     T = random_triangulation(20, seed=20)
     form = forms.wp_form(T)
-    dense = form.matrix
+    matrix = dense(form)
     assert np.allclose(
-        form.singular_values(), np.linalg.svd(dense, compute_uv=False), atol=1e-12
+        form.singular_values(), np.linalg.svd(matrix, compute_uv=False), atol=1e-12
     )
     gen = samples.rng(5)
     u = samples.random_tangent(gen, 60)
     v = samples.random_tangent(gen, 60)
-    assert form.evaluate(u, v) == pytest.approx(u @ dense @ v, rel=1e-12)
+    assert form.evaluate(u, v) == pytest.approx(u @ matrix @ v, rel=1e-12)
 
     # unbroken: the dense edge-equal basis B gives B^T M B
     basis = np.zeros((60, T.num_edges))
     for e, (p, q) in enumerate(T.edges):
         basis[3 * p[0] + p[1], e] = basis[3 * q[0] + q[1], e] = 1.0
-    want = np.linalg.svd(basis.T @ dense @ basis, compute_uv=False)
+    want = np.linalg.svd(basis.T @ matrix @ basis, compute_uv=False)
     got = forms.unbroken_rank_report(T).singular_values
     assert np.allclose(got, want, atol=1e-12)
 
@@ -223,7 +224,7 @@ def test_block_reports_match_dense_matrices():
     H = samples.random_valid_structure(T, samples.rng(20))
     report = forms.rank_report(T, H, constrained=True)
     null = np.linalg.svd(forms._holonomy_jacobian(H))[2][report.num_constraints:].T
-    want = np.linalg.svd(null.T @ dense @ null, compute_uv=False)
+    want = np.linalg.svd(null.T @ matrix @ null, compute_uv=False)
     assert np.allclose(report.singular_values, want, atol=1e-12)
 
 
