@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 for unusable input (bad flags, unreadable or
-malformed files, calibrate --samples below 1, a develop --base that is
-not a face of the file), 2 when a loaded object fails validation, 3 when
-a numerical check misses its tolerance.  develop and holonomy validate
-their structure first and on failure print only its report and exit 2.
+malformed files, calibrate --samples below 1, a --tol that is negative
+or not finite, ray --steps that are not positive and finite, a develop
+--base that is not a face of the file), 2 when a loaded object fails
+validation, 3 when a numerical check misses its tolerance.  develop and
+holonomy validate their structure first and on failure print only its
+report and exit 2.
 Every command prints one JSON document to stdout, or to --out when given.
 
 A zero gap is one with |log(lambda^2 / 2)| <= GAP_FLOOR, everywhere.
@@ -52,15 +54,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts: a whole number of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"needs a positive integer, got {text!r}")
-    return value
+def _checked(convert, ok, need: str):
+    """argparse type: convert the text, then require ok(value)."""
+
+    def parse(text: str):
+        try:
+            if ok(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"needs {need}, got {text!r}")
+
+    return parse
+
+
+_positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
+_tolerance = _checked(
+    float, lambda x: 0.0 <= x < math.inf, "a finite number of at least 0"
+)
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -153,8 +164,8 @@ def cmd_ray(args) -> int:
     except ValueError:
         print(f"bad --steps list: {args.steps!r}", file=sys.stderr)
         return EXIT_USAGE
-    if not steps or min(steps) <= 0.0:
-        print("--steps needs positive values", file=sys.stderr)
+    if not steps or not all(0.0 < n < math.inf for n in steps):
+        print("--steps needs positive finite values", file=sys.stderr)
         return EXIT_USAGE
     rows = []
     for n in steps:
@@ -256,13 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="census and validity report for a file")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     common(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("forms", help="pullback residual and form ranks")
     p.add_argument("file", help="triangulation or structure file")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_tolerance, default=1e-12)
     p.add_argument("--constrained", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     common(p)
@@ -285,14 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="measure the arc/h-length constant")
     p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     common(p)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("holonomy", help="puncture and loop holonomy report")
     p.add_argument("file", help="structure file")
     p.add_argument("--loops", choices=("punctures", "basis"), default="punctures")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     common(p)
     p.set_defaults(func=cmd_holonomy)
 

@@ -191,9 +191,6 @@ class PathHolonomy:
         """
         return self._defect / float(np.max(np.abs(self.matrix))) ** 2
 
-    def apply(self, point) -> np.ndarray:
-        return self.matrix @ np.asarray(point, dtype=float)
-
     def compose(self, other: "PathHolonomy") -> "PathHolonomy":
         return PathHolonomy(self.matrix @ other.matrix, self.scale * other.scale)
 

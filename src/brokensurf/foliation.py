@@ -20,9 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateEdge, TriangleInequalityViolated
+from .errors import TriangleInequalityViolated
 from .hyperbolic import ValidityReport
-from .triangulation import NEXT, PREV, IdealTriangulation, Pair, Sector
+from .triangulation import NEXT, PREV, IdealTriangulation, read_only
 
 # Switch conditions per face, w(k) = small(k+1) + small(k+2), as the map
 # w = small @ LARGE_FROM_SMALL.T.  L @ L = L + 2I, so its inverse (L - I)/2,
@@ -57,59 +57,44 @@ class BrokenMeasure:
         """max(1, |w|) over each face's three slots, shape (F, 1)."""
         return np.maximum(1.0, np.abs(self.w).max(axis=1, keepdims=True))
 
-    def small(self, sector: Sector, tol: float = 1e-12) -> float:
-        """Small-branch weight at the sector's corner; clamps float dust."""
-        f, c = sector
-        value = float(self._smalls[sector])
-        if value < -tol * float(self._face_scale[f, 0]):
-            raise TriangleInequalityViolated(
-                f"face {f} weights give small weight {value} at corner {c}"
-            )
-        return max(value, 0.0)
-
     def small_weights(self, tol: float = 1e-12) -> np.ndarray:
-        """Every small weight as an (F, 3) array; raises as small() does."""
+        """Every small weight, dust clamped; TriangleInequalityViolated if negative."""
         bad = np.flatnonzero(self._smalls < -tol * self._face_scale)
         if bad.size:
-            self.small(self.T.sectors[bad[0]], tol)
+            f, c = self.T.sectors[bad[0]]
+            raise TriangleInequalityViolated(
+                f"face {f} weights give small weight {float(self._smalls[f, c])}"
+                f" at corner {c}"
+            )
         return np.maximum(self._smalls, 0.0)
 
-    def homothety_factor(self, pair: Pair) -> float:
-        """w(far)/w(near) across the pair's edge."""
-        far = self.T.gluing[pair]
-        if self.w[pair] == 0.0:
-            raise DegenerateEdge(f"zero weight at {pair} in a ratio denominator")
-        return float(self.w[far] / self.w[pair])
+    @cached_property
+    def homothety_factors(self) -> np.ndarray:
+        """w(far) / w(near) per pair; NaN where w(near) is zero."""
+        w = self.w
+        nan = np.full_like(w, np.nan)
+        return read_only(np.divide(w.ravel()[self.T.partner], w, out=nan, where=w != 0))
 
     def scale(self, r: float) -> "BrokenMeasure":
         if r < 0.0:
             raise ValueError("scaling factor must be nonnegative")
         return BrokenMeasure(self.T, r * self.w)
 
-    def shift(self, pair: Pair) -> float:
-        """Signed offset of the far face's singular-leaf hit point.
+    def shifts(self) -> np.ndarray:
+        """Signed offset of the far face's singular-leaf hit point, per pair.
 
         Positions along the edge are measured from the near face's
         tail-end crossing in its ccw boundary direction; the foreign hit
-        point is rescaled by w(near)/w(far) through the edge gluing.
-        Same sign convention as the hyperbolic shift, and equal to it
-        through the gap chart.
+        point is rescaled by w(near)/w(far) through the edge gluing, so
+        the shift is NaN on an edge with a zero weight.  Same sign
+        convention as the hyperbolic shift, and equal to it through the
+        gap chart.  Raises as small_weights() does.
         """
-        far = self.T.gluing[pair]
-        f, k = pair
-        g, k2 = far
-        if self.w[far] == 0.0 or self.w[pair] == 0.0:
-            raise DegenerateEdge(f"zero weight on edge of {pair}; gluing unpinned")
-        own = self.small((f, (k + 1) % 3))
-        foreign = self.small((g, (k2 + 2) % 3))  # far corner at our tail end
-        return float(foreign * (self.w[pair] / self.w[far]) - own)
-
-    def holonomy(self, loop) -> float:
-        """Product of homothety factors along a closed dual path."""
-        phi = 1.0
-        for near in loop:
-            phi *= self.homothety_factor(near)
-        return phi
+        far = self.T.partner
+        smalls = self.small_weights()
+        foreign = smalls[:, PREV].ravel()[far]  # far corner at our tail end
+        near_over_far = self.homothety_factors.ravel()[far]  # NaN at w(far) = 0
+        return foreign * np.where(self.w == 0, np.nan, near_over_far) - smalls[:, NEXT]
 
     def validate(self, tol: float = 1e-12) -> ValidityReport:
         report = ValidityReport(valid=True)

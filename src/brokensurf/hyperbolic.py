@@ -23,7 +23,7 @@ import numpy as np
 
 from . import minkowski
 from .errors import DegenerateEdge, InvalidDecoration
-from .triangulation import NEXT, PREV, IdealTriangulation, Pair, Sector
+from .triangulation import NEXT, PREV, IdealTriangulation, read_only
 
 SQRT2 = math.sqrt(2.0)
 EPS = float(np.finfo(float).eps)
@@ -76,14 +76,16 @@ class DecoratedBrokenHyperbolic:
     one pair.  Because lam cannot change, the signed gap table, the
     zero-gap mask, the far/near ratio tables and the per-pair crossing
     coefficients of the developing map are computed on first use and
-    kept on the structure.
+    kept on the structure.  Every per-pair quantity is served as an
+    (F, 3) table indexed like lam, with NaN where a zero gap leaves an
+    entry undefined.
     """
 
     def __init__(self, T: IdealTriangulation, lam) -> None:
         self.T = T
         self.lam = T.pair_table(lam, "lambda", positive=True)
 
-    # --- local quantities --------------------------------------------
+    # --- per-pair tables ----------------------------------------------
 
     @cached_property
     def _gaps(self) -> np.ndarray:
@@ -91,20 +93,14 @@ class DecoratedBrokenHyperbolic:
         # float_power squares through libm pow, as Python's float ** 2 does
         return np.log(np.float_power(self.lam, 2) / 2.0)
 
-    def gap(self, pair: Pair) -> float:
-        """Horocycle gap delta = log(lambda^2 / 2); zero at lambda = sqrt(2)."""
-        d = float(self._gaps[pair])
-        if d < -GAP_FLOOR:
-            raise InvalidDecoration(
-                f"lambda at {pair} is below sqrt(2): gap {d}"
-            )
-        return max(d, 0.0)
-
     def gaps(self) -> np.ndarray:
-        """Every pair's gap as an (F, 3) array; raises as gap() does."""
+        """Every pair's gap log(lambda^2 / 2); InvalidDecoration below sqrt(2)."""
         below = np.flatnonzero(self._gaps < -GAP_FLOOR)
         if below.size:
-            self.gap(self.T.pairs[below[0]])
+            pair = self.T.pairs[below[0]]
+            raise InvalidDecoration(
+                f"lambda at {pair} is below sqrt(2): gap {float(self._gaps[pair])}"
+            )
         return np.maximum(self._gaps, 0.0)
 
     @cached_property
@@ -113,34 +109,25 @@ class DecoratedBrokenHyperbolic:
 
         A zero gap on either side of an edge leaves its gluing unpinned.
         """
-        zero = np.abs(self._gaps) <= GAP_FLOOR
-        zero.flags.writeable = False
-        return zero
+        return read_only(np.abs(self._gaps) <= GAP_FLOOR)
 
     @cached_property
-    def _lambda_ratios(self) -> np.ndarray:
-        """lambda(far) / lambda(near) for every pair."""
-        return self.lam.ravel()[self.T.partner] / self.lam
+    def lambda_ratios(self) -> np.ndarray:
+        """lambda(far) / lambda(near) per pair: the developing map's crossing scale."""
+        return read_only(self.lam.ravel()[self.T.partner] / self.lam)
 
     @cached_property
-    def _gap_ratios(self) -> np.ndarray:
-        """gap(far) / gap(near) for every pair; NaN on an edge with a zero gap."""
+    def gap_ratios(self) -> np.ndarray:
+        """gap(far) / gap(near) per pair: the homothety factor across its edge.
+
+        NaN on an edge with a zero gap on either side, whose gluing scale
+        no decoration pins.
+        """
         gaps = self.gaps()
         far = self.T.partner
         dead = self.zero_gap | self.zero_gap.ravel()[far]
         nan = np.full_like(gaps, np.nan)
-        return np.divide(gaps.ravel()[far], gaps, out=nan, where=~dead)
-
-    def gap_ratio(self, pair: Pair) -> float:
-        """Homothety factor across the pair's edge, near side to far side."""
-        ratio = float(self._gap_ratios[pair])
-        if math.isnan(ratio):
-            raise DegenerateEdge(f"zero gap on the edge of {pair} pins no gluing scale")
-        return ratio
-
-    def lambda_ratio(self, pair: Pair) -> float:
-        """lambda(far)/lambda(near); the developing map's crossing scale."""
-        return float(self._lambda_ratios[pair])
+        return read_only(np.divide(gaps.ravel()[far], gaps, out=nan, where=~dead))
 
     def puncture_holonomy(self, puncture: int, convention: str = "gap") -> float:
         """Product of the far/near ratios of a corner cycle's crossings, in order.
@@ -148,22 +135,40 @@ class DecoratedBrokenHyperbolic:
         Under the gap convention a cycle that meets a zero gap on either
         side of a crossing raises DegenerateEdge.
         """
-        table = {"gap": "_gap_ratios", "lambda": "_lambda_ratios"}[convention]
+        table = {"gap": "gap_ratios", "lambda": "lambda_ratios"}[convention]
         ratios = getattr(self, table)
         phi = math.prod(ratios.ravel()[self.T.cycle_crossings[puncture]].tolist())
         if math.isnan(phi):
             raise DegenerateEdge(f"puncture {puncture} meets a zero gap")
         return phi
 
-    def h_length(self, sector: Sector) -> float:
-        """Horocyclic length coordinate lambda_i / (lambda_j * lambda_k)."""
-        f, c = sector
-        lam = self.lam[f].tolist()
-        return lam[c] / (lam[(c + 1) % 3] * lam[(c + 2) % 3])
+    def h_lengths(self) -> np.ndarray:
+        """Horocyclic length lambda_i / (lambda_j * lambda_k) of every sector."""
+        return self.lam / (self.lam[:, NEXT] * self.lam[:, PREV])
 
     def face_lift(self, f: int) -> np.ndarray:
         """Hyperboloid lift of one face on the default rays, as a (3, 3) array."""
         return minkowski.solve_triangle(minkowski.DEFAULT_RAYS, self.lam[f])
+
+    def geometric_arcs(self) -> np.ndarray:
+        """Decoration horocycle arc cut off inside every sector's face.
+
+        Computed on face_lift's hyperboloid lifts, not from h_lengths; the
+        two stay proportional by the calibrated constant sqrt(2).
+        """
+        rays = np.broadcast_to(minkowski.DEFAULT_RAYS, (self.T.faces, 3, 3))
+        return minkowski.horocycle_arcs(minkowski.solve_triangles(rays, self.lam))
+
+    def coupling_residuals(self) -> np.ndarray:
+        """h-length product mismatch across every pair's edge.
+
+        The two sector h-lengths at the ends of an edge multiply to
+        1/lambda(t, e)^2 within each face, so the residuals vanish
+        exactly on unbroken structures.
+        """
+        h = self.h_lengths()
+        ends = h[:, NEXT] * h[:, PREV]
+        return ends - ends.ravel()[self.T.partner]
 
     @cached_property
     def crossing_rows(self) -> list:
@@ -195,56 +200,24 @@ class DecoratedBrokenHyperbolic:
             *(v.ravel().tolist() for v in (x, y, t, step)),
         ))
 
-    def geometric_arc(self, sector: Sector) -> float:
-        """Decoration horocycle arc cut off inside the sector's face.
-
-        Computed on an explicit hyperboloid lift, not from h_length; the
-        two stay proportional by the calibrated constant sqrt(2).
-        """
-        f, c = sector
-        return minkowski.horocycle_arc(self.face_lift(f), c)
-
-    def coupling_residual(self, pair: Pair) -> float:
-        """h-length product mismatch across the pair's edge.
-
-        The two sector h-lengths at the ends of an edge multiply to
-        1/lambda(t, e)^2 within each face, so the residual vanishes
-        exactly on unbroken structures.
-        """
-        far = self.T.gluing[pair]
-        f, k = pair
-        g, k2 = far
-        own = self.h_length((f, (k + 1) % 3)) * self.h_length((f, (k + 2) % 3))
-        other = self.h_length((g, (k2 + 1) % 3)) * self.h_length((g, (k2 + 2) % 3))
-        return own - other
-
-    # --- shift coordinates -------------------------------------------
-
-    def shift(self, pair: Pair) -> float:
-        """Signed offset between the two faces' feet of perpendiculars.
+    def shifts(self) -> np.ndarray:
+        """Signed offset between the two faces' feet of perpendiculars, per pair.
 
         Measured along the edge by arc length in the near face's metric,
         from the near face's tail-end decoration crossing along its ccw
         boundary direction; the foreign foot is transported through the
-        gluing, which the decoration crossings pin.  The two sides of a
-        pair measure from opposite ends, so their shifts are not simple
-        rescalings of each other; matching the weight-chart shift is the
-        invariant checked in the tests.
+        gluing, which the decoration crossings pin, so the shift is NaN
+        on an edge with a zero gap.  The two sides of a pair measure from
+        opposite ends, so their shifts are not simple rescalings of each
+        other; they match the weight-chart shifts instead.
         """
-        far = self.T.gluing[pair]
-        f, k = pair
-        g, k2 = far
-        own_over_far = self.gap_ratio(far)  # raises for a zero gap on the edge
-        mine, theirs = self.lam[f].tolist(), self.lam[g].tolist()
-        own = math.log(
-            mine[k] * mine[(k + 2) % 3] / (SQRT2 * mine[(k + 1) % 3])
-        )
+        lam = self.lam
+        far = self.T.partner
+        own = np.log(lam * lam[:, PREV] / (SQRT2 * lam[:, NEXT]))
         # Far face seen from the near side: its corner k2+2 sits at our
         # tail, its corner k2+1 at our head, so its own tail/head roles swap.
-        foreign = math.log(
-            theirs[k2] * theirs[(k2 + 1) % 3] / (SQRT2 * theirs[(k2 + 2) % 3])
-        )
-        return foreign * own_over_far - own
+        foreign = np.log(lam * lam[:, NEXT] / (SQRT2 * lam[:, PREV])).ravel()[far]
+        return foreign * self.gap_ratios.ravel()[far] - own
 
     # --- global checks ------------------------------------------------
 
@@ -262,8 +235,8 @@ class DecoratedBrokenHyperbolic:
             f"violations at (face, slot): {bad}" if bad else "",
         )
 
-        # Same predicate as gap(), so a structure that passes never makes
-        # gap() raise.
+        # Same predicate as gaps(), so a structure that passes never makes
+        # gaps() raise.
         below = self.T.pairs_where(self._gaps < -GAP_FLOOR)
         report.add(
             "gaps_nonnegative",

@@ -110,7 +110,3 @@ def random_lifts(gen: np.random.Generator, n: int) -> np.ndarray:
 
 def random_lift(gen: np.random.Generator) -> np.ndarray:
     return random_lifts(gen, 1)[0]
-
-
-def random_tangent(gen: np.random.Generator, n: int) -> np.ndarray:
-    return gen.standard_normal(n)

@@ -32,6 +32,12 @@ NEXT = np.array([1, 2, 0])
 PREV = np.array([2, 0, 1])
 
 
+def read_only(table: np.ndarray) -> np.ndarray:
+    """Lock a per-pair table that every caller shares, and return it."""
+    table.flags.writeable = False
+    return table
+
+
 def _is_int(x) -> bool:
     """An int proper: bool is a subclass of int, but True is no index."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -202,8 +208,7 @@ class IdealTriangulation:
         if keyed and len(values) > len(self.pairs):
             extra = sorted(set(values) - set(self.pairs))
             raise ValueError(f"{noun}s given for unknown pairs: {extra}")
-        table.flags.writeable = False
-        return table
+        return read_only(table)
 
     def pairs_where(self, mask: np.ndarray) -> list[Pair]:
         """The pairs at which an (F, 3) boolean table holds, in pair order."""

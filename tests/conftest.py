@@ -3,6 +3,7 @@ import pytest
 
 from brokensurf import samples, sphere_fixture, torus_fixture
 from brokensurf.errors import Disconnected
+from brokensurf.hyperbolic import SQRT2, DecoratedBrokenHyperbolic
 from brokensurf.triangulation import build_triangulation
 
 
@@ -24,6 +25,25 @@ def random_triangulation(faces: int, seed: int):
             continue
 
 
+def oracle_table(T, oracle) -> np.ndarray:
+    """An (F, 3) table of oracle(pair), one pair at a time in pair order."""
+    return np.array([oracle(p) for p in T.pairs], dtype=float).reshape(T.faces, 3)
+
+
+def table_structures(T):
+    """Valid, boxed and unbroken structures, then the valid one with zero gaps."""
+    gen = samples.rng(T.faces)
+    valid = samples.random_valid_structure(T, gen)
+    lam = valid.lam.copy()
+    lam.ravel()[::5] = SQRT2
+    return [
+        valid,
+        samples.random_boxed_structure(T, gen),
+        samples.random_unbroken(T, gen),
+        DecoratedBrokenHyperbolic(T, lam),
+    ]
+
+
 def dense(form) -> np.ndarray:
     """A two-form's dense 3F x 3F matrix: its block once per face."""
     return np.kron(np.eye(form.faces), form.block)
@@ -42,3 +62,19 @@ def sphere():
 @pytest.fixture()
 def gen():
     return samples.rng(0)
+
+
+@pytest.fixture(
+    params=["torus", "sphere"]
+    + [f"F{faces}-seed{seed}" for faces in (2, 20, 200) for seed in range(4)]
+)
+def table_surface(request):
+    """The fixtures, then random_triangulation(F, seed) for F in 2, 20, 200.
+
+    The surfaces on which every per-pair table is pinned to its scalar
+    oracle.
+    """
+    if request.param in ("torus", "sphere"):
+        return request.getfixturevalue(request.param)
+    faces, seed = map(int, request.param[1:].split("-seed"))
+    return random_triangulation(faces, seed)

@@ -88,13 +88,13 @@ def test_validate_measure_switch_check_uses_tol(tmp_path, torus, capsys):
 
 
 def test_validate_agrees_with_gap_near_sqrt2(tmp_path, torus, capsys):
-    # just below sqrt(2) beyond GAP_FLOOR: gap() raises, so validate must fail
+    # just below sqrt(2) beyond GAP_FLOOR: gaps() raises, so validate must fail
     below = tmp_path / "below.json"
     fileio.save(below, constant_structure(torus, math.sqrt(2) * (1 - 1e-10)))
     assert run(["validate", str(below)]) == 2
     checks = {c["name"]: c for c in read_doc(capsys)["report"]["checks"]}
     assert checks["gaps_nonnegative"]["passed"] is False
-    # within GAP_FLOOR: gap() clamps to zero, so every command accepts it
+    # within GAP_FLOOR: gaps() clamps to zero, so every command accepts it
     edge = tmp_path / "edge.json"
     fileio.save(edge, constant_structure(torus, math.sqrt(2) * (1 - 1e-13)))
     for command in ("validate", "holonomy", "ray"):
@@ -260,8 +260,53 @@ def test_forms_constrained_rejects_lambda_below_sqrt2(tmp_path, torus, capsys):
 
 
 def test_forms_impossible_tolerance(torus_file, capsys):
-    assert run(["forms", torus_file, "--tol=-1"]) == 3
-    capsys.readouterr()
+    # a negative tolerance no residual can meet is unusable input
+    assert run(["forms", torus_file, "--tol=-1"]) == 1
+    assert "--tol" in capsys.readouterr().err
+
+
+def tolerance_rejected(capsys, command, tol) -> bool:
+    """Nothing on stdout; stderr is usage and one error line naming --tol."""
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    return (
+        captured.out == ""
+        and captured.err.startswith("usage: ")
+        and errors == [f"brokensurf {command}: error: argument --tol: "
+                       f"needs a finite number of at least 0, got {tol!r}"]
+    )
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9", "tight"])
+@pytest.mark.parametrize("command", ["validate", "forms", "calibrate", "holonomy"])
+def test_tol_must_be_finite_and_nonnegative(torus_file, command, tol, capsys):
+    argv = [command] if command == "calibrate" else [command, torus_file]
+    assert run([*argv, f"--tol={tol}"]) == 1
+    assert tolerance_rejected(capsys, command, tol)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_nonfinite_tol_passes_no_invalid_file(tmp_path, torus, sphere, tol, capsys):
+    # both files fail validation; with --tol nan or inf they used to be
+    # reported valid with exit 0
+    lam = {p: 2.0 for p in torus.pairs}
+    lam[(0, 0)] = 2.9  # face inequality: 2 * 2 < sqrt(2) * 2.9
+    face = tmp_path / "face.json"
+    fileio.save(face, DecoratedBrokenHyperbolic(torus, lam))
+    open_holonomy = tmp_path / "open.json"
+    fileio.save(open_holonomy, samples.random_boxed_structure(sphere, samples.rng(3)))
+    for path in (face, open_holonomy):
+        assert run(["validate", str(path)]) == 2
+        capsys.readouterr()
+        assert run(["validate", str(path), "--tol", tol]) == 1
+        assert tolerance_rejected(capsys, "validate", tol)
+
+
+def test_zero_tol_is_accepted(tmp_path, torus, capsys):
+    path = tmp_path / "torus2.json"
+    fileio.save(path, constant_structure(torus, 2.0))
+    assert run(["validate", str(path), "--tol", "0"]) == 0
+    assert read_doc(capsys)["report"]["valid"] is True
 
 
 def test_ray_report(structure_file, capsys):
@@ -276,6 +321,15 @@ def test_ray_rejects_bad_steps(structure_file):
     assert run(["ray", structure_file, "--steps", "five"]) == 1
     assert run(["ray", structure_file, "--steps=-2,4"]) == 1
     assert run(["ray", structure_file, "--steps", ""]) == 1
+
+
+@pytest.mark.parametrize("steps", ["nan", "inf", "1,inf", "-inf,2"])
+def test_ray_rejects_nonfinite_steps(structure_file, steps, capsys):
+    # nan and inf used to escape as a ValueError traceback
+    assert run(["ray", structure_file, f"--steps={steps}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "--steps needs positive finite values\n"
 
 
 def test_develop_with_svg(structure_file, tmp_path, capsys):

@@ -152,7 +152,7 @@ def test_holonomy_scales_the_form(sphere, gen):
         hol = path_holonomy(H, loop)
         assert hol.lorentz_residual() <= 1e-9
         u, v = samples.random_lift(gen)[:2]
-        lhs = minkowski.mform(hol.apply(u), hol.apply(v))
+        lhs = minkowski.mform(hol.matrix @ u, hol.matrix @ v)
         rhs = hol.scale**2 * minkowski.mform(u, v)
         assert lhs == pytest.approx(rhs, rel=1e-9)
 

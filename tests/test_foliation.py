@@ -1,14 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from conftest import oracle_table, table_structures
 
-from brokensurf import samples
-from brokensurf.errors import DegenerateEdge, TriangleInequalityViolated
+from brokensurf import forms, samples
+from brokensurf.errors import TriangleInequalityViolated
 from brokensurf.foliation import (
     BrokenMeasure,
     from_small_weights,
     puncture_loop_vector,
     split_collars,
 )
+from brokensurf.triangulation import NEXT, PREV
 
 
 def measure_345(T):
@@ -21,17 +25,14 @@ def measure_345(T):
 def test_small_weights_345(torus):
     m = measure_345(torus)
     # small at corner c: half of (w(c+1) + w(c+2) - w(c))
-    assert m.small((0, 0)) == pytest.approx(3.0)
-    assert m.small((0, 1)) == pytest.approx(2.0)
-    assert m.small((0, 2)) == pytest.approx(1.0)
+    assert m.small_weights()[0].tolist() == pytest.approx([3.0, 2.0, 1.0])
 
 
 def test_switch_conditions(torus, sphere, gen):
     for T in (torus, sphere):
         m = samples.random_measure(T, gen)
-        for f, k in T.pairs:
-            lhs = m.small((f, (k + 1) % 3)) + m.small((f, (k + 2) % 3))
-            assert lhs == pytest.approx(m.w[(f, k)], rel=1e-14)
+        smalls = m.small_weights()
+        assert smalls[:, NEXT] + smalls[:, PREV] == pytest.approx(m.w, rel=1e-14)
 
 
 def test_small_weight_roundtrip(torus, gen):
@@ -45,8 +46,10 @@ def test_triangle_inequality_violation(torus):
     w = {p: 1.0 for p in torus.pairs}
     w[(0, 0)] = 5.0  # 1 + 1 < 5
     m = BrokenMeasure(torus, w)
+    with pytest.raises(TriangleInequalityViolated, match="face 0 .* corner 0$"):
+        m.small_weights()
     with pytest.raises(TriangleInequalityViolated):
-        m.small((0, 0))
+        m.shifts()
     rep = m.validate()
     assert not rep.valid
 
@@ -67,41 +70,82 @@ def test_scale(torus, gen):
 
 def test_homothety_factor(sphere, gen):
     m = samples.random_measure(sphere, gen)
-    for p in sphere.pairs:
-        q = sphere.gluing[p]
-        assert m.homothety_factor(p) == pytest.approx(
-            m.w[q] / m.w[p], rel=1e-14
-        )
+    want = m.w.ravel()[sphere.partner] / m.w
+    assert m.homothety_factors == pytest.approx(want, rel=1e-14)
+    with pytest.raises(ValueError):
+        m.homothety_factors[0, 0] = 1.0
 
 
-def test_holonomy_is_cycle_product(torus, sphere, gen):
-    for T in (torus, sphere):
-        m = samples.random_measure(T, gen)
-        for cyc in T.corner_cycles:
-            expected = 1.0
-            for near in cyc.crossings:
-                expected *= m.w[T.gluing[near]] / m.w[near]
-            assert m.holonomy(cyc.crossings) == pytest.approx(expected, rel=1e-12)
+def test_gap_measure_homothety_factors_are_gap_ratios(table_surface):
+    # the gap chart carries each edge's homothety factor over unchanged
+    for H in table_structures(table_surface):
+        defined = ~np.isnan(H.gap_ratios)
+        factors = forms.to_measure(H).homothety_factors
+        assert np.array_equal(factors[defined], H.gap_ratios[defined])
 
 
 def test_measure_shift_scaling(sphere, gen):
     # the shift converts the far side's small weight into near-side units
     m = samples.random_measure(sphere, gen)
-    for p in sphere.pairs:
-        f, k = p
-        g, k2 = sphere.gluing[p]
-        own = m.small((f, (k + 1) % 3))
-        foreign = m.small((g, (k2 + 2) % 3))
-        expected = foreign * (m.w[p] / m.w[sphere.gluing[p]]) - own
-        assert m.shift(p) == pytest.approx(expected, abs=1e-14)
+    want = oracle_table(sphere, lambda p: oracle_shift(m, p))
+    assert np.array_equal(m.shifts(), want)
 
 
 def test_shift_degenerate_edge(torus):
     w = {p: 1.0 for p in torus.pairs}
     w[(0, 0)] = 0.0
-    m = BrokenMeasure(torus, w)
-    with pytest.raises(DegenerateEdge):
-        m.shift((0, 0))
+    shifts = BrokenMeasure(torus, w).shifts()
+    assert torus.pairs_where(np.isnan(shifts)) == [(0, 0), (1, 1)]
+
+
+# --- scalar oracles ---------------------------------------------------
+# One pair or sector at a time, as the per-pair accessors computed them;
+# NaN stands where those raised DegenerateEdge.
+
+
+def oracle_small(m, sector) -> float:
+    f, c = sector
+    w = m.w[f].tolist()
+    return max((w[(c + 1) % 3] + w[(c + 2) % 3] - w[c]) / 2.0, 0.0)
+
+
+def oracle_homothety_factor(m, pair) -> float:
+    if m.w[pair] == 0.0:
+        return math.nan
+    return float(m.w[m.T.gluing[pair]] / m.w[pair])
+
+
+def oracle_shift(m, pair) -> float:
+    (f, k), (g, k2) = pair, m.T.gluing[pair]
+    if m.w[(g, k2)] == 0.0 or m.w[pair] == 0.0:
+        return math.nan
+    own = oracle_small(m, (f, (k + 1) % 3))
+    foreign = oracle_small(m, (g, (k2 + 2) % 3))  # far corner at our tail end
+    return float(foreign * (m.w[pair] / m.w[(g, k2)]) - own)
+
+
+def table_measures(T):
+    """Gap measures of valid, boxed and unbroken structures, a random
+    measure, and one whose zero small weights leave zero large weights."""
+    gen = samples.rng(T.faces)
+    measures = [forms.to_measure(H) for H in table_structures(T)[:3]]
+    smalls = gen.uniform(0.0, 1.0, size=(T.faces, 3))
+    smalls[::3, 1:] = 0.0  # w(f, 0) = small(f, 1) + small(f, 2) = 0
+    return measures + [
+        samples.random_measure(T, gen),
+        from_small_weights(T, smalls),
+    ]
+
+
+def test_measure_tables_match_scalar_oracles(table_surface):
+    for m in table_measures(table_surface):
+        smalls = oracle_table(m.T, lambda s: oracle_small(m, s))
+        assert np.array_equal(m.small_weights(), smalls)
+        factors = oracle_table(m.T, lambda p: oracle_homothety_factor(m, p))
+        assert np.array_equal(m.homothety_factors, factors, equal_nan=True)
+        shifts = oracle_table(m.T, lambda p: oracle_shift(m, p))
+        assert np.array_equal(m.shifts(), shifts, equal_nan=True)
+    assert np.isnan(m.shifts()).any()  # the zero weights void some entries
 
 
 def test_puncture_loop_vector_torus(torus):
@@ -155,5 +199,6 @@ def test_core_has_zero_small_per_puncture(sphere, gen):
     m = samples.random_measure(sphere, gen)
     core = split_collars(m).core
     for cyc in sphere.corner_cycles:
-        least = min(core.small(sec) for sec in cyc.sectors)
+        smalls = core.small_weights()
+        least = min(smalls[sec] for sec in cyc.sectors)
         assert least == pytest.approx(0.0, abs=1e-12)

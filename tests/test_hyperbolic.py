@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_triangulation
+from conftest import oracle_table, random_triangulation, table_structures
 
-from brokensurf import samples
+from brokensurf import minkowski, samples
 from brokensurf.errors import DegenerateEdge, InvalidDecoration
 from brokensurf.foliation import BrokenMeasure
 from brokensurf.hyperbolic import (
@@ -24,19 +24,21 @@ def boxed(T, seed=0):
 
 def test_gap_definition(torus):
     H = constant_structure(torus, 2.0)
-    for p in torus.pairs:
-        assert H.gap(p) == pytest.approx(math.log(2.0), abs=1e-15)
+    assert H.gaps() == pytest.approx(np.full((2, 3), math.log(2.0)), abs=1e-15)
     H2 = constant_structure(torus)  # all sqrt2: gaps at rounding level
-    assert all(abs(H2.gap(p)) <= 1e-15 for p in torus.pairs)
+    assert np.all(np.abs(H2.gaps()) <= 1e-15)
     assert np.all(H2.gaps() <= GAP_FLOOR)
 
 
 def test_gap_rejects_short_lambda(torus):
     lam = {p: 2.0 for p in torus.pairs}
     lam[(0, 1)] = 1.0
+    lam[(1, 0)] = 1.1
     H = DecoratedBrokenHyperbolic(torus, lam)
-    with pytest.raises(InvalidDecoration):
-        H.gap((0, 1))
+    # every table built on the gaps names the first short pair
+    for table in (H.gaps, lambda: H.gap_ratios, H.shifts):
+        with pytest.raises(InvalidDecoration, match=r"lambda at \(0, 1\)"):
+            table()
 
 
 def test_constructor_rejects_bad_tables(torus):
@@ -69,17 +71,20 @@ def test_constructor_rejects_bad_tables(torus):
 
 def test_ratio_conventions(sphere):
     H = boxed(sphere)
-    for p in sphere.pairs:
-        q = sphere.gluing[p]
-        assert H.gap_ratio(p) == pytest.approx(H.gap(q) / H.gap(p), rel=1e-14)
-        assert H.lambda_ratio(p) == pytest.approx(H.lam[q] / H.lam[p], rel=1e-14)
-        assert H.gap_ratio(p) * H.gap_ratio(q) == pytest.approx(1.0, rel=1e-13)
+    far = sphere.partner
+    gaps = H.gaps()
+    assert H.gap_ratios == pytest.approx(gaps.ravel()[far] / gaps, rel=1e-14)
+    assert H.lambda_ratios == pytest.approx(H.lam.ravel()[far] / H.lam, rel=1e-14)
+    both = H.gap_ratios * H.gap_ratios.ravel()[far]
+    assert both == pytest.approx(np.ones((2, 3)), rel=1e-13)
+    for table in (H.gap_ratios, H.lambda_ratios):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
 
 
 def test_gap_ratio_degenerate(torus):
     H = constant_structure(torus)
-    with pytest.raises(DegenerateEdge):
-        H.gap_ratio((0, 0))
+    assert np.isnan(H.gap_ratios).all()
 
 
 def test_unbroken_detection(torus, gen):
@@ -113,13 +118,10 @@ def test_holonomy_product_over_punctures(sphere):
 
 def sequential_holonomy(H, puncture, convention):
     """The far/near ratio product, taken crossing by crossing."""
+    table = H.gaps() if convention == "gap" else H.lam
     phi = 1.0
     for near in H.T.corner_cycles[puncture].crossings:
-        far = H.T.gluing[near]
-        if convention == "gap":
-            phi *= H.gap(far) / H.gap(near)
-        else:
-            phi *= float(H.lam[far] / H.lam[near])
+        phi *= float(table[H.T.gluing[near]] / table[near])
     return phi
 
 
@@ -147,9 +149,7 @@ def test_zero_gap_voids_every_puncture_it_meets(sphere):
     for i in (1, 2):
         with pytest.raises(DegenerateEdge):
             H.puncture_holonomy(i, "gap")
-    for p in ((0, 0), (1, 0)):
-        with pytest.raises(DegenerateEdge):
-            H.gap_ratio(p)
+    assert H.T.pairs_where(np.isnan(H.gap_ratios)) == [(0, 0), (1, 0)]
     assert [H.puncture_holonomy(i, "lambda") for i in range(3)] == [
         sequential_holonomy(H, i, "lambda") for i in range(3)
     ]
@@ -207,9 +207,7 @@ def test_validate_flags_open_holonomy(sphere):
 
 def test_h_length_and_geometric_arc_agree(sphere, gen):
     H = samples.random_valid_structure(sphere, gen)
-    for f, c in sphere.sectors:
-        geom = H.geometric_arc((f, c))
-        assert geom == pytest.approx(SQRT2 * H.h_length((f, c)), rel=1e-11)
+    assert H.geometric_arcs() == pytest.approx(SQRT2 * H.h_lengths(), rel=1e-11)
 
 
 def test_face_lift_realizes_lambdas(sphere, gen):
@@ -226,18 +224,16 @@ def test_face_lift_realizes_lambdas(sphere, gen):
 def test_coupling_residual_unbroken_zero(torus, sphere, gen):
     for T in (torus, sphere):
         H = samples.random_unbroken(T, gen)
-        for p in T.pairs:
-            assert H.coupling_residual(p) == pytest.approx(0.0, abs=1e-12)
+        assert np.abs(H.coupling_residuals()).max() <= 1e-12
 
 
 def test_coupling_residual_definition(sphere):
     # h-length product at the ends of the edge is 1/lambda^2 within a
     # face, so the residual is the difference of the two sides' 1/lambda^2
     H = boxed(sphere, 7)
-    for p in sphere.pairs:
-        q = sphere.gluing[p]
-        expected = 1.0 / H.lam[p] ** 2 - 1.0 / H.lam[q] ** 2
-        assert H.coupling_residual(p) == pytest.approx(expected, abs=1e-15)
+    inverse_square = 1.0 / H.lam**2
+    expected = inverse_square - inverse_square.ravel()[sphere.partner]
+    assert H.coupling_residuals() == pytest.approx(expected, abs=1e-15)
 
 
 def test_embed_unbroken_by_edge_values(torus):
@@ -249,11 +245,73 @@ def test_embed_unbroken_by_edge_values(torus):
 
 def test_shift_zero_when_symmetric(torus):
     H = constant_structure(torus, 2.0)
-    for p in torus.pairs:
-        assert H.shift(p) == pytest.approx(0.0, abs=1e-14)
+    assert np.abs(H.shifts()).max() <= 1e-14
 
 
 def test_shift_needs_positive_gaps(torus):
-    H = constant_structure(torus)
-    with pytest.raises(DegenerateEdge):
-        H.shift((0, 0))
+    assert np.isnan(constant_structure(torus).shifts()).all()
+    # a zero gap voids the shifts of its edge's two pairs and no others
+    lam = np.full((2, 3), 2.0)
+    lam[0, 0] = SQRT2
+    shifts = DecoratedBrokenHyperbolic(torus, lam).shifts()
+    assert torus.pairs_where(np.isnan(shifts)) == [(0, 0), (1, 1)]
+
+
+# --- scalar oracles ---------------------------------------------------
+# One pair or sector at a time, as the per-pair accessors computed them;
+# NaN stands where those raised DegenerateEdge.
+
+
+def oracle_gap_ratio(H, pair) -> float:
+    far = H.T.gluing[pair]
+    if H.zero_gap[pair] or H.zero_gap[far]:
+        return math.nan
+    gaps = H.gaps()
+    return float(gaps[far]) / float(gaps[pair])
+
+
+def oracle_h_length(H, sector) -> float:
+    f, c = sector
+    lam = H.lam[f].tolist()
+    return lam[c] / (lam[(c + 1) % 3] * lam[(c + 2) % 3])
+
+
+def oracle_coupling_residual(H, pair) -> float:
+    (f, k), (g, k2) = pair, H.T.gluing[pair]
+    h = oracle_h_length
+    own = h(H, (f, (k + 1) % 3)) * h(H, (f, (k + 2) % 3))
+    other = h(H, (g, (k2 + 1) % 3)) * h(H, (g, (k2 + 2) % 3))
+    return own - other
+
+
+def oracle_shift(H, pair) -> float:
+    (f, k), (g, k2) = pair, H.T.gluing[pair]
+    own_over_far = oracle_gap_ratio(H, (g, k2))
+    mine, theirs = H.lam[f].tolist(), H.lam[g].tolist()
+    own = math.log(mine[k] * mine[(k + 2) % 3] / (SQRT2 * mine[(k + 1) % 3]))
+    foreign = math.log(
+        theirs[k2] * theirs[(k2 + 1) % 3] / (SQRT2 * theirs[(k2 + 2) % 3])
+    )
+    return foreign * own_over_far - own
+
+
+def test_tables_match_scalar_oracles(table_surface):
+    T = table_surface
+    for H in table_structures(T):
+        gap_ratios = oracle_table(T, lambda p: oracle_gap_ratio(H, p))
+        assert np.array_equal(H.gap_ratios, gap_ratios, equal_nan=True)
+        lambda_ratios = oracle_table(T, lambda p: float(H.lam[T.gluing[p]] / H.lam[p]))
+        assert np.array_equal(H.lambda_ratios, lambda_ratios)
+        h_lengths = oracle_table(T, lambda s: oracle_h_length(H, s))
+        assert np.array_equal(H.h_lengths(), h_lengths)
+        arcs = [minkowski.horocycle_arcs(H.face_lift(f)) for f in range(T.faces)]
+        assert np.array_equal(H.geometric_arcs(), np.array(arcs))
+        residuals = oracle_table(T, lambda p: oracle_coupling_residual(H, p))
+        assert np.array_equal(H.coupling_residuals(), residuals)
+        # np.log and math.log may round one value differently
+        want, got = oracle_table(T, lambda p: oracle_shift(H, p)), H.shifts()
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        defined = ~np.isnan(want)
+        slack = 4.4e-16 * np.maximum(1.0, np.abs(want[defined]))
+        assert np.all(np.abs(got[defined] - want[defined]) <= slack)
+    assert np.isnan(H.gap_ratios).any()  # the zero gaps void some entries
