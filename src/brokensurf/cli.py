@@ -2,11 +2,11 @@
 
 Exit codes: 0 on success, 1 for unusable input (bad flags, unreadable or
 malformed files, calibrate --samples below 1, a --tol that is negative
-or not finite, ray --steps that are not positive and finite, a develop
---base that is not a face of the file), 2 when a loaded object fails
-validation, 3 when a numerical check misses its tolerance.  develop and
-holonomy validate their structure first and on failure print only its
-report and exit 2.
+or not finite, ray --steps that are not positive and finite or whose
+weights overflow, a develop --base that is not a face of the file), 2
+when a loaded object fails validation, 3 when calibrate or holonomy
+misses its --tol.  develop and holonomy validate their structure first
+and on failure print only its report and exit 2.
 Every command prints one JSON document to stdout, or to --out when given.
 
 A zero gap is one with |log(lambda^2 / 2)| <= GAP_FLOOR, everywhere.
@@ -137,10 +137,9 @@ def cmd_forms(args) -> int:
     obj = _load(args.file)
     structure = obj if isinstance(obj, DecoratedBrokenHyperbolic) else None
     T = obj if isinstance(obj, IdealTriangulation) else obj.T
-    residual = forms.pullback_residual(T)
     doc = {
         "census": _census(T),
-        "pullback_residual": residual,
+        "pullback_residual": forms.pullback_residual(T),
         "rank": forms.rank_report(T).to_dict(),
         "unbroken_rank": forms.unbroken_rank_report(T).to_dict(),
     }
@@ -154,7 +153,7 @@ def cmd_forms(args) -> int:
             else forms.rank_report(T, structure, constrained=True).to_dict()
         )
     _emit(doc, args.out)
-    return EXIT_OK if residual <= args.tol else EXIT_TOLERANCE
+    return EXIT_OK
 
 
 def cmd_ray(args) -> int:
@@ -169,7 +168,12 @@ def cmd_ray(args) -> int:
         return EXIT_USAGE
     rows = []
     for n in steps:
-        sup = float(np.max(np.abs(forms.ray_measure(H, n).w - 1.0)))
+        try:
+            measure = forms.ray_measure(H, n)
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return EXIT_USAGE
+        sup = float(np.max(np.abs(measure.w - 1.0)))
         rows.append({"n": n, "x": 1.0 / n, "sup_distance_to_unit": sup})
     _emit({"census": _census(H.T), "steps": rows}, args.out)
     return EXIT_OK
@@ -273,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forms", help="pullback residual and form ranks")
     p.add_argument("file", help="triangulation or structure file")
-    p.add_argument("--tol", type=_tolerance, default=1e-12)
     p.add_argument("--constrained", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     common(p)

@@ -191,15 +191,12 @@ class PathHolonomy:
         """
         return self._defect / float(np.max(np.abs(self.matrix))) ** 2
 
-    def compose(self, other: "PathHolonomy") -> "PathHolonomy":
-        return PathHolonomy(self.matrix @ other.matrix, self.scale * other.scale)
-
 
 def path_holonomy(H: DecoratedBrokenHyperbolic, loop) -> PathHolonomy:
     """Holonomy pair of a closed dual path: end frame times inverse start frame.
 
-    Composition is contravariant: the pair of loop1 + loop2 is
-    holonomy(loop1) @ holonomy(loop2).
+    Composition is contravariant: the matrix of loop1 + loop2 is
+    matrix(loop1) @ matrix(loop2), and the scales multiply.
     """
     loop = tuple(loop)
     if not loop:
@@ -242,14 +239,6 @@ def _tile_geometry(points):
     return (x0, y0, x1, y1, x2, y2), tuple(axes)
 
 
-def _tile(points):
-    """_tile_geometry of a (3, 3)-like input, keyed on its float triples."""
-    try:
-        return _tile_geometry(points)
-    except TypeError:  # unhashable: a list, an array or a tuple of arrays
-        return _tile_geometry(tuple(tuple(map(float, p)) for p in points))
-
-
 def tile_separation(points_a, points_b) -> float:
     """Separating-axis margin between two developed lifts.
 
@@ -258,12 +247,13 @@ def tile_separation(points_a, points_b) -> float:
     interiors exactly when the flat triangles do.  Returns the smallest
     axis overlap: <= 0 means disjoint interiors (0 for tiles sharing an
     edge), > 0 means genuine overlap of that depth.  Edges of zero
-    length give no axis.  Each lift may be any (3, 3)-like input; the
-    per-tile geometry is cached on its float triples, so a sweep over
-    all pairs of n tiles builds it n times, not n^2.
+    length give no axis.  Both lifts are developed lifts, tuples of three
+    (x, y, z) float tuples like DevelopedNode.points; the per-tile
+    geometry is cached on them, so a sweep over all pairs of n tiles
+    builds it n times, not n^2.
     """
-    verts_a, axes_a = _tile(points_a)
-    verts_b, axes_b = _tile(points_b)
+    verts_a, axes_a = _tile_geometry(points_a)
+    verts_b, axes_b = _tile_geometry(points_b)
     best = math.inf
     # each tile's own axes against the other tile's three vertices
     for axes, (x0, y0, x1, y1, x2, y2) in ((axes_a, verts_b), (axes_b, verts_a)):
@@ -283,9 +273,7 @@ def tile_separation(points_a, points_b) -> float:
     return best
 
 
-def cusp_closure_residual(
-    H: DecoratedBrokenHyperbolic, puncture: int, base: int | None = None
-) -> float:
+def cusp_closure_residual(H: DecoratedBrokenHyperbolic, puncture: int) -> float:
     """|log| of the lambda ratio the puncture loop fails to close by.
 
     Developing once around the corner cycle re-lands on the start face.
@@ -295,13 +283,6 @@ def cusp_closure_residual(
     loop's lambda-convention holonomy.
     """
     crossings = H.T.corner_cycles[puncture].crossings
-    if base is not None:
-        starts = [i for i, (f, _) in enumerate(crossings) if f == base]
-        if not starts:
-            raise ValueError(f"face {base} does not meet puncture {puncture}")
-        i = starts[0]
-        crossings = crossings[i:] + crossings[:i]
-
     _, points, _, face = develop_along(H, crossings)
     assert face == crossings[0][0]
     k2 = H.T.gluing[crossings[-1]][1]  # entry slot; the fresh corner sits there

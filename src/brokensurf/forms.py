@@ -51,9 +51,7 @@ class TwoForm:
     def faces(self) -> int:
         return len(self.labels) // 3
 
-    def evaluate(self, u, v, chart: str | None = None) -> float:
-        if chart is not None and chart != self.chart:
-            raise ChartMismatch(f"form lives in {self.chart}, not {chart}")
+    def evaluate(self, u, v) -> float:
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         n = len(self.labels)
@@ -142,8 +140,6 @@ def pullback_residual(T: IdealTriangulation) -> float:
 
 def scaled_image(H: DecoratedBrokenHyperbolic, x: float) -> BrokenMeasure:
     """Weights x * gap(H); the degeneration family's measure image."""
-    if x < 0.0:
-        raise ValueError("scale must be nonnegative")
     return to_measure(H).scale(x)
 
 
@@ -161,11 +157,17 @@ def ray_measure(H: DecoratedBrokenHyperbolic, n: float) -> BrokenMeasure:
 
     The ray multiplies every lambda by e^{n/2}, which adds n to every
     gap; the image weights (n + gap)/n are formed directly, so large n
-    never materializes the overflowing lambdas.
+    never materializes the overflowing lambdas; a tiny n can still
+    overflow a weight, which raises ValueError.
     """
     if n <= 0.0:
         raise ValueError("ray parameter must be positive")
-    return BrokenMeasure(H.T, 1.0 + H.gaps() / n)
+    with np.errstate(over="ignore"):  # pair_table names an overflowed weight
+        w = 1.0 + H.gaps() / n
+    try:
+        return BrokenMeasure(H.T, w)
+    except ValueError as exc:
+        raise ValueError(f"(n + gap) / n at n = {n!r}: {exc}") from None
 
 
 def scaling_identity_residual(H, x: float, u, v) -> float:

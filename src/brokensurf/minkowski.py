@@ -80,9 +80,14 @@ def lambda_pair(u, v):
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     s = -_pairing(u, v)
-    bad = _first(s <= DEGENERATE_TOL * u[..., 2] * v[..., 2])
+    zz = u[..., 2] * v[..., 2]
+    bad = _first(s <= DEGENERATE_TOL * zz)
     if bad is not None:
-        raise CollinearRays(f"cone points pair to {-s[bad]}, not negatively{_at(bad)}")
+        raise CollinearRays(
+            f"cone points are nearly proportional: -<u, v> / (z_u z_v) = "
+            f"{s[bad] / zz[bad] + 0.0:.6g}, at most DEGENERATE_TOL = "
+            f"{DEGENERATE_TOL:g}{_at(bad)}"
+        )
     lam = np.sqrt(s)
     return float(lam) if lam.ndim == 0 else lam
 

@@ -71,7 +71,7 @@ def _horocycle_element(u) -> str:
     )
 
 
-def ball_svg(ball: DevelopedBall, horocycles: bool = True) -> str:
+def ball_svg(ball: DevelopedBall) -> str:
     """SVG document for a developed ball, each side and horocycle drawn once.
 
     A child tile shares its entry side, and the two corners on it, with
@@ -87,10 +87,9 @@ def ball_svg(ball: DevelopedBall, horocycles: bool = True) -> str:
             for i in range(3)
             if i != n.entry_slot
         )
-    if horocycles:
-        root, *rest = ball.nodes
-        body.extend(_horocycle_element(u) for u in root.points)
-        body.extend(_horocycle_element(n.points[n.entry_slot]) for n in rest)
+    root, *rest = ball.nodes
+    body.extend(_horocycle_element(u) for u in root.points)
+    body.extend(_horocycle_element(n.points[n.entry_slot]) for n in rest)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(SIZE)}" '
         f'height="{fmt(SIZE)}" viewBox="0 0 {fmt(SIZE)} {fmt(SIZE)}">',

@@ -15,8 +15,17 @@ import numpy as np
 
 from . import minkowski
 from .foliation import BrokenMeasure, from_small_weights
-from .hyperbolic import DecoratedBrokenHyperbolic
+from .hyperbolic import DecoratedBrokenHyperbolic, embed_unbroken
 from .triangulation import IdealTriangulation
+
+# random_boxed_structure and random_unbroken draw lambdas from this box;
+# BOX_LOW^2 >= sqrt(2) * BOX_HIGH keeps every face valid, since the worst
+# face inequality is lo * lo >= sqrt(2) * hi.
+BOX_LOW, BOX_HIGH = 2.0, 2.8
+# random_rays keeps each ray RAY_GAP inside its third of the circle.
+RAY_GAP = 0.3
+RAY_SCALES = (0.5, 2.0)
+TRIANGLE_LAMBDAS = (0.5, 3.0)
 
 
 def rng(seed: int = 0) -> np.random.Generator:
@@ -39,45 +48,34 @@ def random_valid_structure(
 
 
 def random_boxed_structure(
-    T: IdealTriangulation,
-    gen: np.random.Generator,
-    lo: float = 2.0,
-    hi: float = 2.8,
+    T: IdealTriangulation, gen: np.random.Generator
 ) -> DecoratedBrokenHyperbolic:
-    """Structure with independent lambdas in a box that keeps faces valid.
+    """Structure with independent lambdas in the box that keeps faces valid.
 
-    Any box with lo^2 >= sqrt(2) * hi works: the worst face inequality
-    is lo * lo >= sqrt(2) * hi.  Holonomy is left to fall where it may,
-    so on multi-puncture surfaces these are usually not closed.
+    Holonomy is left to fall where it may, so on multi-puncture surfaces
+    these are usually not closed.
     """
-    if lo * lo < math.sqrt(2.0) * hi:
-        raise ValueError("box allows triangle inequality violations")
-    return DecoratedBrokenHyperbolic(T, gen.uniform(lo, hi, size=(T.faces, 3)))
+    lam = gen.uniform(BOX_LOW, BOX_HIGH, size=(T.faces, 3))
+    return DecoratedBrokenHyperbolic(T, lam)
 
 
 def random_unbroken(
-    T: IdealTriangulation,
-    gen: np.random.Generator,
-    lo: float = 2.0,
-    hi: float = 2.8,
+    T: IdealTriangulation, gen: np.random.Generator
 ) -> DecoratedBrokenHyperbolic:
     """Unbroken structure: one boxed lambda per edge, equal on both sides."""
-    if lo * lo < math.sqrt(2.0) * hi:
-        raise ValueError("box allows triangle inequality violations")
-    per_edge = gen.uniform(lo, hi, size=T.num_edges)
-    return DecoratedBrokenHyperbolic(T, per_edge[T.edge_index])
+    return embed_unbroken(T, gen.uniform(BOX_LOW, BOX_HIGH, size=T.num_edges))
 
 
 def random_measure(T: IdealTriangulation, gen: np.random.Generator) -> BrokenMeasure:
     return from_small_weights(T, gen.uniform(0.0, 1.0, size=(T.faces, 3)))
 
 
-def random_rays(gen: np.random.Generator, min_gap: float = 0.3):
+def random_rays(gen: np.random.Generator):
     """Three cone rays at angle-separated boundary directions."""
     base = gen.uniform(0.0, 2.0 * math.pi)
-    jitter = gen.uniform(min_gap, 2.0 * math.pi / 3.0 - min_gap, size=3)
+    jitter = gen.uniform(RAY_GAP, 2.0 * math.pi / 3.0 - RAY_GAP, size=3)
     angles = base + np.array([0.0, 1.0, 2.0]) * (2.0 * math.pi / 3.0) + jitter
-    scales = gen.uniform(0.5, 2.0, size=3)
+    scales = gen.uniform(*RAY_SCALES, size=3)
     return [
         s * np.array([math.cos(a), math.sin(a), 1.0])
         for a, s in zip(angles, scales)
@@ -85,15 +83,17 @@ def random_rays(gen: np.random.Generator, min_gap: float = 0.3):
 
 
 def random_triangle_lambdas(gen: np.random.Generator):
-    return [float(gen.uniform(0.5, 3.0)) for _ in range(3)]
+    return [float(gen.uniform(*TRIANGLE_LAMBDAS)) for _ in range(3)]
 
 
 # One lift's uniforms in draw order: base angle, three angle jitters,
 # three ray scales, three lambdas (random_rays then random_triangle_lambdas).
-_LIFT_LOW = np.array([0.0] + [0.3] * 3 + [0.5] * 3 + [0.5] * 3)
-_LIFT_HIGH = np.array(
-    [2.0 * math.pi] + [2.0 * math.pi / 3.0 - 0.3] * 3 + [2.0] * 3 + [3.0] * 3
-)
+_LIFT_LOW, _LIFT_HIGH = np.repeat(
+    [(0.0, 2.0 * math.pi), (RAY_GAP, 2.0 * math.pi / 3.0 - RAY_GAP),
+     RAY_SCALES, TRIANGLE_LAMBDAS],
+    (1, 3, 3, 3),
+    axis=0,
+).T
 
 
 def random_lifts(gen: np.random.Generator, n: int) -> np.ndarray:

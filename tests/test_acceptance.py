@@ -238,7 +238,7 @@ def test_criterion_12_files_and_rendering(torus, tmp_path):
         fileio.save(p1, obj)
         fileio.save(p2, fileio.load(p1))
         assert p1.read_bytes() == p2.read_bytes()
-    svg = render.ball_svg(develop(H, depth=3), horocycles=False)
+    svg = render.ball_svg(develop(H, depth=3))
     mid, scale = 300.0, 290.0
     arcs = ARC.findall(svg)
     assert arcs

@@ -260,9 +260,12 @@ def test_forms_constrained_rejects_lambda_below_sqrt2(tmp_path, torus, capsys):
 
 
 def test_forms_impossible_tolerance(torus_file, capsys):
-    # a negative tolerance no residual can meet is unusable input
-    assert run(["forms", torus_file, "--tol=-1"]) == 1
-    assert "--tol" in capsys.readouterr().err
+    # forms gates nothing, so it takes no --tol at all
+    assert run(["forms", torus_file, "--tol", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert "unrecognized arguments: --tol 0" in captured.err
 
 
 def tolerance_rejected(capsys, command, tol) -> bool:
@@ -278,7 +281,7 @@ def tolerance_rejected(capsys, command, tol) -> bool:
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9", "tight"])
-@pytest.mark.parametrize("command", ["validate", "forms", "calibrate", "holonomy"])
+@pytest.mark.parametrize("command", ["validate", "calibrate", "holonomy"])
 def test_tol_must_be_finite_and_nonnegative(torus_file, command, tol, capsys):
     argv = [command] if command == "calibrate" else [command, torus_file]
     assert run([*argv, f"--tol={tol}"]) == 1
@@ -330,6 +333,21 @@ def test_ray_rejects_nonfinite_steps(structure_file, steps, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "--steps needs positive finite values\n"
+
+
+@pytest.mark.parametrize("steps", ["1e-320", "1,1e-310"])
+def test_ray_rejects_steps_whose_weights_overflow(tmp_path, torus, steps, capsys):
+    # (n + gap) / n overflows for a subnormal n; it used to escape as a
+    # pair_table traceback
+    path = tmp_path / "torus2.json"
+    fileio.save(path, constant_structure(torus, 2.0))
+    assert run(["ray", str(path), f"--steps={steps}"]) == 1
+    captured = capsys.readouterr()
+    n = steps.split(",")[-1]
+    assert captured.out == ""
+    assert captured.err == (
+        f"(n + gap) / n at n = {n}: weight at (0, 0) must be finite, got inf\n"
+    )
 
 
 def test_develop_with_svg(structure_file, tmp_path, capsys):

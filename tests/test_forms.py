@@ -44,8 +44,6 @@ def test_chart_mismatch(torus):
     omega = forms.wp_form(torus)
     u = np.zeros(6)
     with pytest.raises(ChartMismatch):
-        omega.evaluate(u, u, chart=forms.CHART_SMALL)
-    with pytest.raises(ChartMismatch):
         omega.evaluate(np.zeros(5), u)
     with pytest.raises(ChartMismatch):
         forms.thurston_form(torus, "no_such_chart")
@@ -113,6 +111,15 @@ def test_ray_measure_matches_materialized(torus, gen):
         direct = forms.to_measure(blown).scale(1.0 / n)
         for p in torus.pairs:
             assert symbolic.w[p] == pytest.approx(direct.w[p], abs=1e-12)
+
+
+def test_ray_measure_names_the_overflowing_weight(torus, gen):
+    H = samples.random_valid_structure(torus, gen)
+    with pytest.raises(ValueError) as info:
+        forms.ray_measure(H, 1e-320)
+    assert str(info.value) == (
+        "(n + gap) / n at n = 1e-320: weight at (0, 0) must be finite, got inf"
+    )
 
 
 def test_ray_measure_limit(torus, gen):

@@ -87,6 +87,11 @@ def test_gap_ratio_degenerate(torus):
     assert np.isnan(H.gap_ratios).all()
 
 
+def test_sample_box_keeps_faces_valid():
+    # the worst face inequality of a boxed face is lo * lo >= sqrt(2) * hi
+    assert samples.BOX_LOW**2 >= math.sqrt(2.0) * samples.BOX_HIGH
+
+
 def test_unbroken_detection(torus, gen):
     assert samples.random_unbroken(torus, gen).is_unbroken()
     assert not boxed(torus).is_unbroken()

@@ -27,6 +27,25 @@ def test_lambda_pair_collinear():
         mk.lambda_pair((1, 0, 1), (2, 0, 2))
 
 
+def test_lambda_pair_names_the_relative_pairing():
+    # nearly proportional at a large scale: -<u, v> is far above the
+    # tolerance, but small next to z_u * z_v
+    u = (1e8, 0.0, 1e8)
+    v = (math.cos(1e-7), math.sin(1e-7), 1.0)
+    ratio = -mk.mform(u, v) / (u[2] * v[2])
+    assert -mk.mform(u, v) > 1e-12 and ratio <= mk.DEGENERATE_TOL
+    want = (
+        f"cone points are nearly proportional: -<u, v> / (z_u z_v) = {ratio:.6g}, "
+        "at most DEGENERATE_TOL = 1e-12"
+    )
+    with pytest.raises(CollinearRays) as info:
+        mk.lambda_pair(u, v)
+    assert str(info.value) == want
+    with pytest.raises(CollinearRays) as info:
+        mk.lambda_pair([u, u], [(-1.0, 0.0, 1.0), v])
+    assert str(info.value) == want + " at index 1"
+
+
 def test_renorm_lightcone():
     u, drift = mk.renorm_lightcone(np.array([3.0, 4.0, 5.0 + 1e-13]))
     assert u[2] == pytest.approx(5.0, abs=1e-12)
