@@ -23,6 +23,7 @@ from .errors import (
     InvalidDecoration,
     NonOrientable,
     NoRealSolution,
+    NumericalBreakdown,
     OpenPath,
     SlotReused,
     SlotUnglued,

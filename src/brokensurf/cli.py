@@ -5,8 +5,10 @@ malformed files, calibrate --samples below 1, a --tol that is negative
 or not finite, ray --steps that are not positive and finite or whose
 weights overflow, a develop --base that is not a face of the file), 2
 when a loaded object fails validation, 3 when calibrate or holonomy
-misses its --tol.  develop and holonomy validate their structure first
-and on failure print only its report and exit 2.
+misses its --tol, 4 when the numbers break down on valid input (a lift
+out of float range, or a developed point off the light cone).  develop
+and holonomy validate their structure first and on failure print only
+its report and exit 2.
 Every command prints one JSON document to stdout, or to --out when given.
 
 A zero gap is one with |log(lambda^2 / 2)| <= GAP_FLOOR, everywhere.
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import fileio, forms, minkowski, render, samples
 from .develop import cusp_closure_residual, develop, path_holonomy
-from .errors import DegenerateEdge, GeometryError
+from .errors import DegenerateEdge, GeometryError, NumericalBreakdown
 from .hyperbolic import DecoratedBrokenHyperbolic
 from .triangulation import IdealTriangulation, dual_loops
 
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_TOLERANCE = 3
+EXIT_BREAKDOWN = 4
 
 MAX_DEPTH = 8
 
@@ -319,7 +322,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except GeometryError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return EXIT_BREAKDOWN if isinstance(exc, NumericalBreakdown) else EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -1,14 +1,26 @@
 """Developing maps into the light cone, holonomy pairs, and cusp closure.
 
 A developed lift of a face is the triple of light-cone positions of
-its corners, each an (x, y, z) tuple of floats: per-node work is Python
-arithmetic, which on 3-vectors is cheaper than numpy calls.
-Crossing an edge keeps the shared two positions (swapped, since gluing
-reverses orientation) and places the third at a fixed linear
-combination of the near lift's corners, its coefficients set by the
-lambdas of the glued pair's two faces alone (Penner's lambda-length
-calculus).  The combination lands on the far side of the shared chord,
-so every lift in a developed ball is positively oriented.
+its corners, one (x, y, z) per corner in ccw order.  Crossing an edge
+keeps the shared two positions (swapped, since gluing reverses
+orientation) and places the third at a fixed linear combination of the
+near lift's corners, its coefficients set by the lambdas of the glued
+pair's two faces alone (Penner's lambda-length calculus), read from
+H.crossing_table.  The combination lands on the far side of the shared
+chord, so every lift in a developed ball is positively oriented.
+
+A developed ball is a set of read-only arrays: its unfolding tree's,
+the (N, 3, 3) stack of every node's lift, and per node the scale and
+drift.  Every node of a BFS level crosses independently of the others,
+so develop fills the arrays one level at a time: a gather of the
+parents' rows and the level's coefficients, three multiply-adds and a
+scatter into the level's rows.  ball.nodes, the same ball as
+DevelopedNode objects whose points are tuples of float tuples, is built
+on first access.  A single path (develop_along, and through it
+path_holonomy and cusp_closure_residual) stays scalar, one crossing at
+a time in Python arithmetic on H.crossing_rows, the same table as
+Python floats: on one 3-vector a numpy call costs several times the
+arithmetic it does.
 
 Broken structures develop by similarity, not isometry: each crossing
 multiplies the running scale by the lambda ratio of the glued pair, and
@@ -25,9 +37,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import minkowski
-from .errors import GeometryError, OpenPath
+from .errors import NumericalBreakdown, OpenPath
 from .hyperbolic import DecoratedBrokenHyperbolic
-from .triangulation import check_loop, unfold_ball
+from .triangulation import FAR, NEAR, UnfoldedBall, ball_tree, check_loop, read_only
 
 # A renormalized light-cone point should never wander this far off cone.
 DRIFT_BOUND = 1e-10
@@ -36,6 +48,24 @@ DRIFT_BOUND = 1e-10
 TILE_CACHE_SIZE = 4096
 
 _J = np.diag([1.0, 1.0, -1.0])
+
+# _ROWS[k]: the flat offsets of corner k's three coordinates in a lift.
+_ROWS = 3 * np.arange(3)[:, None] + np.arange(3)
+
+
+def _breakdown(drift: float, face: int, slot: int) -> NumericalBreakdown:
+    return NumericalBreakdown(f"light-cone drift {drift} crossing {(face, slot)}")
+
+
+def _start_lift(H: DecoratedBrokenHyperbolic, face: int) -> np.ndarray:
+    """H.face_lift(face); NumericalBreakdown when it leaves float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lift = H.face_lift(face)
+    if not np.isfinite(lift).all():
+        raise NumericalBreakdown(
+            f"lift of face {face} is not finite at lambdas {H.lam[face].tolist()}"
+        )
+    return lift
 
 
 def _cross_edge(H: DecoratedBrokenHyperbolic, face: int, slot: int, points):
@@ -63,8 +93,8 @@ def _cross_edge(H: DecoratedBrokenHyperbolic, face: int, slot: int, points):
             x * uz + y * vz + t * wz,
         )
     )
-    if drift > DRIFT_BOUND:
-        raise GeometryError(f"light-cone drift {drift} crossing {(face, slot)}")
+    if not drift <= DRIFT_BOUND:  # NaN fails too
+        raise _breakdown(drift, face, slot)
 
     far_points = [None, None, None]
     far_points[k2] = z
@@ -73,7 +103,7 @@ def _cross_edge(H: DecoratedBrokenHyperbolic, face: int, slot: int, points):
     return far, tuple(far_points), step, drift
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DevelopedNode:
     index: int
     face: int
@@ -85,30 +115,69 @@ class DevelopedNode:
     drift: float
 
 
-@dataclass(frozen=True)
-class DevelopedBall:
-    base: int
-    depth: int
-    nodes: tuple
+@dataclass(frozen=True, eq=False)
+class DevelopedBall(UnfoldedBall):
+    """An unfolded ball developed into the light cone, as read-only arrays.
+
+    Beside the tree's arrays: points[i] is node i's lift, one cone point
+    per row, so points has shape (N, 3, 3); scale[i] is node i's
+    homothety factor and drift[i] the relative light-cone drift of its
+    fresh corner (0 at the root).
+    """
+
+    points: np.ndarray
+    scale: np.ndarray
+    drift: np.ndarray
+
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        """Each ideal vertex's cone point once, numbered as the tree's corner."""
+        fresh = self.points[np.arange(1, len(self.face)), self.entry_slot[1:]]
+        return read_only(np.concatenate([self.points[0], fresh]))
+
+    def _tree_rows(self):
+        """(index, face, depth, parent, entry_slot) per node, None at the root."""
+        rows = zip(
+            range(len(self.face)),
+            self.face.tolist(),
+            self.depths.tolist(),
+            self.parent.tolist(),
+            self.entry_slot.tolist(),
+        )
+        i, f, d, _, _ = next(rows)
+        yield i, f, d, None, None
+        yield from rows
+
+    @cached_property
+    def nodes(self) -> tuple:
+        """The ball as DevelopedNode objects, built on first access.
+
+        Nodes meeting at a vertex share its (x, y, z) tuple.
+        """
+        cone = np.fromiter(zip(*self.vertices.T.tolist()), object, len(self.vertices))
+        lifts = map(tuple, cone[self.corner].tolist())
+        rows = zip(self._tree_rows(), lifts, self.scale.tolist(), self.drift.tolist())
+        return tuple(DevelopedNode(*row, lift, s, d) for row, lift, s, d in rows)
 
     def max_drift(self) -> float:
-        return max(n.drift for n in self.nodes)
+        return float(self.drift.max())
 
     def to_dict(self) -> dict:
+        rows = zip(self._tree_rows(), self.points.tolist(), self.scale.tolist())
         return {
             "base": self.base,
             "depth": self.depth,
             "nodes": [
                 {
-                    "index": n.index,
-                    "face": n.face,
-                    "depth": n.depth,
-                    "parent": n.parent,
-                    "entry_slot": n.entry_slot,
-                    "points": [list(p) for p in n.points],
-                    "scale": n.scale,
+                    "index": i,
+                    "face": f,
+                    "depth": d,
+                    "parent": p,
+                    "entry_slot": e,
+                    "points": points,
+                    "scale": s,
                 }
-                for n in self.nodes
+                for (i, f, d, p, e), points, s in rows
             ],
         }
 
@@ -116,28 +185,52 @@ class DevelopedBall:
 def develop(
     H: DecoratedBrokenHyperbolic, base: int = 0, depth: int = 2
 ) -> DevelopedBall:
-    """Develop the combinatorial ball of the given depth around a face."""
-    ball = unfold_ball(H.T, base, depth)
-    root = tuple(map(tuple, H.face_lift(base).tolist()))
-    nodes: list[DevelopedNode] = [DevelopedNode(0, base, 0, None, None, root, 1.0, 0.0)]
-    for bn in ball.nodes[1:]:
-        parent = nodes[bn.parent]
-        pf, pslot = bn.crossed_from
-        far, pts, step, drift = _cross_edge(H, pf, pslot, parent.points)
-        assert far == (bn.face, bn.entry_slot)
-        nodes.append(
-            DevelopedNode(
-                bn.index,
-                bn.face,
-                bn.depth,
-                bn.parent,
-                bn.entry_slot,
-                pts,
-                parent.scale * step,
-                drift,
+    """Develop the combinatorial ball of the given depth around a face.
+
+    One BFS level at a time, each node's lift from its parent's with the
+    arithmetic of _cross_edge in the same order, so every float is the
+    one a crossing-by-crossing walk gives.  A fresh corner whose drift is
+    not within DRIFT_BOUND (NaN included) raises NumericalBreakdown
+    naming the first such crossing in BFS order, as does a base lift out
+    of float range.
+    """
+    tree = ball_tree(H.T, base, depth)
+    _, parent, entry_slot, crossed, levels = tree
+    n = len(parent)
+    points = np.empty((n, 3, 3))
+    scale = np.empty(n)
+    drift = np.empty(n)
+    points[0], scale[0], drift[0] = _start_lift(H, base), 1.0, 0.0
+    # indices into the flattened points, [node, role, coordinate]: the
+    # parent's apex, head and tail rows, and the node's fresh, head and
+    # tail rows; the root's are not read
+    flat = points.reshape(-1)
+    near = _ROWS[NEAR[crossed % 3]] + 9 * parent[:, None, None]
+    far = _ROWS[FAR[entry_slot]] + 9 * np.arange(n)[:, None, None]
+    coef = H.crossing_table[crossed]
+    # overflow, 0/0 and a zero z end up in a drift that fails the gate
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for a, b in zip(levels[1:-1].tolist(), levels[2:].tolist()):
+            x, y, t, step = coef[a:b].T[:, :, None]
+            lift = flat[near[a:b]]
+            apex, head, tail = lift.transpose(1, 0, 2)
+            u = x * tail + y * head + t * apex
+            # |mform(u, u)| / uz^2, as renorm_lightcone has it
+            sq = u * u
+            level_drift = np.abs(sq[:, 0] + sq[:, 1] - sq[:, 2]) / np.float_power(
+                u[:, 2], 2
             )
-        )
-    return DevelopedBall(base, depth, tuple(nodes))
+            if not level_drift.max() <= DRIFT_BOUND:  # NaN fails too
+                i = int(np.argmin(level_drift <= DRIFT_BOUND))
+                bad = float(level_drift[i]) if u[i, 2] else math.inf
+                raise _breakdown(bad, *divmod(int(crossed[a + i]), 3))
+            u[:, 2] = list(map(math.hypot, *u[:, :2].T.tolist()))
+            lift[:, 0] = u  # the fresh point in place of the apex
+            flat[far[a:b]] = lift
+            scale[a:b] = scale[parent[a:b]] * step[:, 0]
+            drift[a:b] = level_drift
+    geometry = map(read_only, (points, scale, drift))
+    return DevelopedBall(base, depth, *tree, *geometry)
 
 
 def develop_along(H: DecoratedBrokenHyperbolic, crossings):
@@ -153,7 +246,7 @@ def develop_along(H: DecoratedBrokenHyperbolic, crossings):
     if not crossings:
         raise OpenPath("need at least one crossing")
     face = crossings[0][0]
-    lift = H.face_lift(face)
+    lift = _start_lift(H, face)
     points = tuple(map(tuple, lift.tolist()))
     scale = 1.0
     for f, s in crossings:
@@ -209,13 +302,12 @@ def path_holonomy(H: DecoratedBrokenHyperbolic, loop) -> PathHolonomy:
 
 def deck_candidates(H: DecoratedBrokenHyperbolic, ball: DevelopedBall):
     """Holonomy pairs read off repeats of the base face inside a ball."""
-    repeats = [n for n in ball.nodes[1:] if n.face == ball.base]
+    repeats = np.flatnonzero(ball.face == ball.base)  # the root first
     # the root's frame, then every repeat's, with the lift's points as columns
-    frames = np.array([n.points for n in (ball.nodes[0], *repeats)]).swapaxes(1, 2)
+    frames = ball.points[repeats].swapaxes(1, 2)
     mats = frames[1:] @ np.linalg.inv(frames[0])
-    return [
-        (n.index, PathHolonomy(m, n.scale)) for n, m in zip(repeats, mats)
-    ]
+    scales = ball.scale[repeats[1:]].tolist()
+    return list(zip(repeats[1:].tolist(), map(PathHolonomy, mats, scales)))
 
 
 @lru_cache(maxsize=TILE_CACHE_SIZE)

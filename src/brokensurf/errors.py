@@ -59,3 +59,11 @@ class NoRealSolution(GeometryError):
     Unreachable for independent upper-null inputs with positive lambdas
     (the complement of their span is spacelike); kept for degenerate data.
     """
+
+
+class NumericalBreakdown(GeometryError):
+    """Valid input whose computation left float range or lost its accuracy.
+
+    Raised instead of returning non-finite or off-cone numbers; the CLI
+    reports it with its own exit code, never as invalid input.
+    """

@@ -171,8 +171,8 @@ class DecoratedBrokenHyperbolic:
         return ends - ends.ravel()[self.T.partner]
 
     @cached_property
-    def crossing_rows(self) -> list:
-        """Row 3 * f + s: (far pair, x, y, t, step) for crossing pair (f, s).
+    def crossing_table(self) -> np.ndarray:
+        """Row 3 * f + s: (x, y, t, step) for crossing pair (f, s), read-only.
 
         Developing places the fresh far corner at z = x*tail + y*head +
         t*apex of the near lift's corners.  With l, a, b the near face's
@@ -195,9 +195,17 @@ class DecoratedBrokenHyperbolic:
         t = -p * q / (a * b)
         x = q * (q + p * a / b) / (ell * ell)
         y = p * (p + q * b / a) / (ell * ell)
+        return read_only(np.stack([v.ravel() for v in (x, y, t, step)], axis=1))
+
+    @cached_property
+    def crossing_rows(self) -> list:
+        """crossing_table as Python values for one crossing at a time.
+
+        Row 3 * f + s is (far pair, x, y, t, step) for crossing (f, s).
+        """
         return list(zip(
             map(self.T.gluing.__getitem__, self.T.pairs),
-            *(v.ravel().tolist() for v in (x, y, t, step)),
+            *self.crossing_table.T.tolist(),
         ))
 
     def shifts(self) -> np.ndarray:

@@ -77,19 +77,19 @@ def ball_svg(ball: DevelopedBall) -> str:
     A child tile shares its entry side, and the two corners on it, with
     its parent and with no other tile: the root draws its three sides and
     corners, every other tile its two other sides and its fresh corner,
-    the one at its entry slot.
+    the one at its entry slot.  The corners so drawn are the ball's
+    vertices, in their own order.
     """
+    cone = ball.vertices.tolist()
+    rays = [_ray_point(u) for u in cone]
     body = []
-    for n in ball.nodes:
-        rays = [_ray_point(u) for u in n.points]
+    for ids, entry in zip(ball.corner.tolist(), ball.entry_slot.tolist()):
         body.extend(
-            _edge_element(rays[(i + 1) % 3], rays[(i + 2) % 3])
+            _edge_element(rays[ids[(i + 1) % 3]], rays[ids[(i + 2) % 3]])
             for i in range(3)
-            if i != n.entry_slot
+            if i != entry
         )
-    root, *rest = ball.nodes
-    body.extend(_horocycle_element(u) for u in root.points)
-    body.extend(_horocycle_element(n.points[n.entry_slot]) for n in rest)
+    body.extend(_horocycle_element(u) for u in cone)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(SIZE)}" '
         f'height="{fmt(SIZE)}" viewBox="0 0 {fmt(SIZE)} {fmt(SIZE)}">',

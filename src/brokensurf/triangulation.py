@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,9 @@ Sector = tuple[int, int]    # (face, corner); corner k is opposite slot k
 # Columns of slots (or corners) k+1 and k+2 of a face, for each k.
 NEXT = np.array([1, 2, 0])
 PREV = np.array([2, 0, 1])
+
+# The slots a face instance crosses next, by the slot it was entered at.
+ONWARD = np.array([[1, 2], [0, 2], [0, 1]])
 
 
 def read_only(table: np.ndarray) -> np.ndarray:
@@ -123,6 +127,9 @@ class IdealTriangulation:
         edge_index = np.empty_like(partner)
         edge_index[near] = edge_index[partner[near]] = np.arange(near.size)
         self.partner = partner.reshape(faces, 3)
+        # onward[c], c = 3 * f + s: the flat pairs an unfolded ball crosses
+        # after crossing (f, s), the far face's two other slots in order
+        self.onward = 3 * (partner // 3)[:, None] + ONWARD[partner % 3]
         self.edge_index = edge_index.reshape(faces, 3)
 
         self.corner_cycles: tuple[CornerCycle, ...] = self._trace_corner_cycles()
@@ -337,49 +344,87 @@ def _cycle_basis(T: IdealTriangulation):
 # --- unfolded balls -------------------------------------------------------
 
 
-@dataclass
-class BallNode:
-    index: int
-    face: int
-    depth: int
-    parent: int | None
-    entry_slot: int | None          # slot of this face crossed to enter
-    crossed_from: Pair | None       # parent's (face, slot) that was crossed
+# Corners of a face instance by their part in a crossing.  Crossing slot
+# s, the near instance's apex, head and tail are its corners NEAR[s] =
+# (s, s+1, s+2); gluing reverses the edge, so entering at slot k puts
+# the fresh corner, the head and the tail at the far instance's corners
+# FAR[k] = (k, k+2, k+1).
+NEAR = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+FAR = np.array([[0, 2, 1], [1, 0, 2], [2, 1, 0]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnfoldedBall:
     """Rooted unfolding tree of face instances around a base face.
 
-    The root has three children; every other node has two (it never
-    re-crosses its entry slot), so a depth-D ball has 3 * 2^D - 2 nodes.
+    Nodes are numbered in BFS order.  The root has three children and
+    every other node two (it never re-crosses its entry slot), so a
+    depth-D ball has 3 * 2^D - 2 nodes and node i >= 1 has the children
+    2i + 2 and 2i + 3.  Per node, read-only int arrays: face, parent,
+    entry_slot (the slot of this face crossed to enter) and crossed (the
+    flat index 3 * f + s of the parent's pair (f, s) that was crossed);
+    the root has -1 in the last three.  The nodes at depth d are
+    levels[d]:levels[d + 1].
     """
 
     base: int
     depth: int
-    nodes: tuple
+    face: np.ndarray
+    parent: np.ndarray
+    entry_slot: np.ndarray
+    crossed: np.ndarray
+    levels: np.ndarray
+
+    @property
+    def depths(self) -> np.ndarray:
+        """Each node's depth."""
+        return np.repeat(np.arange(self.depth + 1), np.diff(self.levels))
+
+    @cached_property
+    def corner(self) -> np.ndarray:
+        """corner[i, k]: the ideal vertex at node i's corner k, read-only.
+
+        The root's corners are vertices 0, 1, 2 and node i's fresh corner,
+        the one at its entry slot, is vertex i + 2; its other two are the
+        head and tail of the edge it was entered through, its parent's.
+        """
+        n = len(self.face)
+        near, far = NEAR[self.crossed % 3], FAR[self.entry_slot]
+        rows = np.arange(n)[:, None]
+        corner = np.empty((n, 3), dtype=int)
+        corner[0] = (0, 1, 2)
+        for a, b in zip(self.levels[1:-1].tolist(), self.levels[2:].tolist()):
+            ids = corner[self.parent[a:b, None], near[a:b]]  # apex, head, tail
+            ids[:, 0] = np.arange(a + 2, b + 2)
+            corner[rows[a:b], far[a:b]] = ids
+        return read_only(corner)
 
 
-def unfold_ball(T: IdealTriangulation, base: int, depth: int) -> UnfoldedBall:
+def ball_tree(T: IdealTriangulation, base: int, depth: int):
+    """The BFS walk of a ball: UnfoldedBall's arrays, face to levels.
+
+    Each level after the first is one gather: a node that crossed pair c
+    crosses T.onward[c] next.
+    """
     if not 0 <= base < T.faces:
         raise ValueError(f"base face out of range: {base}")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    root = BallNode(0, base, 0, None, None, None)
-    nodes = [root]
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        if node.depth == depth:
-            continue
-        for s in (0, 1, 2):
-            if s == node.entry_slot:
-                continue
-            far = T.gluing[(node.face, s)]
-            child = BallNode(
-                len(nodes), far[0], node.depth + 1, node.index, far[1],
-                (node.face, s),
-            )
-            nodes.append(child)
-            queue.append(child)
-    return UnfoldedBall(base, depth, tuple(nodes))
+    levels = [0, *(3 * 2**d - 2 for d in range(depth + 1))]
+    n = levels[-1]
+    crossed = np.full(n, -1)
+    if depth:
+        crossed[1:4] = 3 * base + np.arange(3)
+    for a, b, c in zip(levels[1:], levels[2:], levels[3:]):
+        crossed[b:c] = T.onward[crossed[a:b]].ravel()
+    face, entry_slot = np.divmod(T.partner.ravel()[crossed], 3)
+    face[0], entry_slot[0] = base, -1
+    parent = np.arange(-2, n - 2) // 2
+    parent[1:4] = 0
+    arrays = (face, parent, entry_slot, crossed, np.array(levels))
+    return tuple(map(read_only, arrays))
+
+
+def unfold_ball(T: IdealTriangulation, base: int, depth: int) -> UnfoldedBall:
+    """The combinatorial ball of the given depth: ball_tree as an UnfoldedBall."""
+    return UnfoldedBall(base, depth, *ball_tree(T, base, depth))

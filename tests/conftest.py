@@ -1,7 +1,10 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
-from brokensurf import samples, sphere_fixture, torus_fixture
+from brokensurf import render, samples, sphere_fixture, torus_fixture
+from brokensurf.develop import DevelopedNode, PathHolonomy, _cross_edge
 from brokensurf.errors import Disconnected
 from brokensurf.hyperbolic import SQRT2, DecoratedBrokenHyperbolic
 from brokensurf.triangulation import build_triangulation
@@ -47,6 +50,77 @@ def table_structures(T):
 def dense(form) -> np.ndarray:
     """A two-form's dense 3F x 3F matrix: its block once per face."""
     return np.kron(np.eye(form.faces), form.block)
+
+
+def oracle_develop(H, base: int, depth: int) -> tuple:
+    """A developed ball one node at a time: the DevelopedNode tuple.
+
+    The walk develop used to take: a BFS queue of face instances, each
+    crossing its slots other than its entry slot in slot order, one
+    _cross_edge per node.
+    """
+    root = tuple(map(tuple, H.face_lift(base).tolist()))
+    nodes = [DevelopedNode(0, base, 0, None, None, root, 1.0, 0.0)]
+    queue = deque(nodes)
+    while queue:
+        node = queue.popleft()
+        if node.depth == depth:
+            continue
+        for s in (0, 1, 2):
+            if s == node.entry_slot:
+                continue
+            (g, k), points, step, drift = _cross_edge(H, node.face, s, node.points)
+            child = DevelopedNode(
+                len(nodes), g, node.depth + 1, node.index, k, points,
+                node.scale * step, drift,
+            )
+            nodes.append(child)
+            queue.append(child)
+    return tuple(nodes)
+
+
+def oracle_ball_dict(base: int, depth: int, nodes) -> dict:
+    """DevelopedBall.to_dict, read off oracle_develop's nodes."""
+    return {
+        "base": base,
+        "depth": depth,
+        "nodes": [
+            {
+                "index": n.index,
+                "face": n.face,
+                "depth": n.depth,
+                "parent": n.parent,
+                "entry_slot": n.entry_slot,
+                "points": [list(p) for p in n.points],
+                "scale": n.scale,
+            }
+            for n in nodes
+        ],
+    }
+
+
+def oracle_deck(base: int, nodes) -> list:
+    """deck_candidates, read off oracle_develop's nodes."""
+    repeats = [n for n in nodes[1:] if n.face == base]
+    frames = np.array([n.points for n in (nodes[0], *repeats)]).swapaxes(1, 2)
+    mats = frames[1:] @ np.linalg.inv(frames[0])
+    return [(n.index, PathHolonomy(m, n.scale)) for n, m in zip(repeats, mats)]
+
+
+def oracle_svg_body(nodes) -> list:
+    """ball_svg's element lines, drawn node by node from oracle_develop's nodes."""
+    body = []
+    for n in nodes:
+        rays = [render._ray_point(u) for u in n.points]
+        body.extend(
+            render._edge_element(rays[(i + 1) % 3], rays[(i + 2) % 3])
+            for i in range(3)
+            if i != n.entry_slot
+        )
+    root, *rest = nodes
+    body.extend(render._horocycle_element(u) for u in root.points)
+    body.extend(render._horocycle_element(n.points[n.entry_slot]) for n in rest)
+    return body
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,11 @@ import pytest
 from brokensurf import cli, fileio, samples
 from brokensurf.errors import DegenerateEdge
 from brokensurf.foliation import BrokenMeasure
-from brokensurf.hyperbolic import DecoratedBrokenHyperbolic, constant_structure
+from brokensurf.hyperbolic import (
+    DecoratedBrokenHyperbolic,
+    constant_structure,
+    embed_unbroken,
+)
 
 
 def run(argv):
@@ -358,6 +362,21 @@ def test_develop_with_svg(structure_file, tmp_path, capsys):
     assert doc["max_drift"] <= 1e-10
     svg = svg_path.read_text(encoding="utf-8")
     assert svg.startswith("<svg ") and svg.endswith("</svg>\n")
+
+
+@pytest.mark.parametrize("command", ["develop", "holonomy"])
+def test_lift_out_of_float_range_exits_4(tmp_path, torus, command, capsys):
+    # valid, so not exit 2; the lift overflows, which used to come back as
+    # NaN points and a canonical_json traceback
+    path = tmp_path / "huge.json"
+    fileio.save(path, embed_unbroken(torus, [1e100, 2e100, 1.5e100]))
+    assert run(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert run([command, str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("NumericalBreakdown: lift of face 0 is not finite")
 
 
 def test_develop_depth_is_capped(structure_file):

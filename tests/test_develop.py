@@ -1,11 +1,19 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import random_triangulation
+from conftest import (
+    oracle_ball_dict,
+    oracle_deck,
+    oracle_develop,
+    oracle_svg_body,
+    random_triangulation,
+)
 
-from brokensurf import minkowski, samples
+from brokensurf import fileio, minkowski, render, samples
 from brokensurf.develop import (
     DRIFT_BOUND,
     _cross_edge,
@@ -17,9 +25,39 @@ from brokensurf.develop import (
     path_holonomy,
     tile_separation,
 )
-from brokensurf.errors import GeometryError, OpenPath
-from brokensurf.hyperbolic import constant_structure
+from brokensurf.errors import GeometryError, NumericalBreakdown, OpenPath
+from brokensurf.hyperbolic import constant_structure, embed_unbroken
 from brokensurf.triangulation import dual_loops
+
+
+def bits(x) -> str:
+    """repr: it spells distinct floats (0.0 and -0.0 too) and int types apart."""
+    return repr(x)
+
+
+def node_fields(nodes):
+    """Every field of every node: the others as they are, the floats' bits.
+
+    The float fields must be Python floats in tuples, the others Python
+    ints or None.
+    """
+    rest = [(n.index, n.face, n.depth, n.parent, n.entry_slot) for n in nodes]
+    assert {type(v) for row in rest for v in row} <= {int, type(None)}
+    floats = [(*(c for p in n.points for c in p), n.scale, n.drift) for n in nodes]
+    assert {type(n.points) for n in nodes} | {type(p) for n in nodes for p in n.points} == {tuple}
+    assert {type(v) for row in floats for v in row} == {float}
+    return rest, np.array(floats).view(np.int64).tolist()
+
+
+def compact_json(doc) -> str:
+    return json.dumps(doc, sort_keys=True, allow_nan=False)
+
+
+def surface(request, name):
+    """A fixture by name, or random_triangulation(F, F) for an int F."""
+    if isinstance(name, str):
+        return request.getfixturevalue(name)
+    return random_triangulation(name, name)
 
 
 def test_ball_population(torus, gen):
@@ -295,3 +333,107 @@ def test_tile_with_collapsed_edge():
             )
     assert tile_separation(collapsed, far) < 0.0
     assert tile_separation(point, point) == math.inf  # no axis to separate on
+
+
+@pytest.mark.parametrize("last_base", [False, True])
+@pytest.mark.parametrize("name", ["torus", "sphere", 20, 200])
+def test_develop_matches_node_oracle(request, name, last_base):
+    # the level-by-level arrays against the crossing-by-crossing walk,
+    # bit for bit, in every form a caller reads them
+    T = surface(request, name)
+    H = samples.random_valid_structure(T, samples.rng(11))
+    base = T.faces - 1 if last_base else 0
+    for depth in [*range(9), *([12] if name == "torus" else [])]:
+        ball = develop(H, base, depth)
+        want = oracle_develop(H, base, depth)
+        assert node_fields(ball.nodes) == node_fields(want)
+        deck, want_deck = deck_candidates(H, ball), oracle_deck(base, want)
+        assert [(i, bits(h.scale)) for i, h in deck] == [
+            (i, bits(h.scale)) for i, h in want_deck
+        ]
+        mats = [np.array([h.matrix for _, h in d]).reshape(-1, 3, 3) for d in (deck, want_deck)]
+        assert np.array_equal(*(m.view(np.int64) for m in mats))
+        # canonical_json at the CLI's depths; beyond them json's C encoder,
+        # whose floats and key order are the same, only faster
+        encode = fileio.canonical_json if depth <= 8 else compact_json
+        assert encode(ball.to_dict()) == encode(oracle_ball_dict(base, depth, want))
+        svg = render.ball_svg(ball)
+        head = svg.splitlines()[:7]
+        assert head[-1].startswith('<circle class="boundary"')
+        assert svg == "\n".join([*head, *oracle_svg_body(want), "</svg>"]) + "\n"
+
+
+@pytest.mark.parametrize("name", ["torus", "sphere", 20])
+def test_develop_along_reproduces_every_node(request, name):
+    # the scalar crossing walked from the root to each node lands on the
+    # node's batched lift and scale exactly
+    T = surface(request, name)
+    H = samples.random_boxed_structure(T, samples.rng(12))
+    ball = develop(H, 0, 6)
+    assert bits(ball.nodes[0].points) == bits(tuple(map(tuple, H.face_lift(0).tolist())))
+    for node in ball.nodes[1:]:
+        path, i = [], node.index
+        while i:
+            path.append(divmod(int(ball.crossed[i]), 3))
+            i = ball.parent[i]
+        _, points, scale, face = develop_along(H, reversed(path))
+        assert face == node.face
+        assert bits(points) == bits(node.points)
+        assert bits(scale) == bits(node.scale)
+
+
+def test_ball_arrays_are_read_only(torus, gen):
+    ball = develop(samples.random_boxed_structure(torus, gen), 0, 3)
+    for name in ("face", "parent", "entry_slot", "vertices", "points", "scale", "drift"):
+        with pytest.raises(ValueError):
+            getattr(ball, name)[0] = 0
+    assert ball.points.shape == (len(ball.nodes), 3, 3)
+    assert ball.nodes is ball.nodes  # built once
+    # a child shares the two points of its entry edge with its parent
+    for node in ball.nodes[1:]:
+        parent = ball.nodes[node.parent]
+        assert len({*map(id, node.points)} & {*map(id, parent.points)}) == 2
+
+
+def huge_torus(torus):
+    """Valid, with lambdas whose lift overflows: edges (L, 2L, 1.5L), L = 1e100."""
+    return embed_unbroken(torus, [1e100, 2e100, 1.5e100])
+
+
+def test_lift_out_of_float_range_breaks_down(torus):
+    H = huge_torus(torus)
+    assert H.validate().valid
+    with pytest.warns(RuntimeWarning):
+        lift = H.face_lift(0)
+    assert not np.isfinite(lift).all()
+    # no RuntimeWarning escapes these, and no NaN comes back
+    for depth in (0, 2):
+        with pytest.raises(NumericalBreakdown, match="lift of face 0 is not finite"):
+            develop(H, 0, depth)
+    with pytest.raises(NumericalBreakdown, match="lift of face 0 is not finite"):
+        path_holonomy(H, dual_loops(torus, "punctures")[0])
+
+
+def doctored(H, rows):
+    """H with crossing_table rows replaced: {flat pair: (x, y, t, step)}."""
+    table = H.crossing_table.copy()
+    for row, values in rows.items():
+        table[row] = values
+    H.__dict__["crossing_table"] = table  # before crossing_rows reads it
+    return H
+
+
+@pytest.mark.parametrize(
+    "values, drift", [((np.nan, 1.0, 1.0, 1.0), "nan"), ((0.0, 0.0, 0.0, 1.0), "inf")]
+)
+def test_drift_gate_names_first_failing_crossing(torus, gen, values, drift):
+    # NaN used to pass drift > DRIFT_BOUND; a zero point has infinite drift.
+    # Pairs (0, 1) and (0, 2) are both crossed at depth 1; the first in
+    # BFS order is named, by develop and by the scalar walk alike.
+    H = doctored(samples.random_boxed_structure(torus, gen), {1: values, 2: values})
+    message = f"light-cone drift {drift} crossing (0, 1)"
+    with pytest.raises(NumericalBreakdown, match=re.escape(message)):
+        develop(H, 0, 3)
+    with pytest.raises(NumericalBreakdown, match=re.escape(message)):
+        develop_along(H, [(0, 1)])
+    assert develop(H, 0, 0).max_drift() == 0.0

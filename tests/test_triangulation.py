@@ -131,14 +131,16 @@ def test_unfold_ball_counts(torus, sphere):
         for depth in range(5):
             ball = unfold_ball(T, 0, depth)
             expected = 1 if depth == 0 else 3 * 2**depth - 2
-            assert len(ball.nodes) == expected
-            assert max(n.depth for n in ball.nodes) == depth
+            assert len(ball.face) == expected
+            assert max(ball.depths) == depth
 
 
 def test_unfold_ball_parents_consistent(torus):
     ball = unfold_ball(torus, 1, 3)
-    for n in ball.nodes[1:]:
-        parent = ball.nodes[n.parent]
-        assert torus.gluing[n.crossed_from] == (n.face, n.entry_slot)
-        assert n.crossed_from[0] == parent.face
-        assert n.depth == parent.depth + 1
+    depths = ball.depths
+    for i in range(1, len(ball.face)):
+        parent = ball.parent[i]
+        crossed_from = divmod(int(ball.crossed[i]), 3)
+        assert torus.gluing[crossed_from] == (ball.face[i], ball.entry_slot[i])
+        assert crossed_from[0] == ball.face[parent]
+        assert depths[i] == depths[parent] + 1
