@@ -120,7 +120,7 @@ def _census(T: IdealTriangulation) -> dict:
         "punctures": T.num_punctures,
         "genus": T.genus,
         "euler_characteristic": T.euler_characteristic(),
-        "corner_cycle_lengths": [len(c.sectors) for c in T.corner_cycles],
+        "corner_cycle_lengths": list(map(len, T.cycle_crossings)),
     }
 
 

@@ -23,8 +23,7 @@ def canonical_json(obj) -> str:
 
 
 def triangulation_from_dict(d: dict) -> IdealTriangulation:
-    pairs = [(tuple(p), tuple(q)) for p, q in d["gluing"]]
-    return build_triangulation(d["faces"], pairs)
+    return build_triangulation(d["faces"], d["gluing"])
 
 
 def _resolve_triangulation(entry, base_dir: str | None) -> IdealTriangulation:

@@ -9,9 +9,15 @@ Gluing always identifies the two copies of an edge reversing the boundary
 direction; that is the only identification an oriented surface admits,
 so the matching alone determines the surface.
 
-Derived combinatorics: corner cycles (one per puncture), dual loops,
-and unfolded balls used by the developing map.  Per-pair data is an
-(F, 3) array indexed [face, slot], read row by row in pair order.
+A pair (f, s) and a sector (f, c) both have the flat index 3 * f + s
+(or 3 * f + c).  The matching is the flat involution partner on pairs,
+and the corner cycles (one per puncture) are the cycles of one
+permutation of sectors.  Construction builds only int arrays over flat
+indices: partner, onward, edge_index, puncture_of and cycle_crossings.
+The tuple views pairs, sectors, gluing, edges and corner_cycles are
+built on first access.  Per-pair data is an (F, 3) array indexed
+[face, slot], read row by row in pair order.  Also here: dual loops,
+and unfolded balls used by the developing map.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -62,6 +69,78 @@ def _check_pair(faces: int, p) -> Pair:
     return (f, s)
 
 
+def _partner(faces: int, entries: list) -> np.ndarray:
+    """The flat partner array of the matching that (p, q) entries glue.
+
+    Entries of plain tuples or lists of plain ints pass a few checks over
+    the whole input.  Anything those checks turn away goes to
+    _partner_by_entry, which raises for the first bad entry in order.
+    """
+    if set(map(type, entries)) <= {tuple, list} and set(map(len, entries)) == {2}:
+        pairs = list(chain.from_iterable(entries))
+        if set(map(type, pairs)) <= {tuple, list} and set(map(len, pairs)) == {2}:
+            flat = list(chain.from_iterable(pairs))
+            if (
+                set(map(type, flat)) == {int}
+                and min(flat) >= 0
+                and max(flat[0::2]) < faces
+                and max(flat[1::2]) <= 2
+            ):
+                # every slot once: none unglued, reused or glued to itself
+                slots = 3 * np.array(flat[0::2]) + flat[1::2]
+                if slots.size == 3 * faces and (np.bincount(slots) == 1).all():
+                    a, b = slots[0::2], slots[1::2]
+                    partner = np.empty_like(slots)
+                    partner[a], partner[b] = b, a
+                    return partner
+    return _partner_by_entry(faces, entries)
+
+
+def _partner_by_entry(faces: int, entries: list) -> np.ndarray:
+    """_partner checked one entry at a time, in order.
+
+    Raises for the first malformed, out-of-range, self-glued or reused
+    entry, then for the first unglued slot.  It also accepts what
+    _partner's checks turn away on type alone: tuple and list subclasses
+    such as named tuples, and int subclasses other than bool.
+    """
+    gluing: dict[Pair, Pair] = {}
+    for raw in entries:
+        if not isinstance(raw, (tuple, list)) or len(raw) != 2:
+            raise ValueError(f"malformed gluing entry: {raw!r}")
+        a = _check_pair(faces, raw[0])
+        b = _check_pair(faces, raw[1])
+        if a == b:
+            raise NonOrientable(f"slot {a} glued to itself")
+        for p, q in ((a, b), (b, a)):
+            if p in gluing:
+                raise SlotReused(f"slot {p} appears in more than one gluing")
+            gluing[p] = q
+    partner = []
+    for f in range(faces):
+        for s in (0, 1, 2):
+            if (f, s) not in gluing:
+                raise SlotUnglued(f"slot {(f, s)} is not glued")
+            g, k = gluing[(f, s)]
+            partner.append(3 * g + k)
+    return np.array(partner)
+
+
+def _check_connected(faces: int, partner: np.ndarray) -> None:
+    neighbours = (partner // 3).reshape(faces, 3).tolist()
+    seen = [False] * faces
+    seen[0] = True
+    stack = [0]
+    while stack:
+        for g in neighbours[stack.pop()]:
+            if not seen[g]:
+                seen[g] = True
+                stack.append(g)
+    if not all(seen):
+        missing = [f for f, reached in enumerate(seen) if not reached]
+        raise Disconnected(f"faces unreachable from face 0: {missing}")
+
+
 @dataclass(frozen=True)
 class CornerCycle:
     """Sectors met in ccw order around one puncture.
@@ -89,104 +168,101 @@ class IdealTriangulation:
         if not _is_int(faces) or faces < 1:
             raise ValueError(f"face count must be a positive integer, got {faces!r}")
         self.faces = faces
-
-        gluing: dict[Pair, Pair] = {}
-        for raw in gluing_pairs:
-            if not isinstance(raw, (tuple, list)) or len(raw) != 2:
-                raise ValueError(f"malformed gluing entry: {raw!r}")
-            a = _check_pair(faces, raw[0])
-            b = _check_pair(faces, raw[1])
-            if a == b:
-                raise NonOrientable(f"slot {a} glued to itself")
-            for p, q in ((a, b), (b, a)):
-                if p in gluing:
-                    raise SlotReused(f"slot {p} appears in more than one gluing")
-                gluing[p] = q
-        for f in range(faces):
-            for s in (0, 1, 2):
-                if (f, s) not in gluing:
-                    raise SlotUnglued(f"slot {(f, s)} is not glued")
-        self.gluing = gluing
-
-        self._check_connected()
-
-        self.pairs: tuple[Pair, ...] = tuple(
-            (f, s) for f in range(faces) for s in (0, 1, 2)
-        )
-        self.sectors: tuple[Sector, ...] = self.pairs  # same index set
-
-        # Edges: (p, gluing[p]) with p < gluing[p], in the order of p, which
-        # is the sorted order of the canonical pair-of-pairs.
-        self.edges: tuple[tuple[Pair, Pair], ...] = tuple(
-            (p, gluing[p]) for p in self.pairs if p < gluing[p]
-        )
-        # partner[f, s] is the flat index 3 * g + k of gluing[(f, s)] = (g, k);
-        # edge_index[f, s] is the position in edges of the edge through (f, s)
-        partner = np.array([3 * g + k for g, k in map(gluing.__getitem__, self.pairs)])
-        near = np.flatnonzero(np.arange(partner.size) < partner)
-        edge_index = np.empty_like(partner)
-        edge_index[near] = edge_index[partner[near]] = np.arange(near.size)
+        # partner[f, s] is the flat index 3 * g + k of gluing[(f, s)] = (g, k)
+        partner = _partner(faces, list(gluing_pairs))
+        _check_connected(faces, partner)
         self.partner = partner.reshape(faces, 3)
         # onward[c], c = 3 * f + s: the flat pairs an unfolded ball crosses
         # after crossing (f, s), the far face's two other slots in order
         self.onward = 3 * (partner // 3)[:, None] + ONWARD[partner % 3]
+        # edge_index[f, s] is the position in edges of the edge through (f, s)
+        near = np.flatnonzero(np.arange(partner.size) < partner)
+        edge_index = np.empty_like(partner)
+        edge_index[near] = edge_index[partner[near]] = np.arange(near.size)
         self.edge_index = edge_index.reshape(faces, 3)
+        self.num_edges = near.size
 
-        self.corner_cycles: tuple[CornerCycle, ...] = self._trace_corner_cycles()
-        self.num_punctures = len(self.corner_cycles)
-        self.num_edges = len(self.edges)
+        self._trace_corner_cycles()
+        self.num_punctures = len(self.cycle_crossings)
         # chi = F - E = 2 - 2g - s; always negative since E = 3F/2.
         twice_genus = 2 - self.num_punctures + self.faces // 2
         if twice_genus % 2 or twice_genus < 0:
             raise AssertionError("corner cycle census is inconsistent")
         self.genus = twice_genus // 2
 
-    def _check_connected(self) -> None:
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            f = queue.popleft()
-            for s in (0, 1, 2):
-                g = self.gluing[(f, s)][0]
-                if g not in seen:
-                    seen.add(g)
-                    queue.append(g)
-        if len(seen) != self.faces:
-            missing = sorted(set(range(self.faces)) - seen)
-            raise Disconnected(f"faces unreachable from face 0: {missing}")
-
-    def _trace_corner_cycles(self) -> tuple[CornerCycle, ...]:
+    def _trace_corner_cycles(self) -> None:
         # From corner c of face f the ccw exit edge is slot c+1; the far
-        # side (f', k') receives the puncture at its corner k'+1.  Each
-        # cycle starts at its smallest sector, so cycles come in the
-        # order of their starting sectors.  The same walk fills
-        # puncture_of[f, c], the puncture at corner c of face f, and
-        # cycle_crossings[i], the flat indices 3 * f + s of cycle i's
-        # crossed near pairs in crossing order.
-        cycles = []
-        of = [-1] * (3 * self.faces)
-        crossed = []
-        for start in self.sectors:
-            if of[3 * start[0] + start[1]] >= 0:
+        # side (f', k') receives the puncture at its corner k'+1.  So on
+        # flat sectors the walk is one permutation, onward.  Each cycle
+        # starts at its smallest sector, so cycles come in the order of
+        # their starting sectors.  The walk fills puncture_of[f, c], the
+        # puncture at corner c of face f, and cycle_crossings[i], the flat
+        # indices 3 * f + s of cycle i's crossed near pairs in crossing
+        # order.
+        sector = np.arange(3 * self.faces)
+        exit_pair = sector - sector % 3 + NEXT[sector % 3]
+        far = self.partner.ravel()[exit_pair]
+        onward = (far - far % 3 + NEXT[far % 3]).tolist()
+        of = [-1] * len(onward)
+        order = []
+        ends = []
+        for start in range(len(onward)):
+            if of[start] >= 0:
                 continue
-            secs = []
-            crossings = []
-            f, c = start
-            while True:
-                of[3 * f + c] = len(cycles)
-                secs.append((f, c))
-                near = (f, (c + 1) % 3)
-                crossings.append(near)
-                crossed.append(3 * f + near[1])
-                f, k = self.gluing[near]
-                c = (k + 1) % 3
-                if (f, c) == start:
-                    break
-            cycles.append(CornerCycle(len(cycles), tuple(secs), tuple(crossings)))
+            puncture, s = len(ends), start
+            while of[s] < 0:
+                of[s] = puncture
+                order.append(s)
+                s = onward[s]
+            ends.append(len(order))
         self.puncture_of = np.array(of).reshape(self.faces, 3)
-        ends = np.cumsum([len(cyc) for cyc in cycles[:-1]], dtype=int)
-        self.cycle_crossings = tuple(np.split(np.array(crossed), ends))
+        self.cycle_crossings = tuple(np.split(exit_pair[order], ends[:-1]))
+
+    @cached_property
+    def pairs(self) -> tuple[Pair, ...]:
+        """Every (face, slot) in pair order, the order of flat indices."""
+        return tuple(map(divmod, range(3 * self.faces), repeat(3)))
+
+    @cached_property
+    def sectors(self) -> tuple[Sector, ...]:
+        """Every (face, corner): the same index set as pairs."""
+        return self.pairs
+
+    @cached_property
+    def gluing(self) -> dict[Pair, Pair]:
+        """gluing[p] is the pair glued to p."""
+        at = self.pairs.__getitem__
+        return dict(zip(self.pairs, map(at, self.partner.ravel().tolist())))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[Pair, Pair], ...]:
+        """(p, gluing[p]) with p < gluing[p], in the order of p.
+
+        That is the sorted order of the canonical pair-of-pairs.
+        """
+        partner = self.partner.ravel()
+        near = np.flatnonzero(np.arange(partner.size) < partner)
+        at = self.pairs.__getitem__
+        return tuple(zip(map(at, near.tolist()), map(at, partner[near].tolist())))
+
+    @cached_property
+    def corner_cycles(self) -> tuple[CornerCycle, ...]:
+        """One CornerCycle per puncture, in puncture order."""
+        cycles = []
+        for i, crossed in enumerate(self.cycle_crossings):
+            face, slot = divmod(crossed, 3)
+            face = face.tolist()
+            cycles.append(CornerCycle(
+                i,
+                tuple(zip(face, PREV[slot].tolist())),
+                tuple(zip(face, slot.tolist())),
+            ))
         return tuple(cycles)
+
+    @cached_property
+    def _pair_of(self) -> dict[str, Pair]:
+        """The pair each "face.slot" key names."""
+        return dict(zip(self._pair_keys(), self.pairs))
 
     def pair_table(self, values, noun: str, positive: bool) -> np.ndarray:
         """One float per (face, slot) pair, as a read-only (F, 3) array.
@@ -198,8 +274,8 @@ class IdealTriangulation:
         """
         keyed = isinstance(values, Mapping)
         if keyed:
-            table = np.array([values.get(p, np.nan) for p in self.pairs], dtype=float)
-            table = table.reshape(self.faces, 3)
+            table = list(map(values.get, self.pairs, repeat(np.nan)))
+            table = np.array(table, dtype=float).reshape(self.faces, 3)
         else:
             table = np.array(values, dtype=float)
             if table.shape != (self.faces, 3):
@@ -219,11 +295,12 @@ class IdealTriangulation:
 
     def pairs_where(self, mask: np.ndarray) -> list[Pair]:
         """The pairs at which an (F, 3) boolean table holds, in pair order."""
-        return [self.pairs[i] for i in np.flatnonzero(mask)]
+        return list(map(divmod, np.flatnonzero(mask).tolist(), repeat(3)))
 
-    def _pair_keys(self):
+    def _pair_keys(self) -> list[str]:
         """The "face.slot" key of every pair, in pair order: the file format."""
-        return (f"{f}.{s}" for f, s in self.pairs)
+        slots = (".0", ".1", ".2")
+        return [f + s for f in map(str, range(self.faces)) for s in slots]
 
     def pair_dict(self, table: np.ndarray) -> dict:
         """A pair table keyed "face.slot", the form files store."""
@@ -239,7 +316,15 @@ class IdealTriangulation:
         """
         if not isinstance(d, Mapping):
             raise ValueError(f"{noun} table must map pair keys to values, got {d!r}")
-        pair_of = dict(zip(self._pair_keys(), self.pairs))
+        pair_of = self._pair_of
+        pairs, numbers = list(map(pair_of.get, d)), list(d.values())
+        if None not in pairs and set(map(type, numbers)) <= {int, float}:
+            try:
+                list(map(float, numbers))
+            except OverflowError:
+                pass  # the loop below names the first key too large
+            else:
+                return dict(zip(pairs, numbers))
         values = {}
         for key, value in d.items():
             if key not in pair_of:

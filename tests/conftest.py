@@ -1,19 +1,30 @@
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from brokensurf import render, samples, sphere_fixture, torus_fixture
 from brokensurf.develop import DevelopedNode, PathHolonomy, _cross_edge
-from brokensurf.errors import Disconnected
+from brokensurf.errors import (
+    Disconnected,
+    NonOrientable,
+    SlotReused,
+    SlotUnglued,
+)
 from brokensurf.hyperbolic import SQRT2, DecoratedBrokenHyperbolic
-from brokensurf.triangulation import build_triangulation
+from brokensurf.triangulation import (
+    ONWARD,
+    CornerCycle,
+    build_triangulation,
+)
 
 
-def random_triangulation(faces: int, seed: int):
-    """Connected triangulation from the 3F slots shuffled into pairs.
+def random_gluing(faces: int, seed: int) -> list:
+    """The 3F slots shuffled into pairs, reshuffled until connected.
 
-    Shuffles again until the pairing is connected; faces must be even.
+    Entries come in draw order, as build_triangulation takes them; faces
+    must be even.
     """
     gen = samples.rng(seed)
     slots = [(f, s) for f in range(faces) for s in (0, 1, 2)]
@@ -23,9 +34,109 @@ def random_triangulation(faces: int, seed: int):
             (slots[order[i]], slots[order[i + 1]]) for i in range(0, len(slots), 2)
         ]
         try:
-            return build_triangulation(faces, pairs)
+            build_triangulation(faces, pairs)
         except Disconnected:
             continue
+        return pairs
+
+
+def random_triangulation(faces: int, seed: int):
+    """Connected triangulation from the 3F slots shuffled into pairs."""
+    return build_triangulation(faces, random_gluing(faces, seed))
+
+
+def oracle_triangulation(faces: int, gluing_pairs) -> SimpleNamespace:
+    """IdealTriangulation's attributes, built one slot at a time.
+
+    The constructor as it was before it read the matching as one flat
+    partner array: every entry checked in order, a dict keyed by
+    (face, slot) tuples, and a corner-cycle walk through that dict.
+    """
+
+    def is_int(x) -> bool:
+        return isinstance(x, int) and not isinstance(x, bool)
+
+    def check_pair(p):
+        if not isinstance(p, (tuple, list)) or len(p) != 2 or not all(map(is_int, p)):
+            raise ValueError(f"malformed (face, slot) pair: {p!r}")
+        f, s = p
+        if not 0 <= f < faces:
+            raise ValueError(f"face index out of range: {p!r}")
+        if s not in (0, 1, 2):
+            raise ValueError(f"slot index out of range: {p!r}")
+        return (f, s)
+
+    if not is_int(faces) or faces < 1:
+        raise ValueError(f"face count must be a positive integer, got {faces!r}")
+    gluing = {}
+    for raw in gluing_pairs:
+        if not isinstance(raw, (tuple, list)) or len(raw) != 2:
+            raise ValueError(f"malformed gluing entry: {raw!r}")
+        a, b = check_pair(raw[0]), check_pair(raw[1])
+        if a == b:
+            raise NonOrientable(f"slot {a} glued to itself")
+        for p, q in ((a, b), (b, a)):
+            if p in gluing:
+                raise SlotReused(f"slot {p} appears in more than one gluing")
+            gluing[p] = q
+    for f in range(faces):
+        for s in (0, 1, 2):
+            if (f, s) not in gluing:
+                raise SlotUnglued(f"slot {(f, s)} is not glued")
+
+    seen, queue = {0}, deque([0])
+    while queue:
+        f = queue.popleft()
+        for s in (0, 1, 2):
+            g = gluing[(f, s)][0]
+            if g not in seen:
+                seen.add(g)
+                queue.append(g)
+    if len(seen) != faces:
+        missing = sorted(set(range(faces)) - seen)
+        raise Disconnected(f"faces unreachable from face 0: {missing}")
+
+    pairs = tuple((f, s) for f in range(faces) for s in (0, 1, 2))
+    edges = tuple((p, gluing[p]) for p in pairs if p < gluing[p])
+    partner = np.array([3 * g + k for g, k in map(gluing.__getitem__, pairs)])
+    near = np.flatnonzero(np.arange(partner.size) < partner)
+    edge_index = np.empty_like(partner)
+    edge_index[near] = edge_index[partner[near]] = np.arange(near.size)
+
+    cycles, of, crossed = [], [-1] * (3 * faces), []
+    for start in pairs:
+        if of[3 * start[0] + start[1]] >= 0:
+            continue
+        secs, crossings = [], []
+        f, c = start
+        while True:
+            of[3 * f + c] = len(cycles)
+            secs.append((f, c))
+            near_pair = (f, (c + 1) % 3)
+            crossings.append(near_pair)
+            crossed.append(3 * f + near_pair[1])
+            f, k = gluing[near_pair]
+            c = (k + 1) % 3
+            if (f, c) == start:
+                break
+        cycles.append(CornerCycle(len(cycles), tuple(secs), tuple(crossings)))
+    ends = np.cumsum([len(cyc) for cyc in cycles[:-1]], dtype=int)
+    return SimpleNamespace(
+        faces=faces,
+        partner=partner.reshape(faces, 3),
+        onward=3 * (partner // 3)[:, None] + ONWARD[partner % 3],
+        edge_index=edge_index.reshape(faces, 3),
+        puncture_of=np.array(of).reshape(faces, 3),
+        cycle_crossings=tuple(np.split(np.array(crossed), ends)),
+        pairs=pairs,
+        sectors=pairs,
+        gluing=gluing,
+        edges=edges,
+        corner_cycles=tuple(cycles),
+        num_punctures=len(cycles),
+        num_edges=len(edges),
+        genus=(2 - len(cycles) + faces // 2) // 2,
+    )
 
 
 def oracle_table(T, oracle) -> np.ndarray:

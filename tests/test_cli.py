@@ -198,6 +198,25 @@ def test_loader_does_not_coerce(tmp_path, doc, capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("ab", "malformed gluing entry: 'ab'"),
+        ([[0, 0], [1, 1], [2, 2]], "malformed gluing entry: [[0, 0], [1, 1], [2, 2]]"),
+        ([[0, 0], 5], "malformed (face, slot) pair: 5"),
+    ],
+    ids=["string", "three-pairs", "int-pair"],
+)
+def test_malformed_gluing_entry_is_named_as_written(tmp_path, entry, message, capsys):
+    # the loader used to unpack and copy each entry before the checks saw
+    # it, so these read "malformed (face, slot) pair: ('a',)", "too many
+    # values to unpack" and "'int' object is not iterable"
+    doc = {**TORUS, "gluing": [entry, *TORUS["gluing"][1:]]}
+    path = write_doc(tmp_path, doc)
+    assert run(["validate", path]) == 1
+    assert capsys.readouterr().err == f"cannot read {path}: {message}\n"
+
+
 @pytest.mark.parametrize("table", ["lambda", "w"])
 def test_loader_rejects_int_beyond_float_range(tmp_path, table, capsys):
     # used to escape the CLI's handler as OverflowError with a traceback

@@ -9,6 +9,7 @@ from brokensurf import forms, samples
 from brokensurf.errors import ChartMismatch, InvalidDecoration
 from brokensurf.foliation import BrokenMeasure
 from brokensurf.hyperbolic import DecoratedBrokenHyperbolic
+from brokensurf.triangulation import NEXT, PREV
 
 
 def test_wp_form_matrix_shape(torus):
@@ -180,6 +181,27 @@ def test_ranks_on_random_surfaces(faces):
     penner = 6 * T.genus - 6 + 2 * T.num_punctures
     assert forms.unbroken_rank_report(T).rank == penner
     assert forms.pullback_residual(T) == 0.0
+
+
+def test_unbroken_kernel_witness_at_scale():
+    # Penner's horocycle scalings: growing the horocycle at puncture i
+    # adds 1 to log lambda once per end of an edge at i.  V[e, i] counts
+    # those ends, and the unbroken restriction A kills each column
+    # exactly, in integers: an E - s = 6g - 6 + 2s rank certificate read
+    # off the corner-cycle census, which A is not built from.
+    T = random_triangulation(2000, seed=1)
+    edge, block = T.edge_index, forms.wp_form(T).block
+    ends = np.zeros((T.num_edges, T.num_punctures), dtype=int)
+    np.add.at(ends, (edge, T.puncture_of[:, NEXT]), 1)
+    np.add.at(ends, (edge, T.puncture_of[:, PREV]), 1)
+    # both sides of every edge name the same two ends
+    assert (ends % 2 == 0).all() and (ends.sum(axis=1) == 4).all()
+    V = ends // 2
+    A = np.zeros((T.num_edges, T.num_edges))
+    np.add.at(A, (edge[:, :, None], edge[:, None, :]), block)
+    assert (A @ V == 0).all()
+    assert np.linalg.matrix_rank(V) == T.num_punctures
+    assert T.num_edges - T.num_punctures == 6 * T.genus - 6 + 2 * T.num_punctures
 
 
 @pytest.mark.parametrize("faces", [2, 20])

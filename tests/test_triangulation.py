@@ -1,7 +1,10 @@
+from collections import namedtuple
+from enum import IntEnum
 from functools import partial
 
+import numpy as np
 import pytest
-from conftest import random_triangulation
+from conftest import oracle_triangulation, random_gluing, random_triangulation
 
 from brokensurf.errors import Disconnected, NonOrientable, OpenPath, SlotReused
 from brokensurf.triangulation import (
@@ -144,3 +147,117 @@ def test_unfold_ball_parents_consistent(torus):
         assert torus.gluing[crossed_from] == (ball.face[i], ball.entry_slot[i])
         assert crossed_from[0] == ball.face[parent]
         assert depths[i] == depths[parent] + 1
+
+
+TORUS_GLUING = [((0, k), (1, (k + 1) % 3)) for k in range(3)]
+SPHERE_GLUING = [((0, 0), (1, 0)), ((0, 1), (1, 2)), ((0, 2), (1, 1))]
+
+
+def assert_same_triangulation(T, want):
+    """Every attribute oracle_triangulation builds, arrays with dtype and shape."""
+    for name, expected in vars(want).items():
+        got = getattr(T, name)
+        if name == "cycle_crossings":
+            assert len(got) == len(expected)
+            pairs = zip(got, expected)
+        elif isinstance(expected, np.ndarray):
+            pairs = [(got, expected)]
+        else:
+            assert got == expected, name
+            continue
+        for g, e in pairs:
+            assert (g.dtype, g.shape) == (e.dtype, e.shape), name
+            assert (g == e).all(), name
+
+
+@pytest.mark.parametrize(
+    "fixture, gluing",
+    [(torus_fixture, TORUS_GLUING), (sphere_fixture, SPHERE_GLUING)],
+    ids=["torus", "sphere"],
+)
+def test_fixtures_match_oracle(fixture, gluing):
+    assert_same_triangulation(fixture(), oracle_triangulation(2, gluing))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("faces", [2, 20, 200, 2000])
+def test_random_triangulations_match_oracle(faces, seed):
+    pairs = random_gluing(faces, seed)
+    assert_same_triangulation(
+        build_triangulation(faces, pairs), oracle_triangulation(faces, pairs)
+    )
+
+
+class Index(IntEnum):
+    ZERO = 0
+    ONE = 1
+    TWO = 2
+
+
+Slot = namedtuple("Slot", "face slot")
+Entry = namedtuple("Entry", "near far")
+
+ACCEPTED = {
+    "list-entries": [[list(p), list(q)] for p, q in TORUS_GLUING],
+    "namedtuple-pairs": [(Slot(*p), Slot(*q)) for p, q in TORUS_GLUING],
+    "namedtuple-entries": [Entry(p, q) for p, q in TORUS_GLUING],
+    "intenum-indices": [
+        (tuple(map(Index, p)), tuple(map(Index, q))) for p, q in TORUS_GLUING
+    ],
+}
+
+
+@pytest.mark.parametrize("entries", ACCEPTED.values(), ids=ACCEPTED)
+def test_accepted_gluing_matches_oracle(entries):
+    assert_same_triangulation(
+        build_triangulation(2, entries), oracle_triangulation(2, entries)
+    )
+
+
+def test_gluing_may_be_any_iterable():
+    assert_same_triangulation(
+        build_triangulation(2, iter(TORUS_GLUING)),
+        oracle_triangulation(2, TORUS_GLUING),
+    )
+
+
+REST = TORUS_GLUING[1:]
+TWO_TORI = [((b, k), (b + 1, (k + 1) % 3)) for b in (0, 2) for k in range(3)]
+
+MALFORMED = {
+    "bool-index": (2, [((0, 0), (True, 1)), *REST]),
+    "float-slot": (2, [((0, 0.0), (1, 1)), *REST]),
+    "numpy-int": (2, [((np.int64(0), 0), (1, 1)), *REST]),
+    "three-element-entry": (2, [((0, 0), (1, 1), (0, 1)), *REST]),
+    "three-element-pair": (2, [((0, 0, 0), (1, 1)), *REST]),
+    "string-entry": (2, ["ab", *REST]),
+    "int-pair": (2, [((0, 0), 5), *REST]),
+    "face-out-of-range": (2, [((0, 0), (2, 1)), *REST]),
+    "negative-face": (2, [((-1, 0), (1, 1)), *REST]),
+    "face-beyond-int64": (2, [((2**70, 0), (1, 1)), *REST]),
+    "slot-out-of-range": (2, [((0, 0), (1, 3)), *REST]),
+    "slot-aliasing-next-face": (2, [*TORUS_GLUING[:2], ((0, 2), (0, 3))]),
+    "self-glued": (2, [((0, 0), (0, 0)), *REST]),
+    "reused": (2, [*TORUS_GLUING, ((0, 0), (1, 1))]),
+    "reused-before-malformed": (
+        2, [*TORUS_GLUING[:2], ((0, 0), (1, 2)), ((0, 2), "x")]
+    ),
+    "malformed-last": (2, [*TORUS_GLUING[:2], ((0, 2), (1, 0.0))]),
+    "unglued": (2, TORUS_GLUING[:2]),
+    "empty": (2, []),
+    "odd-faces": (1, [((0, 0), (0, 1))]),
+    "disconnected": (4, TWO_TORI),
+    "zero-faces": (0, []),
+    "bool-faces": (True, TORUS_GLUING),
+    "float-faces": (2.0, TORUS_GLUING),
+}
+
+
+@pytest.mark.parametrize("faces, entries", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_gluing_raises_as_oracle(faces, entries):
+    with pytest.raises(Exception) as want:
+        oracle_triangulation(faces, entries)
+    with pytest.raises(Exception) as got:
+        build_triangulation(faces, entries)
+    assert type(got.value) is want.type
+    assert str(got.value) == str(want.value)
