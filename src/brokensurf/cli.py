@@ -77,7 +77,8 @@ _tolerance = _checked(
 )
 
 
-def _emit(doc: dict, out: str | None) -> None:
+def _emit(doc, out: str | None) -> None:
+    """Write doc, a JSON-ready dict or a DevelopedBall, canonically."""
     text = fileio.canonical_json(doc)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -193,9 +194,7 @@ def cmd_develop(args) -> int:
     ball = develop(H, base=args.base, depth=args.depth)
     if args.svg:
         render.write_svg(args.svg, render.ball_svg(ball))
-    doc = ball.to_dict()
-    doc["max_drift"] = ball.max_drift()
-    _emit(doc, args.out)
+    _emit(ball, args.out)
     return EXIT_OK
 
 

@@ -162,25 +162,6 @@ class DevelopedBall(UnfoldedBall):
     def max_drift(self) -> float:
         return float(self.drift.max())
 
-    def to_dict(self) -> dict:
-        rows = zip(self._tree_rows(), self.points.tolist(), self.scale.tolist())
-        return {
-            "base": self.base,
-            "depth": self.depth,
-            "nodes": [
-                {
-                    "index": i,
-                    "face": f,
-                    "depth": d,
-                    "parent": p,
-                    "entry_slot": e,
-                    "points": points,
-                    "scale": s,
-                }
-                for (i, f, d, p, e), points, s in rows
-            ],
-        }
-
 
 def develop(
     H: DecoratedBrokenHyperbolic, base: int = 0, depth: int = 2

@@ -6,24 +6,106 @@ go through repr, so save/load/save is byte-stable.  Pair keys are
 pair_dict and pairs_from_dict.  Structure and measure files may either
 inline their triangulation or name another file by path, resolved
 relative to the referring file.
+
+A developed ball, develop's document, is written from its arrays: one
+%-template per node kind, derived once from json's own layout of a
+one-node placeholder, repeated per node and filled by one format
+operation.  %d writes an int and %r a float as json does, so the bytes
+are those of json.dumps on the ball as nested dicts.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+from itertools import chain
 
+import numpy as np
+
+from .develop import DevelopedBall
 from .foliation import BrokenMeasure
 from .hyperbolic import DecoratedBrokenHyperbolic
 from .triangulation import IdealTriangulation, build_triangulation
 
 
 def canonical_json(obj) -> str:
+    """The canonical text of a JSON-ready object or a DevelopedBall."""
+    if isinstance(obj, DevelopedBall):
+        return _ball_json(obj)
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+# Placeholders json writes as quoted strings, replaced by conversions.
+_INT, _FLOAT, _NODE = "<int>", "<float>", "<node>"
+
+# A ball node's fields, an int or float placeholder per number; the root
+# writes null for those in _ROOT_NULL.  The values are filled in sorted
+# key order, which is json's with sort_keys, and the points row-major.
+_NODE_FIELDS = {
+    "index": _INT,
+    "face": _INT,
+    "depth": _INT,
+    "parent": _INT,
+    "entry_slot": _INT,
+    "points": [[_FLOAT] * 3] * 3,
+    "scale": _FLOAT,
+}
+_ROOT_NULL = ("parent", "entry_slot")
+
+
+def _ball_templates() -> tuple:
+    """(head, root, separator and node, tail) of a ball's %-template."""
+
+    def doc(*nodes):
+        top = {"base": _INT, "depth": _INT, "max_drift": _FLOAT}
+        return canonical_json({**top, "nodes": list(nodes)})
+
+    head, sep, tail = doc(_NODE, _NODE).split(f'"{_NODE}"')
+    root = doc({**_NODE_FIELDS, **dict.fromkeys(_ROOT_NULL)})
+    node = doc(_NODE_FIELDS)
+    pieces = (head, root[len(head) : -len(tail)], sep + node[len(head) : -len(tail)], tail)
+    return tuple(
+        p.replace("%", "%%").replace(f'"{_INT}"', "%d").replace(f'"{_FLOAT}"', "%r")
+        for p in pieces
+    )
+
+
+_BALL_HEAD, _BALL_ROOT, _BALL_NODE, _BALL_TAIL = _ball_templates()
+
+
+def _ball_json(ball: DevelopedBall) -> str:
+    n = len(ball.face)
+    columns = {
+        "index": np.arange(n),
+        "face": ball.face,
+        "depth": ball.depths,
+        "parent": ball.parent,
+        "entry_slot": ball.entry_slot,
+        "points": ball.points,
+        "scale": ball.scale,
+    }
+    max_drift = ball.max_drift()
+    # "nodes" sorts after the other three keys, so they fill the head
+    root, rest = [ball.base, ball.depth, max_drift], []
+    for key in sorted(columns):
+        col = columns[key].reshape(n, -1)
+        if key not in _ROOT_NULL:
+            root.extend(col[0].tolist())
+        rest.extend(col[1:].T.tolist())
+    values = (*root, *chain.from_iterable(zip(*rest)))
+    if not all(np.isfinite(x).all() for x in (max_drift, ball.points, ball.scale)):
+        # json's own error, for the first such value in document order
+        canonical_json(next(v for v in values if not math.isfinite(v)))
+    return (_BALL_HEAD + _BALL_ROOT + _BALL_NODE * (n - 1) + _BALL_TAIL) % values
 
 
 def triangulation_from_dict(d: dict) -> IdealTriangulation:
     return build_triangulation(d["faces"], d["gluing"])
+
+
+def _is_triangulation_dict(d) -> bool:
+    return isinstance(d, dict) and "faces" in d and "gluing" in d
 
 
 def _resolve_triangulation(entry, base_dir: str | None) -> IdealTriangulation:
@@ -33,6 +115,11 @@ def _resolve_triangulation(entry, base_dir: str | None) -> IdealTriangulation:
         if not isinstance(obj, IdealTriangulation):
             raise ValueError(f"{path} is not a triangulation file")
         return obj
+    if not _is_triangulation_dict(entry):
+        raise ValueError(
+            '"triangulation" entry is neither a file path nor a dict with '
+            '"faces" and "gluing"'
+        )
     return triangulation_from_dict(entry)
 
 
@@ -44,7 +131,7 @@ def from_jsonable(d: dict, base_dir: str | None = None):
     if "w" in d:
         T = _resolve_triangulation(d["triangulation"], base_dir)
         return BrokenMeasure(T, T.pairs_from_dict(d["w"], "weight"))
-    if "faces" in d and "gluing" in d:
+    if _is_triangulation_dict(d):
         return triangulation_from_dict(d)
     raise ValueError("dict is not a triangulation, structure, or measure")
 

@@ -5,14 +5,21 @@ two boundary points, orthogonal to the unit circle (a diameter when the
 points are antipodal).  Corner decorations become the horocycle circles
 tangent to the boundary.  A developed ball is a tree of tiles, so each
 side and each horocycle is drawn once, by the tile that introduces it.
+
+The picture is written from the ball's arrays: every side's and every
+horocycle's numbers in stacked IEEE operations, the same ones in the
+same order as a side-by-side drawing takes, then one %-template per
+element, all filled by one format operation.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
+
+import numpy as np
 
 from .develop import DevelopedBall
-from .minkowski import horocycle_disk_circle
 
 # The antipodal test lives at the output precision.
 ANTIPODAL_TOL = 1e-9
@@ -28,47 +35,32 @@ def fmt(x: float) -> str:
     return "%.9g" % (x + 0.0)  # +0.0 folds -0 into 0
 
 
-def _ray_point(u) -> tuple[float, float]:
-    x, y = u[0] / u[2], u[1] / u[2]
-    n = math.hypot(x, y)
-    return x / n, y / n
+_HEAD = "\n".join([
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(SIZE)}" '
+    f'height="{fmt(SIZE)}" viewBox="0 0 {fmt(SIZE)} {fmt(SIZE)}">',
+    "<style>",
+    ".boundary { fill: none; stroke: #000; stroke-width: 1.5; }",
+    ".edge { fill: none; stroke: #1f4e8c; stroke-width: 1; }",
+    ".horocycle { fill: none; stroke: #b24a1b; stroke-width: 0.75; }",
+    "</style>",
+    f'<circle class="boundary" cx="{fmt(MID)}" cy="{fmt(MID)}" '
+    f'r="{fmt(SCALE)}"/>',
+])
+
+# Element templates; every float is written as fmt writes it.
+_LINE = '<line class="edge" x1="%.9g" y1="%.9g" x2="%.9g" y2="%.9g"/>'
+_ARC = '<path class="edge" d="M %.9g %.9g A %.9g %.9g 0 0 %d %.9g %.9g"/>'
+_HOROCYCLE = '<circle class="horocycle" cx="%.9g" cy="%.9g" r="%.9g"/>'
 
 
-def _pix(p) -> tuple[float, float]:
-    """Disk coordinates to pixels, y flipped."""
-    return MID + SCALE * p[0], MID - SCALE * p[1]
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """math.hypot per entry: np.hypot can differ from it in the last bit."""
+    return np.array(list(map(math.hypot, x.tolist(), y.tolist())))
 
 
-def _edge_element(e1, e2) -> str:
-    x1, y1 = _pix(e1)
-    x2, y2 = _pix(e2)
-    dot = e1[0] * e2[0] + e1[1] * e2[1]
-    if 1.0 + dot <= ANTIPODAL_TOL:
-        return (
-            f'<line class="edge" x1="{fmt(x1)}" y1="{fmt(y1)}" '
-            f'x2="{fmt(x2)}" y2="{fmt(y2)}"/>'
-        )
-    cx = (e1[0] + e2[0]) / (1.0 + dot)
-    cy = (e1[1] + e2[1]) / (1.0 + dot)
-    r = math.sqrt(max(cx * cx + cy * cy - 1.0, 0.0)) * SCALE
-    pcx, pcy = _pix((cx, cy))
-    # (P2-P1) x (C-P1) equals (P1-C) x (P2-C); positive means the short
-    # way around C runs in SVG's positive-angle direction.
-    cross = (x2 - x1) * (pcy - y1) - (y2 - y1) * (pcx - x1)
-    sweep = 1 if cross > 0.0 else 0
-    return (
-        f'<path class="edge" d="M {fmt(x1)} {fmt(y1)} '
-        f'A {fmt(r)} {fmt(r)} 0 0 {sweep} {fmt(x2)} {fmt(y2)}"/>'
-    )
-
-
-def _horocycle_element(u) -> str:
-    center, hr = horocycle_disk_circle(u)
-    px, py = _pix((float(center[0]), float(center[1])))
-    return (
-        f'<circle class="horocycle" cx="{fmt(px)}" cy="{fmt(py)}" '
-        f'r="{fmt(hr * SCALE)}"/>'
-    )
+def _out(*columns: np.ndarray) -> list:
+    """Each column as Python floats with -0 folded into 0, as fmt has it."""
+    return [(c + 0.0).tolist() for c in columns]
 
 
 def ball_svg(ball: DevelopedBall) -> str:
@@ -80,30 +72,48 @@ def ball_svg(ball: DevelopedBall) -> str:
     the one at its entry slot.  The corners so drawn are the ball's
     vertices, in their own order.
     """
-    cone = ball.vertices.tolist()
-    rays = [_ray_point(u) for u in cone]
-    body = []
-    for ids, entry in zip(ball.corner.tolist(), ball.entry_slot.tolist()):
-        body.extend(
-            _edge_element(rays[ids[(i + 1) % 3]], rays[ids[(i + 2) % 3]])
-            for i in range(3)
-            if i != entry
-        )
-    body.extend(_horocycle_element(u) for u in cone)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(SIZE)}" '
-        f'height="{fmt(SIZE)}" viewBox="0 0 {fmt(SIZE)} {fmt(SIZE)}">',
-        "<style>",
-        ".boundary { fill: none; stroke: #000; stroke-width: 1.5; }",
-        ".edge { fill: none; stroke: #1f4e8c; stroke-width: 1; }",
-        ".horocycle { fill: none; stroke: #b24a1b; stroke-width: 0.75; }",
-        "</style>",
-        f'<circle class="boundary" cx="{fmt(MID)}" cy="{fmt(MID)}" '
-        f'r="{fmt(SCALE)}"/>',
-    ]
-    parts.extend(body)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    u, v, w = ball.vertices.T
+    # each vertex's boundary point in the disk
+    x, y = u / w, v / w
+    norm = _hypot(x, y)
+    ex, ey = x / norm, y / norm
+    # the sides node by node, slot by slot: side i runs from corner i + 1
+    # to corner i + 2; the root's entry slot is -1, so it draws all three
+    slot = np.arange(3)
+    drawn = slot != ball.entry_slot[:, None]
+    a = ball.corner[:, (slot + 1) % 3][drawn]
+    b = ball.corner[:, (slot + 2) % 3][drawn]
+    e1x, e1y, e2x, e2y = ex[a], ey[a], ex[b], ey[b]
+    x1, y1 = MID + SCALE * e1x, MID - SCALE * e1y
+    x2, y2 = MID + SCALE * e2x, MID - SCALE * e2y
+    dot = e1x * e2x + e1y * e2y
+    line = 1.0 + dot <= ANTIPODAL_TOL
+    with np.errstate(divide="ignore", invalid="ignore"):  # at lines only
+        cx = (e1x + e2x) / (1.0 + dot)
+        cy = (e1y + e2y) / (1.0 + dot)
+        r = np.sqrt(np.maximum(cx * cx + cy * cy - 1.0, 0.0)) * SCALE
+    pcx, pcy = MID + SCALE * cx, MID - SCALE * cy
+    # (P2-P1) x (C-P1) equals (P1-C) x (P2-C); positive means the short
+    # way around C runs in SVG's positive-angle direction.
+    cross = (x2 - x1) * (pcy - y1) - (y2 - y1) * (pcx - x1)
+    sweep = (cross > 0.0).astype(int).tolist()
+    x1, y1, r, x2, y2 = _out(x1, y1, r, x2, y2)
+    rows = list(zip(x1, y1, r, r, sweep, x2, y2))
+    templates = [_ARC] * len(rows)
+    for k in np.flatnonzero(line).tolist():
+        rows[k] = (x1[k], y1[k], x2[k], y2[k])
+        templates[k] = _LINE
+    # each vertex's horocycle: centre and radius of h(u) projected to the
+    # cone along z, as minkowski.horocycle_disk_circle has them
+    z = _hypot(u, v)
+    if (z <= 0.0).any():
+        raise ValueError("cone ray must point up")
+    lift = z + 1.0
+    hx, hy = u / lift, v / lift
+    rows.extend(zip(*_out(MID + SCALE * hx, MID - SCALE * hy, 1.0 / lift * SCALE)))
+    templates.extend([_HOROCYCLE] * len(z))
+    body = "\n".join(templates) % tuple(chain.from_iterable(rows))
+    return f"{_HEAD}\n{body}\n</svg>\n"
 
 
 def write_svg(path, svg: str) -> None:

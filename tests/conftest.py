@@ -1,3 +1,4 @@
+import math
 from collections import deque
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ from brokensurf.errors import (
     SlotUnglued,
 )
 from brokensurf.hyperbolic import SQRT2, DecoratedBrokenHyperbolic
+from brokensurf.minkowski import horocycle_disk_circle
 from brokensurf.triangulation import (
     ONWARD,
     CornerCycle,
@@ -191,7 +193,7 @@ def oracle_develop(H, base: int, depth: int) -> tuple:
 
 
 def oracle_ball_dict(base: int, depth: int, nodes) -> dict:
-    """DevelopedBall.to_dict, read off oracle_develop's nodes."""
+    """develop's document but max_drift, read off oracle_develop's nodes."""
     return {
         "base": base,
         "depth": depth,
@@ -218,19 +220,65 @@ def oracle_deck(base: int, nodes) -> list:
     return [(n.index, PathHolonomy(m, n.scale)) for n, m in zip(repeats, mats)]
 
 
+def _ray_point(u) -> tuple[float, float]:
+    x, y = u[0] / u[2], u[1] / u[2]
+    n = math.hypot(x, y)
+    return x / n, y / n
+
+
+def _pix(p) -> tuple[float, float]:
+    """Disk coordinates to pixels, y flipped."""
+    return render.MID + render.SCALE * p[0], render.MID - render.SCALE * p[1]
+
+
+def _edge_element(e1, e2) -> str:
+    fmt = render.fmt
+    x1, y1 = _pix(e1)
+    x2, y2 = _pix(e2)
+    dot = e1[0] * e2[0] + e1[1] * e2[1]
+    if 1.0 + dot <= render.ANTIPODAL_TOL:
+        return (
+            f'<line class="edge" x1="{fmt(x1)}" y1="{fmt(y1)}" '
+            f'x2="{fmt(x2)}" y2="{fmt(y2)}"/>'
+        )
+    cx = (e1[0] + e2[0]) / (1.0 + dot)
+    cy = (e1[1] + e2[1]) / (1.0 + dot)
+    r = math.sqrt(max(cx * cx + cy * cy - 1.0, 0.0)) * render.SCALE
+    pcx, pcy = _pix((cx, cy))
+    cross = (x2 - x1) * (pcy - y1) - (y2 - y1) * (pcx - x1)
+    sweep = 1 if cross > 0.0 else 0
+    return (
+        f'<path class="edge" d="M {fmt(x1)} {fmt(y1)} '
+        f'A {fmt(r)} {fmt(r)} 0 0 {sweep} {fmt(x2)} {fmt(y2)}"/>'
+    )
+
+
+def _horocycle_element(u) -> str:
+    fmt = render.fmt
+    center, hr = horocycle_disk_circle(u)
+    px, py = _pix((float(center[0]), float(center[1])))
+    return (
+        f'<circle class="horocycle" cx="{fmt(px)}" cy="{fmt(py)}" '
+        f'r="{fmt(hr * render.SCALE)}"/>'
+    )
+
+
 def oracle_svg_body(nodes) -> list:
-    """ball_svg's element lines, drawn node by node from oracle_develop's nodes."""
+    """ball_svg's element lines, drawn side by side from oracle_develop's nodes.
+
+    One f-string per side and per horocycle, in scalar Python arithmetic.
+    """
     body = []
     for n in nodes:
-        rays = [render._ray_point(u) for u in n.points]
+        rays = [_ray_point(u) for u in n.points]
         body.extend(
-            render._edge_element(rays[(i + 1) % 3], rays[(i + 2) % 3])
+            _edge_element(rays[(i + 1) % 3], rays[(i + 2) % 3])
             for i in range(3)
             if i != n.entry_slot
         )
     root, *rest = nodes
-    body.extend(render._horocycle_element(u) for u in root.points)
-    body.extend(render._horocycle_element(n.points[n.entry_slot]) for n in rest)
+    body.extend(_horocycle_element(u) for u in root.points)
+    body.extend(_horocycle_element(n.points[n.entry_slot]) for n in rest)
     return body
 
 

@@ -217,6 +217,19 @@ def test_malformed_gluing_entry_is_named_as_written(tmp_path, entry, message, ca
     assert capsys.readouterr().err == f"cannot read {path}: {message}\n"
 
 
+@pytest.mark.parametrize("entry", [{"faces": 2}, [1, 2]], ids=["no-gluing", "list"])
+@pytest.mark.parametrize("table", ["lambda", "w"])
+def test_inline_triangulation_must_be_a_triangulation(tmp_path, table, entry, capsys):
+    # used to read "cannot read FILE: 'gluing'" and "list indices must be
+    # integers or slices, not str", naming nothing
+    path = write_doc(tmp_path, {"triangulation": entry, table: dict.fromkeys(KEYS, 2.0)})
+    assert run(["validate", path]) == 1
+    assert capsys.readouterr().err == (
+        f'cannot read {path}: "triangulation" entry is neither a file path '
+        'nor a dict with "faces" and "gluing"\n'
+    )
+
+
 @pytest.mark.parametrize("table", ["lambda", "w"])
 def test_loader_rejects_int_beyond_float_range(tmp_path, table, capsys):
     # used to escape the CLI's handler as OverflowError with a traceback

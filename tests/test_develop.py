@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -339,28 +340,56 @@ def test_tile_with_collapsed_edge():
 @pytest.mark.parametrize("name", ["torus", "sphere", 20, 200])
 def test_develop_matches_node_oracle(request, name, last_base):
     # the level-by-level arrays against the crossing-by-crossing walk,
-    # bit for bit, in every form a caller reads them
+    # bit for bit, in every form a caller reads them: nodes, deck
+    # candidates, develop's document and its picture; broken and unbroken
     T = surface(request, name)
-    H = samples.random_valid_structure(T, samples.rng(11))
     base = T.faces - 1 if last_base else 0
-    for depth in [*range(9), *([12] if name == "torus" else [])]:
-        ball = develop(H, base, depth)
-        want = oracle_develop(H, base, depth)
-        assert node_fields(ball.nodes) == node_fields(want)
-        deck, want_deck = deck_candidates(H, ball), oracle_deck(base, want)
-        assert [(i, bits(h.scale)) for i, h in deck] == [
-            (i, bits(h.scale)) for i, h in want_deck
-        ]
-        mats = [np.array([h.matrix for _, h in d]).reshape(-1, 3, 3) for d in (deck, want_deck)]
-        assert np.array_equal(*(m.view(np.int64) for m in mats))
-        # canonical_json at the CLI's depths; beyond them json's C encoder,
-        # whose floats and key order are the same, only faster
-        encode = fileio.canonical_json if depth <= 8 else compact_json
-        assert encode(ball.to_dict()) == encode(oracle_ball_dict(base, depth, want))
-        svg = render.ball_svg(ball)
-        head = svg.splitlines()[:7]
-        assert head[-1].startswith('<circle class="boundary"')
-        assert svg == "\n".join([*head, *oracle_svg_body(want), "</svg>"]) + "\n"
+    structures = (samples.random_valid_structure, samples.random_unbroken)
+    for H in (make(T, samples.rng(11)) for make in structures):
+        for depth in [*range(9), *([12] if name == "torus" else [])]:
+            ball = develop(H, base, depth)
+            want = oracle_develop(H, base, depth)
+            assert node_fields(ball.nodes) == node_fields(want)
+            deck, want_deck = deck_candidates(H, ball), oracle_deck(base, want)
+            assert [(i, bits(h.scale)) for i, h in deck] == [
+                (i, bits(h.scale)) for i, h in want_deck
+            ]
+            mats = [np.array([h.matrix for _, h in d]).reshape(-1, 3, 3) for d in (deck, want_deck)]
+            assert np.array_equal(*(m.view(np.int64) for m in mats))
+            doc = oracle_ball_dict(base, depth, want) | {"max_drift": max(n.drift for n in want)}
+            text = fileio.canonical_json(ball)
+            if depth <= 8:  # the CLI's depths; depth 0 is the root alone
+                assert text == fileio.canonical_json(doc)
+            else:  # json's C encoder: the same floats and key order, faster
+                assert compact_json(json.loads(text)) == compact_json(doc)
+            svg = render.ball_svg(ball)
+            head = svg.splitlines()[:7]
+            assert head[-1].startswith('<circle class="boundary"')
+            assert svg == "\n".join([*head, *oracle_svg_body(want), "</svg>"]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "bad, first",
+    [
+        ({"points": (3, math.inf), "scale": (5, math.nan)}, math.inf),
+        ({"scale": (2, -math.inf), "points": (4, math.nan)}, -math.inf),
+        ({"points": (0, math.nan)}, math.nan),
+        ({"drift": (6, math.nan), "points": (1, math.inf)}, math.nan),
+    ],
+    ids=["points-first", "scale-first", "root", "max-drift-first"],
+)
+def test_ball_json_rejects_nonfinite_as_json_does(torus, bad, first):
+    # json with allow_nan=False raises at the first out-of-range float in
+    # document order; max_drift is written before the nodes
+    ball = develop(constant_structure(torus, 2.0), 0, 2)
+    arrays = {name: getattr(ball, name).copy() for name in ("points", "scale", "drift")}
+    for name, (node, value) in bad.items():
+        arrays[name][node] = value
+    with pytest.raises(ValueError) as want:
+        json.dumps([first], sort_keys=True, indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as got:
+        fileio.canonical_json(dataclasses.replace(ball, **arrays))
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("name", ["torus", "sphere", 20])
