@@ -38,7 +38,7 @@ class TriangleInequalityViolated(GeometryError):
 
 
 class ChartMismatch(GeometryError):
-    """A two-form was evaluated against vectors from the wrong chart."""
+    """A two-form met vectors or a structure from another chart."""
 
 
 class CollinearRays(GeometryError):

@@ -13,6 +13,13 @@ w = 2 log(lambda) + log(1/2); its Jacobian is twice the identity, so the
 large-weight Thurston form pulls back to exactly the wp form.  The
 large-weight block is produced by transporting the small-weight one
 through the corner equations, not written down by hand.
+
+Restricted to the puncture-holonomy level set, the wp form keeps its
+block structure away from the r constraint rows: its spectrum there is
+2F - rank(Omega|U) copies of the block's norm 2*sqrt(3), the singular
+values of the form on U minus the rows, and F - dim U + rank(Omega|U)
+zeros, for the Omega-invariant span U of the rows (dim U <= 3r); see
+rank_report.
 """
 
 from __future__ import annotations
@@ -236,21 +243,9 @@ def _holonomy_jacobian(H: DecoratedBrokenHyperbolic) -> np.ndarray:
     return jac
 
 
-def _null_basis(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the kernel of r independent rows, shape (n, n - r).
-
-    The last n - r columns of the orthogonal factor of a Householder QR
-    of rows.T, formed by applying its r reflectors to those columns of
-    the identity, so no n x n array appears.  In numpy's raw mode row k
-    of h holds reflector k below its implicit leading 1.
-    """
-    r, n = rows.shape
-    h, tau = np.linalg.qr(rows.T, mode="raw")
-    basis = np.eye(n, n - r, -r)
-    for k in reversed(range(r)):
-        v = np.concatenate(([1.0], h[k, k + 1:]))
-        basis[k:] -= tau[k] * np.outer(v, v @ basis[k:])
-    return basis
+def _apply(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The form's matrix times each row, one block per face."""
+    return (rows.reshape(-1, 3) @ block.T).reshape(rows.shape)
 
 
 def rank_report(
@@ -260,9 +255,21 @@ def rank_report(
 ) -> RankReport:
     """Rank of the wp form, optionally restricted to the holonomy level set.
 
-    The constrained variant needs a valid nondegenerate structure: the
-    form is restricted to the null space of the closed-form constraint
-    Jacobian in log-lambda coordinates.
+    The constrained variant needs a valid nondegenerate structure on T's
+    gluing (ChartMismatch otherwise).  The form is restricted to the
+    tangent space K, the kernel of the r orthonormal rows N of the
+    constraint Jacobian in log-lambda coordinates.  Omega squared is -12
+    on each face's (1,1,1)-complement and 0 on (1,1,1), so with P the
+    per-face mean, U = span(N, Omega N, P N) is Omega-invariant.  Its
+    complement lies in K and Omega acts there unchanged, so the
+    restricted spectrum has three parts, listed in descending order:
+
+        2F - rank(Omega|U) copies of the block's norm,
+        the singular values of Omega on U minus N (at most 2r),
+        F - dim U + rank(Omega|U) zeros.
+
+    Nothing larger than 3F x 3r is formed, and the first and last parts
+    are exact where a dense decomposition would print rounding noise.
     """
     form = wp_form(T)
     n = 3 * T.faces
@@ -270,16 +277,30 @@ def rank_report(
         return RankReport(form.chart, n, form.rank(), tuple(form.singular_values()))
     if H is None:
         raise ValueError("constrained rank needs a structure to linearize at")
+    if H.T is not T and not np.array_equal(H.T.partner, T.partner):
+        raise ChartMismatch("constrained rank needs a structure on the same gluing")
     _, sv_j, vt = np.linalg.svd(_holonomy_jacobian(H), full_matrices=False)
     jac_rank = _rank(sv_j, sv_j.max(initial=0.0))
-    basis = _null_basis(vt[:jac_rank])
-    # the form's matrix times the basis, one block per face
-    moved = np.einsum("ij,fjk->fik", form.block, basis.reshape(T.faces, 3, -1))
-    sv = np.linalg.svd(basis.T @ moved.reshape(basis.shape), compute_uv=False)
+    rows = vt[:jac_rank]
+    means = rows.reshape(jac_rank, T.faces, 3).mean(axis=2)
+    span = np.vstack((rows, _apply(form.block, rows), np.repeat(means, 3, axis=1)))
+    _, sv_s, basis = np.linalg.svd(span, full_matrices=False)
+    basis = basis[: _rank(sv_s, sv_s.max(initial=0.0))]
+    # Omega on the span, in the span's orthonormal basis
+    on_span = basis @ _apply(form.block, basis).T
+    norm = _norm(form)
+    rank_span = _rank(np.linalg.svd(on_span, compute_uv=False), norm)
+    # the part of the span orthogonal to the constraint rows, in span coordinates
+    beyond = np.linalg.svd(rows @ basis.T)[2][jac_rank:]
+    sv = np.sort(np.concatenate((
+        np.full(2 * T.faces - rank_span, norm),
+        np.linalg.svd(beyond @ on_span @ beyond.T, compute_uv=False),
+        np.zeros(T.faces - len(basis) + rank_span),
+    )))[::-1]
     return RankReport(
         form.chart,
         n,
-        _rank(sv, _norm(form)),
+        _rank(sv, norm),
         tuple(sv),
         constrained=True,
         num_constraints=jac_rank,

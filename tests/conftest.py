@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from brokensurf import render, samples, sphere_fixture, torus_fixture
+from brokensurf import forms, render, samples, sphere_fixture, torus_fixture
 from brokensurf.develop import DevelopedNode, PathHolonomy, _cross_edge
 from brokensurf.errors import (
     Disconnected,
@@ -163,6 +163,37 @@ def table_structures(T):
 def dense(form) -> np.ndarray:
     """A two-form's dense 3F x 3F matrix: its block once per face."""
     return np.kron(np.eye(form.faces), form.block)
+
+
+def oracle_constrained_rank(T, H) -> forms.RankReport:
+    """The constrained rank report from the dense restriction to the tangent space.
+
+    The kernel of the Jacobian's r independent rows is the last 3F - r
+    columns of the orthogonal factor of a Householder QR of the rows'
+    transpose, formed by applying its r reflectors to those columns of
+    the identity (in numpy's raw mode row k of h holds reflector k below
+    its implicit leading 1); the form restricted to that basis is a
+    dense (3F - r)^2 matrix, decomposed by a full SVD.
+    """
+    form = forms.wp_form(T)
+    _, sv_j, vt = np.linalg.svd(forms._holonomy_jacobian(H), full_matrices=False)
+    r = forms._rank(sv_j, sv_j.max(initial=0.0))
+    n = 3 * T.faces
+    h, tau = np.linalg.qr(vt[:r].T, mode="raw")
+    basis = np.eye(n, n - r, -r)
+    for k in reversed(range(r)):
+        v = np.concatenate(([1.0], h[k, k + 1:]))
+        basis[k:] -= tau[k] * np.outer(v, v @ basis[k:])
+    sv = np.linalg.svd(basis.T @ dense(form) @ basis, compute_uv=False)
+    return forms.RankReport(
+        form.chart,
+        n,
+        forms._rank(sv, forms._norm(form)),
+        tuple(sv),
+        constrained=True,
+        num_constraints=r,
+        tangent_dim=n - r,
+    )
 
 
 def oracle_develop(H, base: int, depth: int) -> tuple:

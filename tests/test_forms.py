@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense, random_triangulation
+from conftest import dense, oracle_constrained_rank, random_triangulation
 
 from brokensurf import forms, samples
 from brokensurf.errors import ChartMismatch, InvalidDecoration
@@ -213,6 +213,73 @@ def test_constrained_tangent_on_random_surfaces(faces):
     assert report.num_constraints == s - 1
     assert report.tangent_dim == 3 * faces - s + 1
     assert len(report.singular_values) == report.tangent_dim
+
+
+@pytest.mark.parametrize(
+    "make", [samples.random_valid_structure, samples.random_unbroken],
+    ids=["broken", "unbroken"],
+)
+def test_constrained_rank_matches_dense_oracle(table_surface, make):
+    T = table_surface
+    H = make(T, samples.rng(T.faces))
+    assert not H.zero_gap.any()
+    got = forms.rank_report(T, H, constrained=True)
+    want = oracle_constrained_rank(T, H)
+    assert got.num_constraints == want.num_constraints
+    assert got.tangent_dim == want.tangent_dim
+    assert len(got.singular_values) == len(want.singular_values)
+    assert got.rank == want.rank
+    assert np.allclose(got.singular_values, want.singular_values, rtol=0, atol=1e-12)
+    if T.num_punctures == 1:
+        # no constraint: the restriction is the form itself
+        assert got.num_constraints == 0
+        assert np.allclose(
+            got.singular_values, forms.wp_form(T).singular_values(), rtol=0, atol=1e-12
+        )
+
+
+def test_constrained_rank_at_scale():
+    # no dense oracle at F = 2000: the list's squared sum is the squared
+    # Frobenius norm of the restriction (I - N^T N) Omega (I - N^T N),
+    # F |block|^2 - 2 |Omega N^T|^2 + |N Omega N^T|^2 for orthonormal N
+    T = random_triangulation(2000, seed=1)
+    H = samples.random_valid_structure(T, samples.rng(1))
+    report = forms.rank_report(T, H, constrained=True)
+    s = T.num_punctures
+    assert report.num_constraints == s - 1
+    assert report.tangent_dim == 3 * T.faces - s + 1
+    assert len(report.singular_values) == report.tangent_dim
+    assert report.rank % 2 == 0
+    rows = np.linalg.svd(forms._holonomy_jacobian(H), full_matrices=False)[2][: s - 1]
+    block = forms.wp_form(T).block
+    moved = (rows.reshape(-1, 3) @ block.T).reshape(rows.shape)
+    want = (
+        T.faces * np.sum(block**2)
+        - 2.0 * np.sum(moved**2)
+        + np.sum((rows @ moved.T) ** 2)
+    )
+    got = np.sum(np.square(report.singular_values))
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_constrained_rank_rejects_another_gluing():
+    small = random_triangulation(2, seed=0)
+    large = random_triangulation(20, seed=0)
+    with pytest.raises(ChartMismatch):
+        H = samples.random_valid_structure(large, samples.rng(0))
+        forms.rank_report(small, H, constrained=True)
+    other = random_triangulation(20, seed=1)
+    assert other.faces == large.faces
+    assert not np.array_equal(other.partner, large.partner)
+    H = samples.random_valid_structure(other, samples.rng(0))
+    with pytest.raises(ChartMismatch):
+        forms.rank_report(large, H, constrained=True)
+    # an equal gluing built separately is the same chart
+    twin = random_triangulation(20, seed=1)
+    assert twin is not other
+    assert forms.rank_report(twin, H, constrained=True).num_constraints == (
+        other.num_punctures - 1
+    )
 
 
 def test_constrained_rank_of_vanishing_restriction():
