@@ -237,13 +237,13 @@ def cmd_holonomy(args) -> int:
         return EXIT_INVALID
     punctures = [
         {
-            "puncture": cyc.index,
-            "length": len(cyc.sectors),
-            "lambda_holonomy": H.puncture_holonomy(cyc.index, "lambda"),
-            "gap_holonomy": _gap_holonomy(H, cyc.index),
-            "cusp_closure_residual": cusp_closure_residual(H, cyc.index),
+            "puncture": i,
+            "length": len(crossed),
+            "lambda_holonomy": H.puncture_holonomy(i, "lambda"),
+            "gap_holonomy": _gap_holonomy(H, i),
+            "cusp_closure_residual": cusp_closure_residual(H, i),
         }
-        for cyc in H.T.corner_cycles
+        for i, crossed in enumerate(H.T.cycle_crossings)
     ]
     loops = []
     worst = 0.0
@@ -253,7 +253,7 @@ def cmd_holonomy(args) -> int:
         worst = max(worst, res)
         loops.append(
             {
-                "crossings": [list(c) for c in crossings],
+                "crossings": [list(divmod(c, 3)) for c in crossings],
                 "scale": hol.scale,
                 "lorentz_residual": res,
                 "backward_residual": hol.backward_residual(),

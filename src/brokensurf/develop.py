@@ -17,10 +17,11 @@ parents' rows and the level's coefficients, three multiply-adds and a
 scatter into the level's rows.  ball.nodes, the same ball as
 DevelopedNode objects whose points are tuples of float tuples, is built
 on first access.  A single path (develop_along, and through it
-path_holonomy and cusp_closure_residual) stays scalar, one crossing at
-a time in Python arithmetic on H.crossing_rows, the same table as
-Python floats: on one 3-vector a numpy call costs several times the
-arithmetic it does.
+path_holonomy and cusp_closure_residual) is a sequence of crossings,
+each the flat index 3f+s of the near pair (f, s) it crosses.  It stays
+scalar, one crossing at a time in Python arithmetic on H.crossing_rows,
+the same table as Python floats: on one 3-vector a numpy call costs
+several times the arithmetic it does.
 
 Broken structures develop by similarity, not isometry: each crossing
 multiplies the running scale by the lambda ratio of the glued pair, and
@@ -39,7 +40,15 @@ import numpy as np
 from . import minkowski
 from .errors import NumericalBreakdown, OpenPath
 from .hyperbolic import DecoratedBrokenHyperbolic
-from .triangulation import FAR, NEAR, UnfoldedBall, ball_tree, check_loop, read_only
+from .triangulation import (
+    FAR,
+    NEAR,
+    UnfoldedBall,
+    ball_tree,
+    check_indices,
+    check_loop,
+    read_only,
+)
 
 # A renormalized light-cone point should never wander this far off cone.
 DRIFT_BOUND = 1e-10
@@ -53,8 +62,8 @@ _J = np.diag([1.0, 1.0, -1.0])
 _ROWS = 3 * np.arange(3)[:, None] + np.arange(3)
 
 
-def _breakdown(drift: float, face: int, slot: int) -> NumericalBreakdown:
-    return NumericalBreakdown(f"light-cone drift {drift} crossing {(face, slot)}")
+def _breakdown(drift: float, crossed: int) -> NumericalBreakdown:
+    return NumericalBreakdown(f"light-cone drift {drift} crossing {divmod(crossed, 3)}")
 
 
 def _start_lift(H: DecoratedBrokenHyperbolic, face: int) -> np.ndarray:
@@ -68,19 +77,20 @@ def _start_lift(H: DecoratedBrokenHyperbolic, face: int) -> np.ndarray:
     return lift
 
 
-def _cross_edge(H: DecoratedBrokenHyperbolic, face: int, slot: int, points):
-    """Develop across one glued edge; returns (far pair, far points, step, drift).
+def _cross_edge(H: DecoratedBrokenHyperbolic, crossed: int, points):
+    """Develop across pair crossed = 3f+s; returns (far, far points, step, drift).
 
-    The far triple is placed so the far face's own slot labels index it:
-    gluing reverses the edge, so the near corner slot+1 lands at the far
-    corner k2+2 and vice versa.  The fresh corner is the combination
-    x*tail + y*head + t*apex of the near lift's corners, with the pair's
-    coefficients and lambda ratio step read from H.crossing_rows; they
-    hold at any common scale of the lift, so the lift's own homothety
-    factor carries over and no lambda is read back from it.
+    far = 3g+k2 is the pair glued to (f, s).  The far triple is placed
+    so the far face's own slot labels index it: gluing reverses the
+    edge, so the near corner s+1 lands at the far corner k2+2 and vice
+    versa.  The fresh corner is the combination x*tail + y*head + t*apex
+    of the near lift's corners, with the pair's coefficients and lambda
+    ratio step read from H.crossing_rows; they hold at any common scale
+    of the lift, so the lift's own homothety factor carries over and no
+    lambda is read back from it.
     """
-    far, x, y, t, step = H.crossing_rows[3 * face + slot]
-    g, k2 = far
+    far, x, y, t, step = H.crossing_rows[crossed]
+    slot, k2 = crossed % 3, far % 3
     apex = points[slot]
     head = points[(slot + 1) % 3]  # far corner k2 + 2
     tail = points[(slot + 2) % 3]  # far corner k2 + 1
@@ -94,7 +104,7 @@ def _cross_edge(H: DecoratedBrokenHyperbolic, face: int, slot: int, points):
         )
     )
     if not drift <= DRIFT_BOUND:  # NaN fails too
-        raise _breakdown(drift, face, slot)
+        raise _breakdown(drift, crossed)
 
     far_points = [None, None, None]
     far_points[k2] = z
@@ -204,7 +214,7 @@ def develop(
             if not level_drift.max() <= DRIFT_BOUND:  # NaN fails too
                 i = int(np.argmin(level_drift <= DRIFT_BOUND))
                 bad = float(level_drift[i]) if u[i, 2] else math.inf
-                raise _breakdown(bad, *divmod(int(crossed[a + i]), 3))
+                raise _breakdown(bad, int(crossed[a + i]))
             u[:, 2] = list(map(math.hypot, *u[:, :2].T.tolist()))
             lift[:, 0] = u  # the fresh point in place of the apex
             flat[far[a:b]] = lift
@@ -215,7 +225,7 @@ def develop(
 
 
 def develop_along(H: DecoratedBrokenHyperbolic, crossings):
-    """Develop face by face along a crossing sequence.
+    """Develop face by face along a sequence of crossings 3f+s.
 
     Returns (start lift, final points, final scale, final face): the
     first face's own (3, 3) lift, the developed lift of the face the
@@ -223,17 +233,18 @@ def develop_along(H: DecoratedBrokenHyperbolic, crossings):
     Consecutive crossings must chain: each one leaves the face the
     previous one entered.
     """
-    crossings = tuple(crossings)
+    crossings = check_indices(crossings, 3 * H.T.faces, "crossing")
     if not crossings:
         raise OpenPath("need at least one crossing")
-    face = crossings[0][0]
+    face = crossings[0] // 3
     lift = _start_lift(H, face)
     points = tuple(map(tuple, lift.tolist()))
     scale = 1.0
-    for f, s in crossings:
-        if f != face:
-            raise OpenPath(f"crossing {(f, s)} does not start on face {face}")
-        (face, _), points, step, _ = _cross_edge(H, f, s, points)
+    for c in crossings:
+        if c // 3 != face:
+            raise OpenPath(f"crossing {divmod(c, 3)} does not start on face {face}")
+        far, points, step, _ = _cross_edge(H, c, points)
+        face = far // 3
         scale *= step
     return lift, points, scale, face
 
@@ -275,7 +286,7 @@ def path_holonomy(H: DecoratedBrokenHyperbolic, loop) -> PathHolonomy:
     loop = tuple(loop)
     if not loop:
         return PathHolonomy(np.eye(3), 1.0)
-    check_loop(H.T, loop)
+    loop = check_loop(H.T, loop)
     start, points, scale, _ = develop_along(H, loop)
     m_0, m_1 = np.array((start, points)).swapaxes(1, 2)  # points as columns
     return PathHolonomy(m_1 @ np.linalg.inv(m_0), scale)
@@ -355,11 +366,13 @@ def cusp_closure_residual(H: DecoratedBrokenHyperbolic, puncture: int) -> float:
     matches the structure's own, and the mismatch factor is exactly the
     loop's lambda-convention holonomy.
     """
-    crossings = H.T.corner_cycles[puncture].crossings
+    (puncture,) = check_indices([puncture], H.T.num_punctures, "puncture")
+    crossings = H.T.cycle_crossings[puncture].tolist()
     _, points, _, face = develop_along(H, crossings)
-    assert face == crossings[0][0]
-    k2 = H.T.gluing[crossings[-1]][1]  # entry slot; the fresh corner sits there
+    assert face == crossings[0] // 3
+    # the last crossing's entry slot; the fresh corner sits there
+    k2 = int(H.T.partner.ravel()[crossings[-1]]) % 3
     fresh_slot = (k2 + 1) % 3  # edge joining fresh corner to corner k2+2
     lam_geo = minkowski.lambda_pair(points[k2], points[(k2 + 2) % 3])
-    ratio = lam_geo / H.lam[(face, fresh_slot)]
+    ratio = lam_geo / H.lam[face, fresh_slot]
     return abs(float(np.log(ratio)))

@@ -61,7 +61,7 @@ class BrokenMeasure:
         """Every small weight, dust clamped; TriangleInequalityViolated if negative."""
         bad = np.flatnonzero(self._smalls < -tol * self._face_scale)
         if bad.size:
-            f, c = self.T.sectors[bad[0]]
+            f, c = divmod(int(bad[0]), 3)
             raise TriangleInequalityViolated(
                 f"face {f} weights give small weight {float(self._smalls[f, c])}"
                 f" at corner {c}"

@@ -1,8 +1,8 @@
 """Extended Weil-Petersson and Thurston two-forms, and the chart between them.
 
 Both forms are face-block-diagonal with one constant 3x3 block per face,
-so a form is stored as that block over a labelled chart (canonical
-coordinate order: pair index 3*face + slot; same for sectors).  Per face
+so a form is stored as that block, its chart and its face count
+(coordinate order: pair index 3*face + slot; same for sectors).  Per face
 with slot coordinates (a, b, c) in ccw order:
 
     wp train:   -2 (dla^dlb + dlb^dlc + dlc^dla)   in log-lambda coords,
@@ -51,17 +51,13 @@ class TwoForm:
     """Face-block-diagonal antisymmetric form: one 3x3 block per face."""
 
     chart: str
-    labels: tuple
+    faces: int
     block: np.ndarray
-
-    @property
-    def faces(self) -> int:
-        return len(self.labels) // 3
 
     def evaluate(self, u, v) -> float:
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        n = len(self.labels)
+        n = 3 * self.faces
         if u.shape != (n,) or v.shape != (n,):
             raise ChartMismatch(
                 f"form expects vectors of length {n}, got {u.shape} and {v.shape}"
@@ -98,7 +94,7 @@ def _norm(form: TwoForm) -> float:
 
 def wp_form(T: IdealTriangulation) -> TwoForm:
     """Extended Weil-Petersson form in log-lambda coordinates."""
-    return TwoForm(CHART_LOG_LAMBDA, T.pairs, WP_BLOCK)
+    return TwoForm(CHART_LOG_LAMBDA, T.faces, WP_BLOCK)
 
 
 def thurston_form(T: IdealTriangulation, chart: str = CHART_SMALL) -> TwoForm:
@@ -108,10 +104,10 @@ def thurston_form(T: IdealTriangulation, chart: str = CHART_SMALL) -> TwoForm:
     equations; all entries stay dyadic, so the transport is exact.
     """
     if chart == CHART_SMALL:
-        return TwoForm(CHART_SMALL, T.sectors, THURSTON_BLOCK)
+        return TwoForm(CHART_SMALL, T.faces, THURSTON_BLOCK)
     if chart == CHART_LARGE:
         large = SMALL_FROM_LARGE.T @ THURSTON_BLOCK @ SMALL_FROM_LARGE
-        return TwoForm(CHART_LARGE, T.pairs, large)
+        return TwoForm(CHART_LARGE, T.faces, large)
     raise ChartMismatch(f"no Thurston form in chart {chart!r}")
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import minkowski
 from .errors import DegenerateEdge, InvalidDecoration
-from .triangulation import NEXT, PREV, IdealTriangulation, read_only
+from .triangulation import NEXT, PREV, IdealTriangulation, check_indices, read_only
 
 SQRT2 = math.sqrt(2.0)
 EPS = float(np.finfo(float).eps)
@@ -135,6 +135,7 @@ class DecoratedBrokenHyperbolic:
         Under the gap convention a cycle that meets a zero gap on either
         side of a crossing raises DegenerateEdge.
         """
+        (puncture,) = check_indices([puncture], self.T.num_punctures, "puncture")
         table = {"gap": "gap_ratios", "lambda": "lambda_ratios"}[convention]
         ratios = getattr(self, table)
         phi = math.prod(ratios.ravel()[self.T.cycle_crossings[puncture]].tolist())
@@ -201,12 +202,11 @@ class DecoratedBrokenHyperbolic:
     def crossing_rows(self) -> list:
         """crossing_table as Python values for one crossing at a time.
 
-        Row 3 * f + s is (far pair, x, y, t, step) for crossing (f, s).
+        Row c = 3 * f + s is (far, x, y, t, step) for crossing (f, s),
+        with far the flat index of the pair glued to (f, s).
         """
-        return list(zip(
-            map(self.T.gluing.__getitem__, self.T.pairs),
-            *self.crossing_table.T.tolist(),
-        ))
+        far = self.T.partner.ravel().tolist()
+        return list(zip(far, *self.crossing_table.T.tolist()))
 
     def shifts(self) -> np.ndarray:
         """Signed offset between the two faces' feet of perpendiculars, per pair.

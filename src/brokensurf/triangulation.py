@@ -10,14 +10,15 @@ direction; that is the only identification an oriented surface admits,
 so the matching alone determines the surface.
 
 A pair (f, s) and a sector (f, c) both have the flat index 3 * f + s
-(or 3 * f + c).  The matching is the flat involution partner on pairs,
-and the corner cycles (one per puncture) are the cycles of one
-permutation of sectors.  Construction builds only int arrays over flat
-indices: partner, onward, edge_index, puncture_of and cycle_crossings.
-The tuple views pairs, sectors, gluing, edges and corner_cycles are
-built on first access.  Per-pair data is an (F, 3) array indexed
-[face, slot], read row by row in pair order.  Also here: dual loops,
-and unfolded balls used by the developing map.
+(or 3 * f + c), and a crossing, a path or a loop names the pairs it
+crosses by that index alone.  The matching is the flat involution
+partner on pairs, and the corner cycles (one per puncture) are the
+cycles of one permutation of sectors.  Construction builds only int
+arrays over flat indices: partner, onward, edge_index, puncture_of and
+cycle_crossings.  The tuple views pairs and edges, which tables and
+files are keyed by, are built on first access.  Per-pair data is an
+(F, 3) array indexed [face, slot], read row by row in pair order.  Also
+here: dual loops, and unfolded balls used by the developing map.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 from .errors import Disconnected, NonOrientable, OpenPath, SlotReused, SlotUnglued
 
 Pair = tuple[int, int]      # (face, slot)
-Sector = tuple[int, int]    # (face, corner); corner k is opposite slot k
 
 # Columns of slots (or corners) k+1 and k+2 of a face, for each k.
 NEXT = np.array([1, 2, 0])
@@ -52,6 +52,22 @@ def read_only(table: np.ndarray) -> np.ndarray:
 def _is_int(x) -> bool:
     """An int proper: bool is a subclass of int, but True is no index."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def check_indices(values, size: int, noun: str) -> tuple[int, ...]:
+    """values as a tuple of ints, each in range(size).
+
+    The first value that is no int (bools and (face, slot) pairs
+    included) or is out of range raises ValueError naming it.
+    """
+    values = tuple(values)
+    ints = set(map(type, values)) <= {int}
+    if ints and 0 <= min(values, default=0) and max(values, default=0) < size:
+        return values
+    for v in values:
+        if not (_is_int(v) and 0 <= v < size):
+            raise ValueError(f"{noun} {v!r} is not an int in range({size})")
+    return tuple(map(int, values))
 
 
 def _check_pair(faces: int, p) -> Pair:
@@ -141,23 +157,6 @@ def _check_connected(faces: int, partner: np.ndarray) -> None:
         raise Disconnected(f"faces unreachable from face 0: {missing}")
 
 
-@dataclass(frozen=True)
-class CornerCycle:
-    """Sectors met in ccw order around one puncture.
-
-    crossings[i] is the near-side pair crossed after sectors[i], on the
-    way to sectors[(i+1) % len]; its far side is T.gluing[crossings[i]].
-    Together the crossings form the puncture's boundary loop.
-    """
-
-    index: int
-    sectors: tuple[Sector, ...]
-    crossings: tuple[Pair, ...]
-
-    def __len__(self) -> int:
-        return len(self.sectors)
-
-
 class IdealTriangulation:
     """Faces plus a slot matching, with derived combinatorics precomputed.
 
@@ -168,7 +167,7 @@ class IdealTriangulation:
         if not _is_int(faces) or faces < 1:
             raise ValueError(f"face count must be a positive integer, got {faces!r}")
         self.faces = faces
-        # partner[f, s] is the flat index 3 * g + k of gluing[(f, s)] = (g, k)
+        # partner[f, s] = 3 * g + k, the flat index of the pair glued to (f, s)
         partner = _partner(faces, list(gluing_pairs))
         _check_connected(faces, partner)
         self.partner = partner.reshape(faces, 3)
@@ -224,19 +223,8 @@ class IdealTriangulation:
         return tuple(map(divmod, range(3 * self.faces), repeat(3)))
 
     @cached_property
-    def sectors(self) -> tuple[Sector, ...]:
-        """Every (face, corner): the same index set as pairs."""
-        return self.pairs
-
-    @cached_property
-    def gluing(self) -> dict[Pair, Pair]:
-        """gluing[p] is the pair glued to p."""
-        at = self.pairs.__getitem__
-        return dict(zip(self.pairs, map(at, self.partner.ravel().tolist())))
-
-    @cached_property
     def edges(self) -> tuple[tuple[Pair, Pair], ...]:
-        """(p, gluing[p]) with p < gluing[p], in the order of p.
+        """(p, q) for each pair p glued to a later pair q, in the order of p.
 
         That is the sorted order of the canonical pair-of-pairs.
         """
@@ -244,20 +232,6 @@ class IdealTriangulation:
         near = np.flatnonzero(np.arange(partner.size) < partner)
         at = self.pairs.__getitem__
         return tuple(zip(map(at, near.tolist()), map(at, partner[near].tolist())))
-
-    @cached_property
-    def corner_cycles(self) -> tuple[CornerCycle, ...]:
-        """One CornerCycle per puncture, in puncture order."""
-        cycles = []
-        for i, crossed in enumerate(self.cycle_crossings):
-            face, slot = divmod(crossed, 3)
-            face = face.tolist()
-            cycles.append(CornerCycle(
-                i,
-                tuple(zip(face, PREV[slot].tolist())),
-                tuple(zip(face, slot.tolist())),
-            ))
-        return tuple(cycles)
 
     @cached_property
     def _pair_of(self) -> dict[str, Pair]:
@@ -371,58 +345,59 @@ def sphere_fixture() -> IdealTriangulation:
 # --- dual structures ------------------------------------------------------
 
 
-def check_loop(T: IdealTriangulation, crossings) -> tuple[Pair, ...]:
-    """Validate a closed face path given by near-side crossings."""
-    crossings = [(_check_pair(T.faces, p)) for p in crossings]
+def check_loop(T: IdealTriangulation, crossings) -> tuple[int, ...]:
+    """Validate a closed face path given by its near-side crossings 3f+s."""
+    crossings = check_indices(crossings, 3 * T.faces, "crossing")
     if not crossings:
         raise OpenPath("empty loop has no base face")
-    for i, near in enumerate(crossings):
-        far = T.gluing[near]
-        nxt = crossings[(i + 1) % len(crossings)]
-        if nxt[0] != far[0]:
-            raise OpenPath(
-                f"crossing {near} lands on face {far[0]}, "
-                f"but the next crossing starts at face {nxt[0]}"
-            )
-    return tuple(crossings)
+    path = np.array(crossings)
+    lands = T.partner.ravel()[path] // 3
+    starts = np.roll(path // 3, -1)
+    bad = np.flatnonzero(lands != starts)
+    if bad.size:
+        i = bad[0]
+        raise OpenPath(
+            f"crossing {divmod(crossings[i], 3)} lands on face {lands[i]}, "
+            f"but the next crossing starts at face {starts[i]}"
+        )
+    return crossings
 
 
 def dual_loops(T: IdealTriangulation, which="punctures"):
-    """Closed loops in the dual graph, as tuples of near-side crossings.
+    """Closed loops in the dual graph, as tuples of near-side crossings 3f+s.
 
     which: "punctures" for the boundary loop of each corner cycle, or
     "basis" for a fundamental cycle basis off a BFS tree rooted at face 0.
     """
     if which == "punctures":
-        return [cyc.crossings for cyc in T.corner_cycles]
+        return [tuple(crossed.tolist()) for crossed in T.cycle_crossings]
     if which == "basis":
         return _cycle_basis(T)
     raise ValueError(f"unknown loop family: {which!r}")
 
 
 def _cycle_basis(T: IdealTriangulation):
+    partner = T.partner.ravel().tolist()
+    edge_index = T.edge_index.ravel().tolist()
     # BFS tree on faces; tree_path[f] = crossings from face 0 to f.
-    tree_path: dict[int, tuple[Pair, ...]] = {0: ()}
+    tree_path: dict[int, tuple[int, ...]] = {0: ()}
     tree_edges = set()
     queue = deque([0])
     while queue:
         f = queue.popleft()
-        for s in (0, 1, 2):
-            g = T.gluing[(f, s)][0]
+        for c in range(3 * f, 3 * f + 3):
+            g = partner[c] // 3
             if g not in tree_path:
-                tree_path[g] = tree_path[f] + ((f, s),)
-                tree_edges.add(T.edge_index[(f, s)])
+                tree_path[g] = tree_path[f] + (c,)
+                tree_edges.add(edge_index[c])
                 queue.append(g)
     loops = []
-    for i, (p, q) in enumerate(T.edges):
-        if i in tree_edges:
+    for c, q in enumerate(partner):
+        if c > q or edge_index[c] in tree_edges:
             continue
-        f, g = p[0], q[0]
-        # loop: 0 -> f, cross p, g -> 0 (reverse of tree path to g).
-        back = tuple(T.gluing[c] for c in reversed(tree_path[g]))
-        loops.append(tree_path[f] + (p,) + back)
-    for loop in loops:
-        check_loop(T, loop)
+        # loop: 0 -> c's face, cross c, q's face -> 0 (reverse of its tree path).
+        back = tuple(partner[x] for x in reversed(tree_path[q // 3]))
+        loops.append(tree_path[c // 3] + (c,) + back)
     return loops
 
 

@@ -1,5 +1,7 @@
 import math
 from collections import deque
+from dataclasses import dataclass
+from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,11 +17,7 @@ from brokensurf.errors import (
 )
 from brokensurf.hyperbolic import SQRT2, DecoratedBrokenHyperbolic
 from brokensurf.minkowski import horocycle_disk_circle
-from brokensurf.triangulation import (
-    ONWARD,
-    CornerCycle,
-    build_triangulation,
-)
+from brokensurf.triangulation import ONWARD, build_triangulation
 
 
 def random_gluing(faces: int, seed: int) -> list:
@@ -47,12 +45,31 @@ def random_triangulation(faces: int, seed: int):
     return build_triangulation(faces, random_gluing(faces, seed))
 
 
+@dataclass(frozen=True)
+class CornerCycle:
+    """Sectors met in ccw order around one puncture.
+
+    crossings[i] is the near-side pair crossed after sectors[i], on the
+    way to sectors[(i+1) % len].  Together the crossings form the
+    puncture's boundary loop.
+    """
+
+    index: int
+    sectors: tuple
+    crossings: tuple
+
+    def __len__(self) -> int:
+        return len(self.sectors)
+
+
 def oracle_triangulation(faces: int, gluing_pairs) -> SimpleNamespace:
     """IdealTriangulation's attributes, built one slot at a time.
 
     The constructor as it was before it read the matching as one flat
     partner array: every entry checked in order, a dict keyed by
     (face, slot) tuples, and a corner-cycle walk through that dict.
+    Beside the attributes, corner_cycles holds one CornerCycle per
+    puncture, its sectors and crossings as (face, slot) tuples.
     """
 
     def is_int(x) -> bool:
@@ -131,14 +148,47 @@ def oracle_triangulation(faces: int, gluing_pairs) -> SimpleNamespace:
         puncture_of=np.array(of).reshape(faces, 3),
         cycle_crossings=tuple(np.split(np.array(crossed), ends)),
         pairs=pairs,
-        sectors=pairs,
-        gluing=gluing,
         edges=edges,
         corner_cycles=tuple(cycles),
         num_punctures=len(cycles),
         num_edges=len(edges),
         genus=(2 - len(cycles) + faces // 2) // 2,
     )
+
+
+@cache
+def glued(T) -> dict:
+    """The pair glued to each pair, (face, slot) to (face, slot), from T.partner."""
+    at = [divmod(c, 3) for c in range(3 * T.faces)]
+    return {at[c]: at[q] for c, q in enumerate(T.partner.ravel().tolist())}
+
+
+def oracle_cycle_basis(T) -> list:
+    """dual_loops(T, "basis") as (face, slot) tuples, one dict lookup at a time.
+
+    A BFS tree on faces rooted at face 0, crossing each face's slots in
+    order; then for each edge (p, q) of T.edges off the tree, the tree
+    path to p's face, p, and the tree path to q's face reversed.
+    """
+    gluing = glued(T)
+    tree_path = {0: ()}
+    tree_edges = set()
+    queue = deque([0])
+    while queue:
+        f = queue.popleft()
+        for s in (0, 1, 2):
+            g = gluing[(f, s)][0]
+            if g not in tree_path:
+                tree_path[g] = tree_path[f] + ((f, s),)
+                tree_edges.add(T.edge_index[(f, s)])
+                queue.append(g)
+    loops = []
+    for i, (p, q) in enumerate(T.edges):
+        if i in tree_edges:
+            continue
+        back = tuple(gluing[c] for c in reversed(tree_path[q[0]]))
+        loops.append(tree_path[p[0]] + (p,) + back)
+    return loops
 
 
 def oracle_table(T, oracle) -> np.ndarray:
@@ -213,7 +263,8 @@ def oracle_develop(H, base: int, depth: int) -> tuple:
         for s in (0, 1, 2):
             if s == node.entry_slot:
                 continue
-            (g, k), points, step, drift = _cross_edge(H, node.face, s, node.points)
+            far, points, step, drift = _cross_edge(H, 3 * node.face + s, node.points)
+            g, k = divmod(far, 3)
             child = DevelopedNode(
                 len(nodes), g, node.depth + 1, node.index, k, points,
                 node.scale * step, drift,

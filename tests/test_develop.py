@@ -28,7 +28,7 @@ from brokensurf.develop import (
 )
 from brokensurf.errors import GeometryError, NumericalBreakdown, OpenPath
 from brokensurf.hyperbolic import constant_structure, embed_unbroken
-from brokensurf.triangulation import dual_loops
+from brokensurf.triangulation import check_loop, dual_loops
 
 
 def bits(x) -> str:
@@ -79,7 +79,8 @@ def test_crossing_matches_extend_across(torus, sphere, gen):
             H = samples.random_boxed_structure(T, gen)
             near = H.face_lift(0).tolist()
             for s in range(3):
-                (g, k2), far, _, _ = _cross_edge(H, 0, s, near)
+                glued, far, _, _ = _cross_edge(H, s, near)
+                g, k2 = divmod(glued, 3)
                 apex, head, tail = near[s], near[(s + 1) % 3], near[(s + 2) % 3]
                 factor = minkowski.lambda_pair(head, tail) / H.lam[(g, k2)]
                 # the far corner lies on the other side of the chord from the apex
@@ -142,7 +143,7 @@ def test_develop_along_chains(torus, gen):
     H = samples.random_boxed_structure(torus, gen)
     loop = dual_loops(torus, "punctures")[0]
     lift, points, scale, face = develop_along(H, loop)
-    assert face == loop[0][0]
+    assert face == loop[0] // 3
     for got, want in zip(lift, H.face_lift(face)):
         assert np.array_equal(got, want)
     assert len(points) == 3
@@ -153,10 +154,57 @@ def test_develop_along_rejects_bad_input(torus, gen):
     H = samples.random_boxed_structure(torus, gen)
     with pytest.raises(OpenPath):
         develop_along(H, [])
-    # crossing (0, 0) lands on face 1, so a second crossing on face 0
-    # does not chain
-    with pytest.raises(OpenPath):
-        develop_along(H, [(0, 0), (0, 1)])
+    # crossing 0 = (0, 0) lands on face 1, so crossing 1 = (0, 1) on
+    # face 0 does not chain
+    message = "crossing (0, 1) does not start on face 1"
+    with pytest.raises(OpenPath, match=re.escape(message)):
+        develop_along(H, [0, 1])
+
+
+NOT_INTS = {"negative": -1, "bool": True, "float": 1.0, "numpy-int": np.int64(0)}
+BAD_PATHS = {
+    **{name: [value] for name, value in NOT_INTS.items()},
+    "past-the-end": [6],
+    # a closed loop on the sphere in the (face, slot) form
+    "face-slot-pairs": [(0, 0), (1, 1)],
+}
+BAD_PUNCTURES = {**NOT_INTS, "past-the-end": 3, "tuple": (0,)}
+
+
+@pytest.mark.parametrize("path", BAD_PATHS.values(), ids=BAD_PATHS)
+def test_paths_reject_what_is_no_crossing(sphere, path):
+    # a crossing is a flat index 3f+s in range(6) on the sphere; -1 used
+    # to wrap to the last pair and 6 to raise a bare IndexError
+    H = samples.random_valid_structure(sphere, samples.rng(1))
+    message = re.escape(f"crossing {path[0]!r} is not an int in range(6)")
+    for call, first in ((check_loop, sphere), (develop_along, H), (path_holonomy, H)):
+        with pytest.raises(ValueError, match=message):
+            call(first, path)
+
+
+
+@pytest.mark.parametrize("bad", BAD_PUNCTURES.values(), ids=BAD_PUNCTURES)
+def test_punctures_reject_what_is_no_puncture(sphere, bad):
+    # -1 used to name the last puncture and 3 to raise a bare IndexError
+    H = samples.random_valid_structure(sphere, samples.rng(1))
+    message = re.escape(f"puncture {bad!r} is not an int in range(3)")
+    with pytest.raises(ValueError, match=message):
+        cusp_closure_residual(H, bad)
+    for convention in ("gap", "lambda"):
+        with pytest.raises(ValueError, match=message):
+            H.puncture_holonomy(bad, convention)
+
+
+def test_paths_build_no_tuple_view():
+    # loops, holonomies and cusp closures read the flat arrays alone
+    T = random_triangulation(20, 3)
+    H = constant_structure(T, 2.0)
+    for which in ("punctures", "basis"):
+        for loop in dual_loops(T, which):
+            path_holonomy(H, loop)
+    for puncture in range(T.num_punctures):
+        cusp_closure_residual(H, puncture)
+    assert not {"pairs", "edges", "gluing"} & set(vars(T))
 
 
 def test_empty_loop_is_identity(torus, gen):
@@ -403,7 +451,7 @@ def test_develop_along_reproduces_every_node(request, name):
     for node in ball.nodes[1:]:
         path, i = [], node.index
         while i:
-            path.append(divmod(int(ball.crossed[i]), 3))
+            path.append(int(ball.crossed[i]))
             i = ball.parent[i]
         _, points, scale, face = develop_along(H, reversed(path))
         assert face == node.face
@@ -464,5 +512,5 @@ def test_drift_gate_names_first_failing_crossing(torus, gen, values, drift):
     with pytest.raises(NumericalBreakdown, match=re.escape(message)):
         develop(H, 0, 3)
     with pytest.raises(NumericalBreakdown, match=re.escape(message)):
-        develop_along(H, [(0, 1)])
+        develop_along(H, [1])
     assert develop(H, 0, 0).max_drift() == 0.0

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import oracle_table, table_structures
+from conftest import glued, oracle_table, table_structures
 
 from brokensurf import forms, samples
 from brokensurf.errors import TriangleInequalityViolated
@@ -112,11 +112,11 @@ def oracle_small(m, sector) -> float:
 def oracle_homothety_factor(m, pair) -> float:
     if m.w[pair] == 0.0:
         return math.nan
-    return float(m.w[m.T.gluing[pair]] / m.w[pair])
+    return float(m.w[glued(m.T)[pair]] / m.w[pair])
 
 
 def oracle_shift(m, pair) -> float:
-    (f, k), (g, k2) = pair, m.T.gluing[pair]
+    (f, k), (g, k2) = pair, glued(m.T)[pair]
     if m.w[(g, k2)] == 0.0 or m.w[pair] == 0.0:
         return math.nan
     own = oracle_small(m, (f, (k + 1) % 3))
@@ -198,7 +198,7 @@ def test_split_collars_idempotent(torus, sphere):
 def test_core_has_zero_small_per_puncture(sphere, gen):
     m = samples.random_measure(sphere, gen)
     core = split_collars(m).core
-    for cyc in sphere.corner_cycles:
-        smalls = core.small_weights()
-        least = min(smalls[sec] for sec in cyc.sectors)
+    smalls = core.small_weights()
+    for puncture in range(sphere.num_punctures):
+        least = smalls[sphere.puncture_of == puncture].min()
         assert least == pytest.approx(0.0, abs=1e-12)

@@ -169,8 +169,21 @@ def test_tables_flatten_in_chart_order(torus, gen):
     assert ell[0] == pytest.approx(math.log(H.lam[(0, 0)]))
     m = samples.random_measure(torus, gen)
     vec = m.w.ravel()
-    assert forms.wp_form(torus).labels[4] == (1, 1)
     assert vec[4] == m.w[(1, 1)]
+
+
+def test_form_coordinate_order_is_flat_pair_index(torus):
+    # coordinate 3f + s is pair (f, s): unit vectors on one face pair to
+    # the block entry of their slots, on different faces to zero
+    eye = np.eye(6)
+    for form in (
+        forms.wp_form(torus),
+        forms.thurston_form(torus),
+        forms.thurston_form(torus, forms.CHART_LARGE),
+    ):
+        assert form.faces == 2
+        got = np.array([[form.evaluate(u, v) for v in eye] for u in eye])
+        assert np.array_equal(got, np.kron(np.eye(2), form.block))
 
 
 @pytest.mark.parametrize("faces", [2, 20, 200])
@@ -286,7 +299,7 @@ def test_constrained_rank_of_vanishing_restriction():
     # genus 0, corner cycles of lengths 1, 4, 1: the wp form vanishes on
     # the holonomy level set, so the restriction is rounding noise only
     T = random_triangulation(2, seed=1)
-    assert [len(c) for c in T.corner_cycles] == [1, 4, 1]
+    assert [len(c) for c in T.cycle_crossings] == [1, 4, 1]
     for seed in range(3):
         H = samples.random_valid_structure(T, samples.rng(seed))
         report = forms.rank_report(T, H, constrained=True)
@@ -331,9 +344,8 @@ def test_holonomy_jacobian_matches_central_differences():
         lam = H.lam.copy()
         lam[pair] *= factor
         moved = DecoratedBrokenHyperbolic(T, lam)
-        return np.array(
-            [math.log(moved.puncture_holonomy(c.index, "gap")) for c in T.corner_cycles]
-        )
+        phis = [moved.puncture_holonomy(i, "gap") for i in range(T.num_punctures)]
+        return np.array(list(map(math.log, phis)))
 
     fd = np.column_stack([
         (log_holonomy(p, math.exp(step)) - log_holonomy(p, math.exp(-step)))

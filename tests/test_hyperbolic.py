@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_table, random_triangulation, table_structures
+from conftest import glued, oracle_table, random_triangulation, table_structures
 
 from brokensurf import minkowski, samples
 from brokensurf.errors import DegenerateEdge, InvalidDecoration
@@ -125,8 +125,9 @@ def sequential_holonomy(H, puncture, convention):
     """The far/near ratio product, taken crossing by crossing."""
     table = H.gaps() if convention == "gap" else H.lam
     phi = 1.0
-    for near in H.T.corner_cycles[puncture].crossings:
-        phi *= float(table[H.T.gluing[near]] / table[near])
+    for c in H.T.cycle_crossings[puncture].tolist():
+        near = divmod(c, 3)
+        phi *= float(table[glued(H.T)[near]] / table[near])
     return phi
 
 
@@ -244,7 +245,7 @@ def test_coupling_residual_definition(sphere):
 def test_embed_unbroken_by_edge_values(torus):
     H = embed_unbroken(torus, [2.0, 2.2, 2.4])
     for p in torus.pairs:
-        assert H.lam[p] == H.lam[torus.gluing[p]]
+        assert H.lam[p] == H.lam[glued(torus)[p]]
     assert H.is_unbroken()
 
 
@@ -268,7 +269,7 @@ def test_shift_needs_positive_gaps(torus):
 
 
 def oracle_gap_ratio(H, pair) -> float:
-    far = H.T.gluing[pair]
+    far = glued(H.T)[pair]
     if H.zero_gap[pair] or H.zero_gap[far]:
         return math.nan
     gaps = H.gaps()
@@ -282,7 +283,7 @@ def oracle_h_length(H, sector) -> float:
 
 
 def oracle_coupling_residual(H, pair) -> float:
-    (f, k), (g, k2) = pair, H.T.gluing[pair]
+    (f, k), (g, k2) = pair, glued(H.T)[pair]
     h = oracle_h_length
     own = h(H, (f, (k + 1) % 3)) * h(H, (f, (k + 2) % 3))
     other = h(H, (g, (k2 + 1) % 3)) * h(H, (g, (k2 + 2) % 3))
@@ -290,7 +291,7 @@ def oracle_coupling_residual(H, pair) -> float:
 
 
 def oracle_shift(H, pair) -> float:
-    (f, k), (g, k2) = pair, H.T.gluing[pair]
+    (f, k), (g, k2) = pair, glued(H.T)[pair]
     own_over_far = oracle_gap_ratio(H, (g, k2))
     mine, theirs = H.lam[f].tolist(), H.lam[g].tolist()
     own = math.log(mine[k] * mine[(k + 2) % 3] / (SQRT2 * mine[(k + 1) % 3]))
@@ -305,7 +306,7 @@ def test_tables_match_scalar_oracles(table_surface):
     for H in table_structures(T):
         gap_ratios = oracle_table(T, lambda p: oracle_gap_ratio(H, p))
         assert np.array_equal(H.gap_ratios, gap_ratios, equal_nan=True)
-        lambda_ratios = oracle_table(T, lambda p: float(H.lam[T.gluing[p]] / H.lam[p]))
+        lambda_ratios = oracle_table(T, lambda p: float(H.lam[glued(T)[p]] / H.lam[p]))
         assert np.array_equal(H.lambda_ratios, lambda_ratios)
         h_lengths = oracle_table(T, lambda s: oracle_h_length(H, s))
         assert np.array_equal(H.h_lengths(), h_lengths)

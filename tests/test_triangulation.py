@@ -1,10 +1,17 @@
+import re
 from collections import namedtuple
 from enum import IntEnum
 from functools import partial
 
 import numpy as np
 import pytest
-from conftest import oracle_triangulation, random_gluing, random_triangulation
+from conftest import (
+    glued,
+    oracle_cycle_basis,
+    oracle_triangulation,
+    random_gluing,
+    random_triangulation,
+)
 
 from brokensurf.errors import Disconnected, NonOrientable, OpenPath, SlotReused
 from brokensurf.triangulation import (
@@ -23,7 +30,7 @@ def test_torus_census(torus):
     assert torus.num_punctures == 1
     assert torus.genus == 1
     assert torus.euler_characteristic() == -1
-    assert [len(c.sectors) for c in torus.corner_cycles] == [6]
+    assert [len(c) for c in torus.cycle_crossings] == [6]
 
 
 def test_sphere_census(sphere):
@@ -32,7 +39,7 @@ def test_sphere_census(sphere):
     assert sphere.num_punctures == 3
     assert sphere.genus == 0
     assert sphere.euler_characteristic() == -1
-    assert [len(c.sectors) for c in sphere.corner_cycles] == [2, 2, 2]
+    assert [len(c) for c in sphere.cycle_crossings] == [2, 2, 2]
 
 
 SURFACES = {
@@ -45,27 +52,28 @@ SURFACES = {
 @pytest.mark.parametrize("surface", SURFACES)
 def test_corner_cycles_partition_sectors(surface):
     T = SURFACES[surface]()
-    seen = [sec for cyc in T.corner_cycles for sec in cyc.sectors]
-    assert sorted(seen) == sorted(T.sectors)
+    gluing = glued(T)
+    # crossing (f, s) leaves the sector at corner s - 1 of face f
+    cycles = [[divmod(c, 3) for c in crossed.tolist()] for crossed in T.cycle_crossings]
+    sectors = [[(f, (s + 2) % 3) for f, s in cyc] for cyc in cycles]
+    seen = [sec for secs in sectors for sec in secs]
+    assert sorted(seen) == sorted(T.pairs)
     # puncture i is the cycle through the i-th smallest cycle start
-    starts = [cyc.sectors[0] for cyc in T.corner_cycles]
+    starts = [secs[0] for secs in sectors]
     assert starts == sorted(starts)
-    for i, cyc in enumerate(T.corner_cycles):
-        assert cyc.index == i
-        assert cyc.sectors[0] == min(cyc.sectors)
-        assert len(cyc.crossings) == len(cyc.sectors)
-        for j, (f, c) in enumerate(cyc.sectors):
-            assert cyc.crossings[j] == (f, (c + 1) % 3)
-            g, k = T.gluing[cyc.crossings[j]]
-            assert cyc.sectors[(j + 1) % len(cyc)] == (g, (k + 1) % 3)
+    for i, (cyc, secs) in enumerate(zip(cycles, sectors)):
+        assert secs[0] == min(secs)
+        for j, (f, c) in enumerate(secs):
+            g, k = gluing[cyc[j]]
+            assert secs[(j + 1) % len(secs)] == (g, (k + 1) % 3)
             assert T.puncture_of[(f, c)] == i
-    assert T.edges == tuple(sorted({tuple(sorted((p, T.gluing[p]))) for p in T.pairs}))
+    assert T.edges == tuple(sorted({tuple(sorted((p, gluing[p]))) for p in T.pairs}))
 
 
 def test_gluing_is_involution(torus, sphere):
     for T in (torus, sphere):
-        for p in T.pairs:
-            assert T.gluing[T.gluing[p]] == p
+        partner = T.partner.ravel()
+        assert (partner[partner] == np.arange(partner.size)).all()
 
 
 def test_self_gluing_rejected():
@@ -122,9 +130,35 @@ def test_basis_loops_close_and_count(torus, sphere):
             check_loop(T, loop)
 
 
+LOOP_SURFACES = {
+    "torus": torus_fixture,
+    "sphere": sphere_fixture,
+    **{
+        f"random-{F}-seed{seed}": partial(random_triangulation, F, seed)
+        for F in (20, 200)
+        for seed in range(4)
+    },
+}
+
+
+@pytest.mark.parametrize("surface", LOOP_SURFACES)
+def test_dual_loops_match_oracle(surface):
+    T = LOOP_SURFACES[surface]()
+    oracle = oracle_triangulation(T.faces, T.edges)
+    want = {
+        "punctures": [cyc.crossings for cyc in oracle.corner_cycles],
+        "basis": oracle_cycle_basis(T),
+    }
+    for which, loops in want.items():
+        got = dual_loops(T, which)
+        assert {type(c) for loop in got for c in loop} == {int}
+        assert [tuple(divmod(c, 3) for c in loop) for loop in got] == loops
+
+
 def test_open_path_rejected(torus):
-    with pytest.raises(OpenPath):
-        check_loop(torus, [(0, 0), (0, 1)])
+    # crossing 0 = (0, 0) lands on face 1, but crossing 1 starts at face 0
+    with pytest.raises(OpenPath, match=re.escape("crossing (0, 0) lands on face 1")):
+        check_loop(torus, [0, 1])
     with pytest.raises(OpenPath):
         check_loop(torus, [])
 
@@ -144,7 +178,7 @@ def test_unfold_ball_parents_consistent(torus):
     for i in range(1, len(ball.face)):
         parent = ball.parent[i]
         crossed_from = divmod(int(ball.crossed[i]), 3)
-        assert torus.gluing[crossed_from] == (ball.face[i], ball.entry_slot[i])
+        assert glued(torus)[crossed_from] == (ball.face[i], ball.entry_slot[i])
         assert crossed_from[0] == ball.face[parent]
         assert depths[i] == depths[parent] + 1
 
@@ -154,8 +188,14 @@ SPHERE_GLUING = [((0, 0), (1, 0)), ((0, 1), (1, 2)), ((0, 2), (1, 1))]
 
 
 def assert_same_triangulation(T, want):
-    """Every attribute oracle_triangulation builds, arrays with dtype and shape."""
+    """Every attribute oracle_triangulation builds, arrays with dtype and shape.
+
+    T names crossings by flat index alone, so the oracle's corner_cycles
+    are compared as cycle_crossings.
+    """
     for name, expected in vars(want).items():
+        if name == "corner_cycles":
+            continue
         got = getattr(T, name)
         if name == "cycle_crossings":
             assert len(got) == len(expected)
