@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 for unusable input (bad flags, unreadable or
-malformed files, calibrate --samples below 1, a --tol that is negative
+malformed files, an --out or --svg path that cannot be written,
+calibrate --samples below 1, a negative --seed, a --tol that is negative
 or not finite, ray --steps that are not positive and finite or whose
 weights overflow, a develop --base that is not a face of the file), 2
 when a loaded object fails validation, 3 when calibrate or holonomy
@@ -72,17 +73,27 @@ def _checked(convert, ok, need: str):
 
 
 _positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
+_seed = _checked(int, lambda n: n >= 0, "a nonnegative integer")
 _tolerance = _checked(
     float, lambda x: 0.0 <= x < math.inf, "a finite number of at least 0"
 )
+
+
+def _write(path: str, text: str) -> None:
+    """Write text to path; a path that cannot be written is unusable input."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
 
 
 def _emit(doc, out: str | None) -> None:
     """Write doc, a JSON-ready dict or a DevelopedBall, canonically."""
     text = fileio.canonical_json(doc)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -193,7 +204,7 @@ def cmd_develop(args) -> int:
         return EXIT_INVALID
     ball = develop(H, base=args.base, depth=args.depth)
     if args.svg:
-        render.write_svg(args.svg, render.ball_svg(ball))
+        _write(args.svg, render.ball_svg(ball))
     _emit(ball, args.out)
     return EXIT_OK
 
@@ -280,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forms", help="pullback residual and form ranks")
     p.add_argument("file", help="triangulation or structure file")
     p.add_argument("--constrained", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     common(p)
     p.set_defaults(func=cmd_forms)
 
@@ -300,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="measure the arc/h-length constant")
     p.add_argument("--samples", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tol", type=_tolerance, default=1e-9)
     common(p)
     p.set_defaults(func=cmd_calibrate)

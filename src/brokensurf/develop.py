@@ -10,13 +10,16 @@ H.crossing_table.  The combination lands on the far side of the shared
 chord, so every lift in a developed ball is positively oriented.
 
 A developed ball is a set of read-only arrays: its unfolding tree's,
-the (N, 3, 3) stack of every node's lift, and per node the scale and
-drift.  Every node of a BFS level crosses independently of the others,
-so develop fills the arrays one level at a time: a gather of the
-parents' rows and the level's coefficients, three multiply-adds and a
-scatter into the level's rows.  ball.nodes, the same ball as
-DevelopedNode objects whose points are tuples of float tuples, is built
-on first access.  A single path (develop_along, and through it
+which say the ideal vertex at each node's corners, the (N + 2, 3) table
+of those vertices' cone points, and per node the scale and drift.  Each
+node adds one vertex, its fresh corner, and every node of a BFS level
+crosses independently of the others, so develop fills the table one
+level at a time: a gather of the parents' apex, head and tail vertices
+and the level's coefficients, three multiply-adds, and the level's
+fresh vertices written as one block of rows.  ball.points, each node's
+lift vertices[corner], and ball.nodes, the same ball as DevelopedNode
+objects whose points are tuples of float tuples, are built on first
+access.  A single path (develop_along, and through it
 path_holonomy and cusp_closure_residual) is a sequence of crossings,
 each the flat index 3f+s of the near pair (f, s) it crosses.  It stays
 scalar, one crossing at a time in Python arithmetic on H.crossing_rows,
@@ -41,7 +44,6 @@ from . import minkowski
 from .errors import NumericalBreakdown, OpenPath
 from .hyperbolic import DecoratedBrokenHyperbolic
 from .triangulation import (
-    FAR,
     NEAR,
     UnfoldedBall,
     ball_tree,
@@ -57,9 +59,6 @@ DRIFT_BOUND = 1e-10
 TILE_CACHE_SIZE = 4096
 
 _J = np.diag([1.0, 1.0, -1.0])
-
-# _ROWS[k]: the flat offsets of corner k's three coordinates in a lift.
-_ROWS = 3 * np.arange(3)[:, None] + np.arange(3)
 
 
 def _breakdown(drift: float, crossed: int) -> NumericalBreakdown:
@@ -129,21 +128,20 @@ class DevelopedNode:
 class DevelopedBall(UnfoldedBall):
     """An unfolded ball developed into the light cone, as read-only arrays.
 
-    Beside the tree's arrays: points[i] is node i's lift, one cone point
-    per row, so points has shape (N, 3, 3); scale[i] is node i's
-    homothety factor and drift[i] the relative light-cone drift of its
-    fresh corner (0 at the root).
+    Beside the tree's arrays: vertices[v] is ideal vertex v's cone point,
+    numbered as the tree's corner, so vertices has shape (N + 2, 3);
+    scale[i] is node i's homothety factor and drift[i] the relative
+    light-cone drift of its fresh corner (0 at the root).
     """
 
-    points: np.ndarray
+    vertices: np.ndarray
     scale: np.ndarray
     drift: np.ndarray
 
     @cached_property
-    def vertices(self) -> np.ndarray:
-        """Each ideal vertex's cone point once, numbered as the tree's corner."""
-        fresh = self.points[np.arange(1, len(self.face)), self.entry_slot[1:]]
-        return read_only(np.concatenate([self.points[0], fresh]))
+    def points(self) -> np.ndarray:
+        """vertices[corner]: node i's lift, one cone point per row, read-only."""
+        return read_only(self.vertices[self.corner])
 
     def _tree_rows(self):
         """(index, face, depth, parent, entry_slot) per node, None at the root."""
@@ -186,25 +184,20 @@ def develop(
     of float range.
     """
     tree = ball_tree(H.T, base, depth)
-    _, parent, entry_slot, crossed, levels = tree
+    _, parent, _, crossed, levels, corner = tree
     n = len(parent)
-    points = np.empty((n, 3, 3))
+    vertices = np.empty((n + 2, 3))
     scale = np.empty(n)
     drift = np.empty(n)
-    points[0], scale[0], drift[0] = _start_lift(H, base), 1.0, 0.0
-    # indices into the flattened points, [node, role, coordinate]: the
-    # parent's apex, head and tail rows, and the node's fresh, head and
-    # tail rows; the root's are not read
-    flat = points.reshape(-1)
-    near = _ROWS[NEAR[crossed % 3]] + 9 * parent[:, None, None]
-    far = _ROWS[FAR[entry_slot]] + 9 * np.arange(n)[:, None, None]
+    vertices[:3], scale[0], drift[0] = _start_lift(H, base), 1.0, 0.0
+    # each node's parent's apex, head and tail; the root's are not read
+    near = corner[parent[:, None], NEAR[crossed % 3]]
     coef = H.crossing_table[crossed]
     # overflow, 0/0 and a zero z end up in a drift that fails the gate
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for a, b in zip(levels[1:-1].tolist(), levels[2:].tolist()):
             x, y, t, step = coef[a:b].T[:, :, None]
-            lift = flat[near[a:b]]
-            apex, head, tail = lift.transpose(1, 0, 2)
+            apex, head, tail = vertices[near[a:b].T]
             u = x * tail + y * head + t * apex
             # |mform(u, u)| / uz^2, as renorm_lightcone has it
             sq = u * u
@@ -216,11 +209,10 @@ def develop(
                 bad = float(level_drift[i]) if u[i, 2] else math.inf
                 raise _breakdown(bad, int(crossed[a + i]))
             u[:, 2] = list(map(math.hypot, *u[:, :2].T.tolist()))
-            lift[:, 0] = u  # the fresh point in place of the apex
-            flat[far[a:b]] = lift
+            vertices[a + 2 : b + 2] = u
             scale[a:b] = scale[parent[a:b]] * step[:, 0]
             drift[a:b] = level_drift
-    geometry = map(read_only, (points, scale, drift))
+    geometry = map(read_only, (vertices, scale, drift))
     return DevelopedBall(base, depth, *tree, *geometry)
 
 
@@ -296,7 +288,7 @@ def deck_candidates(H: DecoratedBrokenHyperbolic, ball: DevelopedBall):
     """Holonomy pairs read off repeats of the base face inside a ball."""
     repeats = np.flatnonzero(ball.face == ball.base)  # the root first
     # the root's frame, then every repeat's, with the lift's points as columns
-    frames = ball.points[repeats].swapaxes(1, 2)
+    frames = ball.vertices[ball.corner[repeats]].swapaxes(1, 2)
     mats = frames[1:] @ np.linalg.inv(frames[0])
     scales = ball.scale[repeats[1:]].tolist()
     return list(zip(repeats[1:].tolist(), map(PathHolonomy, mats, scales)))

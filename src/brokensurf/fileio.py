@@ -125,14 +125,15 @@ def _resolve_triangulation(entry, base_dir: str | None) -> IdealTriangulation:
 
 def from_jsonable(d: dict, base_dir: str | None = None):
     """Rebuild whichever object the dict encodes, keyed by its table name."""
-    if "lambda" in d:
-        T = _resolve_triangulation(d["triangulation"], base_dir)
-        return DecoratedBrokenHyperbolic(T, T.pairs_from_dict(d["lambda"], "lambda"))
-    if "w" in d:
-        T = _resolve_triangulation(d["triangulation"], base_dir)
-        return BrokenMeasure(T, T.pairs_from_dict(d["w"], "weight"))
-    if _is_triangulation_dict(d):
-        return triangulation_from_dict(d)
+    if isinstance(d, dict):  # a file may hold any JSON value
+        if "lambda" in d:
+            T = _resolve_triangulation(d["triangulation"], base_dir)
+            return DecoratedBrokenHyperbolic(T, T.pairs_from_dict(d["lambda"], "lambda"))
+        if "w" in d:
+            T = _resolve_triangulation(d["triangulation"], base_dir)
+            return BrokenMeasure(T, T.pairs_from_dict(d["w"], "weight"))
+        if _is_triangulation_dict(d):
+            return triangulation_from_dict(d)
     raise ValueError("dict is not a triangulation, structure, or measure")
 
 

@@ -114,8 +114,3 @@ def ball_svg(ball: DevelopedBall) -> str:
     templates.extend([_HOROCYCLE] * len(z))
     body = "\n".join(templates) % tuple(chain.from_iterable(rows))
     return f"{_HEAD}\n{body}\n</svg>\n"
-
-
-def write_svg(path, svg: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg)

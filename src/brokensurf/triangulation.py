@@ -419,12 +419,16 @@ class UnfoldedBall:
 
     Nodes are numbered in BFS order.  The root has three children and
     every other node two (it never re-crosses its entry slot), so a
-    depth-D ball has 3 * 2^D - 2 nodes and node i >= 1 has the children
-    2i + 2 and 2i + 3.  Per node, read-only int arrays: face, parent,
-    entry_slot (the slot of this face crossed to enter) and crossed (the
-    flat index 3 * f + s of the parent's pair (f, s) that was crossed);
-    the root has -1 in the last three.  The nodes at depth d are
-    levels[d]:levels[d + 1].
+    depth-D ball has N = 3 * 2^D - 2 nodes and node i >= 1 has the
+    children 2i + 2 and 2i + 3.  Per node, read-only int arrays: face,
+    parent, entry_slot (the slot of this face crossed to enter) and
+    crossed (the flat index 3 * f + s of the parent's pair (f, s) that
+    was crossed); the root has -1 in the last three.  The nodes at depth
+    d are levels[d]:levels[d + 1].  corner[i, k] is the ideal vertex at
+    node i's corner k, one of N + 2: the root's corners are vertices 0,
+    1, 2 and node i's fresh corner, the one at its entry slot, is vertex
+    i + 2; its other two are the head and tail of the edge it was
+    entered through, its parent's.
     """
 
     base: int
@@ -434,37 +438,21 @@ class UnfoldedBall:
     entry_slot: np.ndarray
     crossed: np.ndarray
     levels: np.ndarray
+    corner: np.ndarray
 
     @property
     def depths(self) -> np.ndarray:
         """Each node's depth."""
         return np.repeat(np.arange(self.depth + 1), np.diff(self.levels))
 
-    @cached_property
-    def corner(self) -> np.ndarray:
-        """corner[i, k]: the ideal vertex at node i's corner k, read-only.
-
-        The root's corners are vertices 0, 1, 2 and node i's fresh corner,
-        the one at its entry slot, is vertex i + 2; its other two are the
-        head and tail of the edge it was entered through, its parent's.
-        """
-        n = len(self.face)
-        near, far = NEAR[self.crossed % 3], FAR[self.entry_slot]
-        rows = np.arange(n)[:, None]
-        corner = np.empty((n, 3), dtype=int)
-        corner[0] = (0, 1, 2)
-        for a, b in zip(self.levels[1:-1].tolist(), self.levels[2:].tolist()):
-            ids = corner[self.parent[a:b, None], near[a:b]]  # apex, head, tail
-            ids[:, 0] = np.arange(a + 2, b + 2)
-            corner[rows[a:b], far[a:b]] = ids
-        return read_only(corner)
-
 
 def ball_tree(T: IdealTriangulation, base: int, depth: int):
-    """The BFS walk of a ball: UnfoldedBall's arrays, face to levels.
+    """The BFS walk of a ball: UnfoldedBall's arrays, face to corner.
 
     Each level after the first is one gather: a node that crossed pair c
-    crosses T.onward[c] next.
+    crosses T.onward[c] next.  A node's corners, its fresh vertex and
+    the head and tail of its parent's across c, then take one gather and
+    scatter per level.
     """
     if not 0 <= base < T.faces:
         raise ValueError(f"base face out of range: {base}")
@@ -481,7 +469,16 @@ def ball_tree(T: IdealTriangulation, base: int, depth: int):
     face[0], entry_slot[0] = base, -1
     parent = np.arange(-2, n - 2) // 2
     parent[1:4] = 0
-    arrays = (face, parent, entry_slot, crossed, np.array(levels))
+    # node i's fresh corner is vertex i + 2, and its head and tail are its
+    # parent's, copied one level at a time
+    node = np.arange(n)
+    corner = np.empty((n, 3), dtype=int)
+    corner[0] = 0, 1, 2
+    corner[node[1:], entry_slot[1:]] = node[1:] + 2
+    near, far = NEAR[crossed % 3, 1:], FAR[entry_slot, 1:]
+    for a, b in zip(levels[1:-1], levels[2:]):
+        corner[node[a:b, None], far[a:b]] = corner[parent[a:b, None], near[a:b]]
+    arrays = (face, parent, entry_slot, crossed, np.array(levels), corner)
     return tuple(map(read_only, arrays))
 
 

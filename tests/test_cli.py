@@ -152,6 +152,18 @@ def test_unreadable_files_exit_1(tmp_path):
     assert run(["validate", str(tmp_path / "missing.json")]) == 1
 
 
+@pytest.mark.parametrize("text", ["5", "null", '"x"', '"w"', "[1, 2]"])
+def test_file_must_hold_an_object(tmp_path, text, capsys):
+    # the first two used to read "argument of type 'int' is not
+    # iterable", and a string holding "w" was searched as if a dict
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"cannot read {path}: dict is not a triangulation, structure, or measure\n"
+    )
+
+
 def write_doc(tmp_path, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -448,6 +460,24 @@ def test_calibrate_rejects_bad_sample_count(samples, capsys):
     assert "--samples" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["calibrate", "--samples", "10"], ["forms", "--constrained"], ["forms"]],
+    ids=["calibrate", "forms-constrained", "forms"],
+)
+def test_seed_must_be_nonnegative(torus_file, argv, capsys):
+    # the first two used to escape cli.main as numpy's ValueError; plain
+    # forms reads no seed but parses it the same way
+    command, *rest = argv
+    argv = [command, *([] if command == "calibrate" else [torus_file]), *rest]
+    assert run([*argv, "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert captured.out == "" and captured.err.startswith("usage: ")
+    assert errors == [f"brokensurf {command}: error: argument --seed: "
+                      "needs a nonnegative integer, got '-1'"]
+
+
 def test_calibrate_is_deterministic(tmp_path):
     # more samples than one block, and a partial last block
     texts = []
@@ -504,6 +534,26 @@ def test_out_file_instead_of_stdout(torus_file, tmp_path, capsys):
     assert capsys.readouterr().out == ""
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["census"]["faces"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{file}", "--out", "{bad}"],
+        ["calibrate", "--samples", "10", "--out", "{bad}"],
+        ["develop", "{file}", "--svg", "{bad}"],
+        ["develop", "{file}", "--out", "{bad}"],
+    ],
+    ids=["validate-out", "calibrate-out", "develop-svg", "develop-out"],
+)
+def test_unwritable_output_exits_1(structure_file, tmp_path, argv, capsys):
+    # used to escape cli.main as FileNotFoundError with a traceback
+    bad = str(tmp_path / "missing" / "x")
+    assert run([a.format(file=structure_file, bad=bad) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write {bad}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_unknown_command_exits_1():

@@ -28,7 +28,7 @@ from brokensurf.develop import (
 )
 from brokensurf.errors import GeometryError, NumericalBreakdown, OpenPath
 from brokensurf.hyperbolic import constant_structure, embed_unbroken
-from brokensurf.triangulation import check_loop, dual_loops
+from brokensurf.triangulation import check_loop, dual_loops, unfold_ball
 
 
 def bits(x) -> str:
@@ -419,20 +419,21 @@ def test_develop_matches_node_oracle(request, name, last_base):
 @pytest.mark.parametrize(
     "bad, first",
     [
-        ({"points": (3, math.inf), "scale": (5, math.nan)}, math.inf),
-        ({"scale": (2, -math.inf), "points": (4, math.nan)}, -math.inf),
-        ({"points": (0, math.nan)}, math.nan),
-        ({"drift": (6, math.nan), "points": (1, math.inf)}, math.nan),
+        ({"vertices": (3 + 2, math.inf), "scale": (5, math.nan)}, math.inf),
+        ({"scale": (2, -math.inf), "vertices": (4 + 2, math.nan)}, -math.inf),
+        ({"vertices": (0, math.nan)}, math.nan),
+        ({"drift": (6, math.nan), "vertices": (1 + 2, math.inf)}, math.nan),
     ],
     ids=["points-first", "scale-first", "root", "max-drift-first"],
 )
 def test_ball_json_rejects_nonfinite_as_json_does(torus, bad, first):
     # json with allow_nan=False raises at the first out-of-range float in
-    # document order; max_drift is written before the nodes
+    # document order; max_drift is written before the nodes, and vertex
+    # i + 2 first appears in the points of node i, its fresh corner
     ball = develop(constant_structure(torus, 2.0), 0, 2)
-    arrays = {name: getattr(ball, name).copy() for name in ("points", "scale", "drift")}
-    for name, (node, value) in bad.items():
-        arrays[name][node] = value
+    arrays = {name: getattr(ball, name).copy() for name in ("vertices", "scale", "drift")}
+    for name, (row, value) in bad.items():
+        arrays[name][row] = value
     with pytest.raises(ValueError) as want:
         json.dumps([first], sort_keys=True, indent=2, allow_nan=False)
     with pytest.raises(ValueError) as got:
@@ -461,7 +462,8 @@ def test_develop_along_reproduces_every_node(request, name):
 
 def test_ball_arrays_are_read_only(torus, gen):
     ball = develop(samples.random_boxed_structure(torus, gen), 0, 3)
-    for name in ("face", "parent", "entry_slot", "vertices", "points", "scale", "drift"):
+    names = ("face", "parent", "entry_slot", "corner", "vertices", "points", "scale", "drift")
+    for name in names:
         with pytest.raises(ValueError):
             getattr(ball, name)[0] = 0
     assert ball.points.shape == (len(ball.nodes), 3, 3)
@@ -470,6 +472,25 @@ def test_ball_arrays_are_read_only(torus, gen):
     for node in ball.nodes[1:]:
         parent = ball.nodes[node.parent]
         assert len({*map(id, node.points)} & {*map(id, parent.points)}) == 2
+
+
+@pytest.mark.parametrize("name", ["torus", "sphere", 20])
+def test_ball_is_its_vertex_table(request, name):
+    # develop's tree is unfold_ball's, corner included; each node adds
+    # one vertex, at its entry slot, and points is the table read at the
+    # corners, bit for bit
+    T = surface(request, name)
+    H = samples.random_boxed_structure(T, samples.rng(12))
+    for depth in range(7):
+        ball = develop(H, 0, depth)
+        n = len(ball.face)
+        assert np.array_equal(ball.corner, unfold_ball(T, 0, depth).corner)
+        assert ball.vertices.shape == (n + 2, 3)
+        fresh = ball.corner[np.arange(1, n), ball.entry_slot[1:]]
+        assert fresh.tolist() == list(range(3, n + 2))
+        want = ball.vertices[ball.corner]
+        assert np.array_equal(ball.points.view(np.int64), want.view(np.int64))
+        assert not ball.points.flags.writeable
 
 
 def huge_torus(torus):

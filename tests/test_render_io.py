@@ -172,12 +172,9 @@ def test_shared_elements_deduplicated(torus):
         assert len(body) == len(set(body))
 
 
-def test_svg_skeleton(tmp_path, torus):
+def test_svg_skeleton(torus):
     H = constant_structure(torus, 2.0)
     svg = render.ball_svg(develop(H, depth=1))
     assert svg.startswith("<svg ")
     assert svg.endswith("</svg>\n")
     assert '<circle class="boundary" cx="300" cy="300" r="290"/>' in svg
-    out = tmp_path / "ball.svg"
-    render.write_svg(out, svg)
-    assert out.read_text(encoding="utf-8") == svg
