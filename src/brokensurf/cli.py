@@ -162,7 +162,8 @@ def cmd_forms(args) -> int:
         if structure is None:
             structure = samples.random_valid_structure(T, samples.rng(args.seed))
             doc["constrained_at"] = f"random structure, seed {args.seed}"
-        structure.gaps()  # raises for a lambda below sqrt(2) anywhere
+        with np.errstate(over="ignore"):  # rank_report names an overflowed gap
+            structure.gaps()  # raises for a lambda below sqrt(2) anywhere
         doc["constrained_rank"] = (
             None if structure.zero_gap.any()
             else forms.rank_report(T, structure, constrained=True).to_dict()

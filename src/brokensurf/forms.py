@@ -20,6 +20,13 @@ block structure away from the r constraint rows: its spectrum there is
 values of the form on U minus the rows, and F - dim U + rank(Omega|U)
 zeros, for the Omega-invariant span U of the rows (dim U <= 3r); see
 rank_report.
+
+Restricted to unbroken structures (both sides of every edge equal), the
+wp form is Penner's, of rank 6g - 6 + 2s on the E edge coordinates.  Its
+kernel is spanned by the s horocycle scalings, an integer matrix whose
+product with the restriction is checked to be exactly zero; the other
+E - s singular values come from one symmetric eigensolve of the
+restriction's Gram matrix, built edge by edge; see unbroken_rank_report.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartMismatch, InvalidDecoration
+from .errors import ChartMismatch, InvalidDecoration, NumericalBreakdown
 from .foliation import SMALL_FROM_LARGE, BrokenMeasure
 from .hyperbolic import DecoratedBrokenHyperbolic
 from .triangulation import NEXT, PREV, IdealTriangulation
@@ -67,7 +74,11 @@ class TwoForm:
         )
 
     def singular_values(self) -> np.ndarray:
-        return np.repeat(np.linalg.svd(self.block, compute_uv=False), self.faces)
+        """2F copies of the block's norm, then F exact zeros.
+
+        An antisymmetric 3x3 block's singular values are (|w|, |w|, 0).
+        """
+        return np.repeat([_norm(self), 0.0], [2 * self.faces, self.faces])
 
     def rank(self) -> int:
         return self.faces * matrix_rank(self.block)
@@ -89,7 +100,7 @@ def _norm(form: TwoForm) -> float:
     A restriction that vanishes comes out as rounding noise, which its
     own largest singular value would count as full rank.
     """
-    return float(np.linalg.norm(form.block, 2))
+    return float(np.linalg.svd(form.block, compute_uv=False)[0])
 
 
 def wp_form(T: IdealTriangulation) -> TwoForm:
@@ -223,14 +234,22 @@ def _holonomy_jacobian(H: DecoratedBrokenHyperbolic) -> np.ndarray:
 
     The holonomy's log is the sum of log gap(far) - log gap(near) over
     the puncture's crossings, and gap = 2 ell - log 2 gives
-    d log gap / d ell = 2 / gap, which needs every gap nondegenerate.
-    Pair (f, k) is crossed out of its face around the puncture at its
-    corner k+2 and into it around the puncture at its corner k+1.
+    d log gap / d ell = 2 / gap, which needs every gap nondegenerate and
+    finite.  Pair (f, k) is crossed out of its face around the puncture
+    at its corner k+2 and into it around the puncture at its corner k+1.
     """
     T = H.T
-    gaps = H.gaps()
+    with np.errstate(over="ignore"):  # an overflowed gap is named below
+        gaps = H.gaps()
     if H.zero_gap.any():
         raise InvalidDecoration("constrained rank needs every gap above GAP_FLOOR")
+    infinite = np.flatnonzero(~np.isfinite(gaps))
+    if infinite.size:
+        pair = T.pairs[infinite[0]]
+        lam = float(H.lam[pair])
+        raise NumericalBreakdown(
+            f"gap at {pair} is not finite: lambda {lam} squared overflows"
+        )
     slope = (2.0 / gaps).ravel()
     pairs = np.arange(slope.size)
     jac = np.zeros((T.num_punctures, slope.size))
@@ -304,17 +323,59 @@ def rank_report(
     )
 
 
+def horocycle_kernel(T: IdealTriangulation) -> np.ndarray:
+    """Penner's horocycle scalings: V[e, i] counts the ends of edge e at puncture i.
+
+    Growing the horocycle at puncture i adds 1 to log lambda once per end
+    of an edge at i, a direction in which the unbroken restriction of the
+    wp form vanishes.  Both sides of an edge name its two ends, so the
+    count over sides is halved.
+    """
+    ends = np.zeros((T.num_edges, T.num_punctures), dtype=int)
+    for corner in (NEXT, PREV):
+        np.add.at(ends, (T.edge_index, T.puncture_of[:, corner]), 1)
+    return ends // 2
+
+
 def unbroken_rank_report(T: IdealTriangulation) -> RankReport:
     """Rank of the wp form pulled back to the edge-equal subspace.
 
-    Both sides of an edge share one coordinate, so each face's block
-    lands on the E x E matrix at its three edge indices.
+    Both sides of an edge share one coordinate, so the restriction A is
+    E x E and its row e is the sum of the block rows of e's two sides,
+    each at its face's three edge indices.  The spectrum comes from one
+    symmetric eigensolve of the Gram matrix G = A^T A, scattered from
+    those rows without forming A.  G squares A's conditioning, so it
+    cannot resolve A's kernel; the horocycle kernel V certifies it
+    instead, A V == 0 exactly and rank V = s, and its s values are
+    written as exact zeros.  The other E - s are the square roots of G's
+    largest eigenvalues, in descending order, and the smallest of them
+    must clear both the rank cutoff and G's rounding error, or
+    NumericalBreakdown names it.  The rank is then E - s = 6g - 6 + 2s.
     """
     form = wp_form(T)
-    edge = T.edge_index
-    restricted = np.zeros((T.num_edges, T.num_edges))
-    np.add.at(restricted, (edge[:, :, None], edge[:, None, :]), form.block)
-    sv = np.linalg.svd(restricted, compute_uv=False)
-    return RankReport(
-        form.chart, T.num_edges, _rank(sv, _norm(form)), tuple(sv), subspace="unbroken"
-    )
+    E, s = T.num_edges, T.num_punctures
+    partner = T.partner.ravel()
+    near = np.flatnonzero(np.arange(partner.size) < partner)
+    sides = np.stack((near, partner[near]), axis=1)
+    cols = T.edge_index[sides // 3].reshape(E, 6)
+    vals = form.block[sides % 3].reshape(E, 6)
+    kernel = horocycle_kernel(T)
+    if np.einsum("ej,ejs->es", vals, kernel[cols]).any() or (
+        np.linalg.matrix_rank(kernel) != s
+    ):
+        raise AssertionError("horocycle scalings are not an s-dimensional kernel")
+    gram = np.bincount(
+        (cols[:, :, None] * E + cols[:, None, :]).ravel(),
+        (vals[:, :, None] * vals[:, None, :]).ravel(),
+        E * E,
+    ).reshape(E, E)
+    eig = np.linalg.eigvalsh(gram)
+    if s < E:
+        cutoff = RANK_CUTOFF * _norm(form)
+        floor = max(cutoff * cutoff, E * np.finfo(float).eps * eig[-1])
+        if not eig[s] > floor:
+            raise NumericalBreakdown(
+                f"unbroken Gram eigenvalue {eig[s]} is not above its resolution {floor}"
+            )
+    sv = np.concatenate((np.sqrt(eig[s:][::-1]), np.zeros(s)))
+    return RankReport(form.chart, E, E - s, tuple(sv), subspace="unbroken")

@@ -1,7 +1,10 @@
+import importlib.util
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -244,6 +247,42 @@ def oracle_constrained_rank(T, H) -> forms.RankReport:
         num_constraints=r,
         tangent_dim=n - r,
     )
+
+
+def unbroken_restriction(T) -> np.ndarray:
+    """The wp form's dense E x E restriction to the edge-equal subspace.
+
+    Both sides of an edge share one coordinate, so each face's block
+    lands on the matrix at its three edge indices.
+    """
+    edge = T.edge_index
+    restricted = np.zeros((T.num_edges, T.num_edges))
+    np.add.at(restricted, (edge[:, :, None], edge[:, None, :]), forms.WP_BLOCK)
+    return restricted
+
+
+def oracle_unbroken_spectrum(T) -> forms.RankReport:
+    """The unbroken rank report from a full SVD of the dense restriction."""
+    form = forms.wp_form(T)
+    sv = np.linalg.svd(unbroken_restriction(T), compute_uv=False)
+    return forms.RankReport(
+        form.chart,
+        T.num_edges,
+        forms._rank(sv, forms._norm(form)),
+        tuple(sv),
+        subspace="unbroken",
+    )
+
+
+@cache
+def bench_surfaces():
+    """perfbench/surfaces.py, the benchmark's seeded surface generator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "surfaces.py"
+    spec = importlib.util.spec_from_file_location("bench_surfaces", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def oracle_develop(H, base: int, depth: int) -> tuple:

@@ -307,6 +307,39 @@ def test_forms_constrained_rejects_lambda_below_sqrt2(tmp_path, torus, capsys):
     assert "InvalidDecoration" in capsys.readouterr().err
 
 
+def test_forms_block_spectrum_is_exact(torus_file, capsys):
+    # on the torus there is no constraint (r = 0), so the constrained
+    # restriction is the form itself and both lists are the same bits:
+    # 2F copies of the block's norm, then F zeros
+    assert run(["forms", torus_file, "--constrained"]) == 0
+    doc = read_doc(capsys)
+    assert doc["constrained_rank"]["num_constraints"] == 0
+    got = list(map(float.hex, doc["rank"]["singular_values"]))
+    assert got == list(map(float.hex, doc["constrained_rank"]["singular_values"]))
+    assert got[4:] == [float.hex(0.0)] * 2 and len(set(got[:4])) == 1
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e200])
+def test_forms_constrained_at_overflowing_gap_exits_4(tmp_path, sphere, scale, capsys):
+    # at 1e200 lambda squared overflows and every slope 2 / gap would be
+    # 0: no constraint and a full rank; valid input, so exit 4, not 2
+    path = tmp_path / "huge.json"
+    fileio.save(path, embed_unbroken(sphere, [scale, 2 * scale, 1.5 * scale]))
+    code = run(["forms", str(path), "--constrained"])
+    if scale == 1e100:
+        assert code == 0
+        constrained = read_doc(capsys)["constrained_rank"]
+        assert (constrained["num_constraints"], constrained["rank"]) == (2, 2)
+        return
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "NumericalBreakdown: gap at (0, 0) is not finite: "
+        "lambda 1e+200 squared overflows\n"
+    )
+
+
 def test_forms_impossible_tolerance(torus_file, capsys):
     # forms gates nothing, so it takes no --tol at all
     assert run(["forms", torus_file, "--tol", "0"]) == 1

@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from conftest import dense, oracle_constrained_rank, random_triangulation
+from conftest import (
+    bench_surfaces,
+    dense,
+    oracle_constrained_rank,
+    oracle_unbroken_spectrum,
+    random_triangulation,
+    unbroken_restriction,
+)
 
-from brokensurf import forms, samples
-from brokensurf.errors import ChartMismatch, InvalidDecoration
+from brokensurf import cli, fileio, forms, samples
+from brokensurf.errors import ChartMismatch, InvalidDecoration, NumericalBreakdown
 from brokensurf.foliation import BrokenMeasure
 from brokensurf.hyperbolic import DecoratedBrokenHyperbolic
 from brokensurf.triangulation import NEXT, PREV
@@ -196,6 +204,30 @@ def test_ranks_on_random_surfaces(faces):
     assert forms.pullback_residual(T) == 0.0
 
 
+def assert_unbroken_report_matches_oracle(T):
+    got = forms.unbroken_rank_report(T)
+    want = oracle_unbroken_spectrum(T)
+    s = T.num_punctures
+    assert got.rank == want.rank == T.num_edges - s
+    assert len(got.singular_values) == len(want.singular_values) == T.num_edges
+    assert np.allclose(got.singular_values, want.singular_values, rtol=0, atol=1e-12)
+    # the kernel's s values are written, not computed
+    assert got.singular_values[got.rank:] == (0.0,) * s
+
+
+def test_unbroken_spectrum_matches_dense_oracle(table_surface):
+    assert_unbroken_report_matches_oracle(table_surface)
+
+
+def test_unbroken_spectrum_matches_dense_oracle_on_bench_file(tmp_path):
+    # the benchmark generator's F=400 seed-1 surface, read back from its file
+    surf = bench_surfaces()
+    surface = surf.random_surface("f400", 400, 1, kinds=("broken",))
+    T = fileio.load(surf.write_files(surface, str(tmp_path))["triangulation"])
+    assert T.faces == 400
+    assert_unbroken_report_matches_oracle(T)
+
+
 def test_unbroken_kernel_witness_at_scale():
     # Penner's horocycle scalings: growing the horocycle at puncture i
     # adds 1 to log lambda once per end of an edge at i.  V[e, i] counts
@@ -203,18 +235,64 @@ def test_unbroken_kernel_witness_at_scale():
     # exactly, in integers: an E - s = 6g - 6 + 2s rank certificate read
     # off the corner-cycle census, which A is not built from.
     T = random_triangulation(2000, seed=1)
-    edge, block = T.edge_index, forms.wp_form(T).block
+    edge = T.edge_index
     ends = np.zeros((T.num_edges, T.num_punctures), dtype=int)
     np.add.at(ends, (edge, T.puncture_of[:, NEXT]), 1)
     np.add.at(ends, (edge, T.puncture_of[:, PREV]), 1)
     # both sides of every edge name the same two ends
     assert (ends % 2 == 0).all() and (ends.sum(axis=1) == 4).all()
-    V = ends // 2
-    A = np.zeros((T.num_edges, T.num_edges))
-    np.add.at(A, (edge[:, :, None], edge[:, None, :]), block)
+    V = forms.horocycle_kernel(T)
+    assert np.array_equal(V, ends // 2)
+    A = unbroken_restriction(T)
     assert (A @ V == 0).all()
     assert np.linalg.matrix_rank(V) == T.num_punctures
-    assert T.num_edges - T.num_punctures == 6 * T.genus - 6 + 2 * T.num_punctures
+    s, penner = T.num_punctures, 6 * T.genus - 6 + 2 * T.num_punctures
+    assert T.num_edges - s == penner
+
+    # the Gram spectrum with its certified zeros: no dense SVD at E = 3000
+    report = forms.unbroken_rank_report(T)
+    sv = np.array(report.singular_values)
+    assert report.rank == penner
+    assert (sv[:penner] > 0.0).all() and sv[penner:].tolist() == [0.0] * s
+    assert (np.diff(sv) <= 0.0).all()
+    # the squared sum is the squared Frobenius norm of A
+    assert abs(np.sum(sv**2) - np.sum(A**2)) <= 1e-12 * np.sum(A**2)
+    # the top value against a power iteration on sparse A: the two top
+    # values read 6.655 and 6.644, so the estimate rises slowly, from below
+    sparse = scipy.sparse.csr_array(A)
+    x = samples.rng(0).standard_normal(T.num_edges)
+    for _ in range(2000):
+        x = sparse.T @ (sparse @ x)
+        x /= np.linalg.norm(x)
+    top = np.linalg.norm(sparse @ x)
+    assert sv[0] * (1.0 - 1e-8) <= top <= sv[0] * (1.0 + 1e-12)
+
+
+def test_unbroken_rank_breaks_down_where_gram_cannot_resolve(
+    tmp_path, monkeypatch, capsys
+):
+    # a Gram eigenvalue within rounding of zero among the E - s nonzero
+    # ones would print a value G cannot resolve: NumericalBreakdown, exit 4
+    T = random_triangulation(20, seed=20)
+    s = T.num_punctures
+    eigvalsh = np.linalg.eigvalsh
+
+    def blurred(gram):
+        eig = eigvalsh(gram)
+        eig[s] = 1e-14
+        return eig
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", blurred)
+    message = "unbroken Gram eigenvalue 1e-14 is not above its resolution"
+    with pytest.raises(NumericalBreakdown, match=message):
+        forms.unbroken_rank_report(T)
+    path = tmp_path / "tri.json"
+    fileio.save(path, T)
+    assert cli.main(["forms", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"NumericalBreakdown: {message} ")
 
 
 @pytest.mark.parametrize("faces", [2, 20])
