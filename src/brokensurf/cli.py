@@ -24,6 +24,7 @@ which allows for the rounding of the gaps the ratios divide by.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -276,7 +277,13 @@ def cmd_holonomy(args) -> int:
     return EXIT_OK if worst <= args.tol else EXIT_TOLERANCE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then shared.
+
+    Parsing reads it and never changes it: each call gets a fresh
+    namespace, filled from the defaults given here.
+    """
     parser = _Parser(prog="brokensurf", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

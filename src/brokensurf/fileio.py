@@ -3,15 +3,19 @@
 One serializer, sorted keys, two-space indent, trailing newline; floats
 go through repr, so save/load/save is byte-stable.  Pair keys are
 "face.slot" strings, written and read back by IdealTriangulation's
-pair_dict and pairs_from_dict.  Structure and measure files may either
-inline their triangulation or name another file by path, resolved
-relative to the referring file.
+pair_dict and pairs_from_dict; a table naming every pair is read into
+its (F, 3) array through each key's flat index.  Structure and measure
+files may either inline their triangulation or name another file by
+path, resolved relative to the referring file.
 
 A developed ball, develop's document, is written from its arrays: one
 %-template per node kind, derived once from json's own layout of a
 one-node placeholder, repeated per node and filled by one format
 operation.  %d writes an int and %r a float as json does, so the bytes
-are those of json.dumps on the ball as nested dicts.
+are those of json.dumps on the ball as nested dicts.  Each coordinate
+of the ball's vertex table is written by repr once, and the strings are
+gathered through the ball's corner table into the points of every node
+that holds the vertex, so the per-node lifts are never built.
 """
 
 from __future__ import annotations
@@ -36,8 +40,9 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-# Placeholders json writes as quoted strings, replaced by conversions.
-_INT, _FLOAT, _NODE = "<int>", "<float>", "<node>"
+# Placeholders json writes as quoted strings, replaced by conversions:
+# an int, a float, a float already written by repr, and a node.
+_INT, _FLOAT, _REPR, _NODE = "<int>", "<float>", "<repr>", "<node>"
 
 # A ball node's fields, an int or float placeholder per number; the root
 # writes null for those in _ROOT_NULL.  The values are filled in sorted
@@ -48,7 +53,7 @@ _NODE_FIELDS = {
     "depth": _INT,
     "parent": _INT,
     "entry_slot": _INT,
-    "points": [[_FLOAT] * 3] * 3,
+    "points": [[_REPR] * 3] * 3,
     "scale": _FLOAT,
 }
 _ROOT_NULL = ("parent", "entry_slot")
@@ -66,7 +71,10 @@ def _ball_templates() -> tuple:
     node = doc(_NODE_FIELDS)
     pieces = (head, root[len(head) : -len(tail)], sep + node[len(head) : -len(tail)], tail)
     return tuple(
-        p.replace("%", "%%").replace(f'"{_INT}"', "%d").replace(f'"{_FLOAT}"', "%r")
+        p.replace("%", "%%")
+        .replace(f'"{_INT}"', "%d")
+        .replace(f'"{_FLOAT}"', "%r")
+        .replace(f'"{_REPR}"', "%s")
         for p in pieces
     )
 
@@ -76,13 +84,15 @@ _BALL_HEAD, _BALL_ROOT, _BALL_NODE, _BALL_TAIL = _ball_templates()
 
 def _ball_json(ball: DevelopedBall) -> str:
     n = len(ball.face)
+    # every vertex coordinate written once, gathered by corner per node
+    written = np.array(list(map(repr, ball.vertices.ravel().tolist())), dtype=object)
     columns = {
         "index": np.arange(n),
         "face": ball.face,
         "depth": ball.depths,
         "parent": ball.parent,
         "entry_slot": ball.entry_slot,
-        "points": ball.points,
+        "points": written[3 * ball.corner[:, :, None] + np.arange(3)],
         "scale": ball.scale,
     }
     max_drift = ball.max_drift()
@@ -94,9 +104,9 @@ def _ball_json(ball: DevelopedBall) -> str:
             root.extend(col[0].tolist())
         rest.extend(col[1:].T.tolist())
     values = (*root, *chain.from_iterable(zip(*rest)))
-    if not all(np.isfinite(x).all() for x in (max_drift, ball.points, ball.scale)):
+    if not all(np.isfinite(x).all() for x in (max_drift, ball.vertices, ball.scale)):
         # json's own error, for the first such value in document order
-        canonical_json(next(v for v in values if not math.isfinite(v)))
+        canonical_json(next(v for v in map(float, values) if not math.isfinite(v)))
     return (_BALL_HEAD + _BALL_ROOT + _BALL_NODE * (n - 1) + _BALL_TAIL) % values
 
 

@@ -9,7 +9,11 @@ side and each horocycle is drawn once, by the tile that introduces it.
 The picture is written from the ball's arrays: every side's and every
 horocycle's numbers in stacked IEEE operations, the same ones in the
 same order as a side-by-side drawing takes, then one %-template per
-element, all filled by one format operation.
+element, all filled by one format operation.  A side's end points
+depend only on its two vertices, so each vertex's pixel coordinates are
+formatted once and gathered through the ball's corner table by the
+sides that end there; each arc's radius is formatted once for both of
+its radii.
 """
 
 from __future__ import annotations
@@ -47,9 +51,11 @@ _HEAD = "\n".join([
     f'r="{fmt(SCALE)}"/>',
 ])
 
-# Element templates; every float is written as fmt writes it.
-_LINE = '<line class="edge" x1="%.9g" y1="%.9g" x2="%.9g" y2="%.9g"/>'
-_ARC = '<path class="edge" d="M %.9g %.9g A %.9g %.9g 0 0 %d %.9g %.9g"/>'
+# Element templates.  A side's numbers come written by _written: each
+# end as "x y", and an arc's radius once for both of its radii.  A
+# horocycle's are written here, by the %.9g that fmt uses.
+_LINE = '<line class="edge" x1="%s" y1="%s" x2="%s" y2="%s"/>'
+_ARC = '<path class="edge" d="M %s A %s %s 0 0 %d %s"/>'
 _HOROCYCLE = '<circle class="horocycle" cx="%.9g" cy="%.9g" r="%.9g"/>'
 
 
@@ -58,9 +64,15 @@ def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array(list(map(math.hypot, x.tolist(), y.tolist())))
 
 
-def _out(*columns: np.ndarray) -> list:
-    """Each column as Python floats with -0 folded into 0, as fmt has it."""
-    return [(c + 0.0).tolist() for c in columns]
+def _written(*columns: np.ndarray) -> np.ndarray:
+    """Per entry, fmt of each column's value joined by spaces.
+
+    An object array of strings, for sides to gather from.
+    """
+    row = " ".join(["%.9g"] * len(columns))
+    values = (np.column_stack(columns) + 0.0).ravel().tolist()
+    text = "\n".join([row] * len(columns[0])) % tuple(values)
+    return np.array(text.split("\n"), dtype=object)
 
 
 def ball_svg(ball: DevelopedBall) -> str:
@@ -84,8 +96,9 @@ def ball_svg(ball: DevelopedBall) -> str:
     a = ball.corner[:, (slot + 1) % 3][drawn]
     b = ball.corner[:, (slot + 2) % 3][drawn]
     e1x, e1y, e2x, e2y = ex[a], ey[a], ex[b], ey[b]
-    x1, y1 = MID + SCALE * e1x, MID - SCALE * e1y
-    x2, y2 = MID + SCALE * e2x, MID - SCALE * e2y
+    # a side's ends are its corners' pixels: the same floats gathered
+    px, py = MID + SCALE * ex, MID - SCALE * ey
+    x1, y1, x2, y2 = px[a], py[a], px[b], py[b]
     dot = e1x * e2x + e1y * e2y
     line = 1.0 + dot <= ANTIPODAL_TOL
     with np.errstate(divide="ignore", invalid="ignore"):  # at lines only
@@ -97,11 +110,13 @@ def ball_svg(ball: DevelopedBall) -> str:
     # way around C runs in SVG's positive-angle direction.
     cross = (x2 - x1) * (pcy - y1) - (y2 - y1) * (pcx - x1)
     sweep = (cross > 0.0).astype(int).tolist()
-    x1, y1, r, x2, y2 = _out(x1, y1, r, x2, y2)
-    rows = list(zip(x1, y1, r, r, sweep, x2, y2))
+    # each vertex's pixel written once, then gathered by the sides' corners
+    pixel = _written(px, py)
+    p1, p2, r = pixel[a].tolist(), pixel[b].tolist(), _written(r).tolist()
+    rows = list(zip(p1, r, r, sweep, p2))
     templates = [_ARC] * len(rows)
     for k in np.flatnonzero(line).tolist():
-        rows[k] = (x1[k], y1[k], x2[k], y2[k])
+        rows[k] = (*p1[k].split(), *p2[k].split())
         templates[k] = _LINE
     # each vertex's horocycle: centre and radius of h(u) projected to the
     # cone along z, as minkowski.horocycle_disk_circle has them
@@ -110,7 +125,8 @@ def ball_svg(ball: DevelopedBall) -> str:
         raise ValueError("cone ray must point up")
     lift = z + 1.0
     hx, hy = u / lift, v / lift
-    rows.extend(zip(*_out(MID + SCALE * hx, MID - SCALE * hy, 1.0 / lift * SCALE)))
+    horocycles = (MID + SCALE * hx, MID - SCALE * hy, 1.0 / lift * SCALE)
+    rows.extend(zip(*((c + 0.0).tolist() for c in horocycles)))
     templates.extend([_HOROCYCLE] * len(z))
     body = "\n".join(templates) % tuple(chain.from_iterable(rows))
     return f"{_HEAD}\n{body}\n</svg>\n"

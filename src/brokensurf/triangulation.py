@@ -233,11 +233,6 @@ class IdealTriangulation:
         at = self.pairs.__getitem__
         return tuple(zip(map(at, near.tolist()), map(at, partner[near].tolist())))
 
-    @cached_property
-    def _pair_of(self) -> dict[str, Pair]:
-        """The pair each "face.slot" key names."""
-        return dict(zip(self._pair_keys(), self.pairs))
-
     def pair_table(self, values, noun: str, positive: bool) -> np.ndarray:
         """One float per (face, slot) pair, as a read-only (F, 3) array.
 
@@ -280,28 +275,42 @@ class IdealTriangulation:
         """A pair table keyed "face.slot", the form files store."""
         return dict(zip(self._pair_keys(), table.ravel().tolist()))
 
-    def pairs_from_dict(self, d: dict, noun: str) -> dict:
-        """Read back what pair_dict writes: the same values keyed by pairs.
+    @cached_property
+    def _flat_index(self) -> dict[str, int]:
+        """The flat index 3 * f + s of the pair each "face.slot" key names."""
+        return dict(zip(self._pair_keys(), range(3 * self.faces)))
 
-        A key spelled other than pair_dict spells it, or a value that is
-        not an int or float (bools included) or is an int beyond float
-        range, raises ValueError naming the key; so no two keys can name
-        one pair.
+    def pairs_from_dict(self, d: dict, noun: str) -> np.ndarray | dict:
+        """Read back what pair_dict writes, as values for pair_table.
+
+        A table naming every pair comes back as an (F, 3) float array,
+        filled through the keys' flat indices.  A key spelled other than
+        pair_dict spells it, or a value that is not an int or float
+        (bools included) or is an int beyond float range, raises
+        ValueError naming the first such key; so no two keys can name one
+        pair.  A table that leaves pairs out comes back keyed by pairs,
+        so that pair_table names the first bad pair in pair order.
         """
         if not isinstance(d, Mapping):
             raise ValueError(f"{noun} table must map pair keys to values, got {d!r}")
-        pair_of = self._pair_of
-        pairs, numbers = list(map(pair_of.get, d)), list(d.values())
-        if None not in pairs and set(map(type, numbers)) <= {int, float}:
+        index = self._flat_index
+        at, numbers = list(map(index.get, d)), list(d.values())
+        if (
+            len(at) == len(index)
+            and None not in at
+            and set(map(type, numbers)) <= {int, float}
+        ):
             try:
-                list(map(float, numbers))
+                numbers = list(map(float, numbers))
             except OverflowError:
-                pass  # the loop below names the first key too large
+                pass  # the walk below names the first key too large
             else:
-                return dict(zip(pairs, numbers))
+                table = np.empty(len(at))
+                table[at] = numbers
+                return table.reshape(self.faces, 3)
         values = {}
         for key, value in d.items():
-            if key not in pair_of:
+            if key not in index:
                 raise ValueError(f'{noun} key {key!r} names no "face.slot" pair')
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{noun} at {key!r} must be a number, got {value!r}")
@@ -309,7 +318,7 @@ class IdealTriangulation:
                 float(value)
             except OverflowError:
                 raise ValueError(f"{noun} at {key!r} is too large for a float") from None
-            values[pair_of[key]] = value
+            values[divmod(index[key], 3)] = value
         return values
 
     def euler_characteristic(self) -> int:

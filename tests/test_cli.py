@@ -251,6 +251,107 @@ def test_loader_rejects_int_beyond_float_range(tmp_path, table, capsys):
     assert err.startswith("cannot read ") and "'0.0'" in err
 
 
+def pair_table_doc(table: str, *items, drop=()) -> dict:
+    """The torus with every value 2 but at drop, then items (key, value).
+
+    A key of items that is already there keeps its place; others follow.
+    """
+    values = {k: 2 for k in KEYS if k not in drop}
+    values.update(items)
+    return {"triangulation": TORUS, table: values}
+
+
+NAMES_NO_PAIR = 'key {!r} names no "face.slot" pair'
+
+# Every message a pair table loads with.  The checks on keys and values
+# name the first bad key in document order; missing, nonpositive and
+# nonfinite values name the first such pair in pair order.
+LOAD_MESSAGES = {
+    "noncanonical-key": (
+        pair_table_doc("lambda", ("0.00", 2.0)),
+        "lambda " + NAMES_NO_PAIR.format("0.00"),
+    ),
+    "key-past-last-face": (
+        pair_table_doc("w", ("2.0", 1.0)),
+        "weight " + NAMES_NO_PAIR.format("2.0"),
+    ),
+    "string-value": (
+        pair_table_doc("lambda", ("0.1", "2.0")),
+        "lambda at '0.1' must be a number, got '2.0'",
+    ),
+    "bool-value": (
+        pair_table_doc("w", ("1.2", True)),
+        "weight at '1.2' must be a number, got True",
+    ),
+    "null-value": (
+        pair_table_doc("w", ("0.2", None)),
+        "weight at '0.2' must be a number, got None",
+    ),
+    "int-beyond-float": (
+        pair_table_doc("lambda", ("1.1", 10**400)),
+        "lambda at '1.1' is too large for a float",
+    ),
+    "first-bad-key-in-document-order": (
+        pair_table_doc("lambda", ("zz", 1.0), ("0.0", "x"), drop=("0.0",)),
+        "lambda " + NAMES_NO_PAIR.format("zz"),
+    ),
+    "bad-value-before-bad-key": (
+        pair_table_doc("lambda", ("0.0", "x"), ("zz", 1.0)),
+        "lambda at '0.0' must be a number, got 'x'",
+    ),
+    "missing-pair": (
+        pair_table_doc("lambda", drop=("0.1",)),
+        "missing lambda for pair (0, 1)",
+    ),
+    "missing-weight": (
+        pair_table_doc("w", drop=("1.2", "1.0")),
+        "missing weight for pair (1, 0)",
+    ),
+    "nonpositive-lambda": (
+        pair_table_doc("lambda", ("1.0", 0)),
+        "lambda at (1, 0) must be positive, got 0.0",
+    ),
+    "nonfinite-weight": (
+        pair_table_doc("w", ("0.2", math.nan)),
+        "weight at (0, 2) must be finite, got nan",
+    ),
+    "nonpositive-before-missing": (
+        pair_table_doc("lambda", ("0.1", -1.0), drop=("0.2",)),
+        "lambda at (0, 1) must be positive, got -1.0",
+    ),
+    "missing-before-nonpositive": (
+        pair_table_doc("lambda", ("0.2", -1.0), drop=("0.1",)),
+        "missing lambda for pair (0, 1)",
+    ),
+    "list-table": (
+        {"triangulation": TORUS, "lambda": [2.0] * 6},
+        "lambda table must map pair keys to values, got [2.0, 2.0, 2.0, 2.0, 2.0, 2.0]",
+    ),
+}
+
+
+@pytest.mark.parametrize("doc, message", LOAD_MESSAGES.values(), ids=LOAD_MESSAGES)
+def test_load_messages(tmp_path, doc, message, capsys):
+    # one ValueError from fileio.load, one line and exit 1 from the CLI
+    path = write_doc(tmp_path, doc)
+    with pytest.raises(ValueError) as exc:
+        fileio.load(path)
+    assert str(exc.value) == message
+    assert run(["validate", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cannot read {path}: {message}\n"
+
+
+def test_unknown_pairs_message(torus):
+    # a loaded table names its pairs by key, so this one is reached only
+    # through a table keyed by pairs
+    lam = dict.fromkeys(torus.pairs, 2.0) | {(2, 0): 2.0, (0, 3): 2.0}
+    with pytest.raises(ValueError) as exc:
+        DecoratedBrokenHyperbolic(torus, lam)
+    assert str(exc.value) == "lambdas given for unknown pairs: [(0, 3), (2, 0)]"
+
+
 @pytest.mark.parametrize("kind", ["structure", "measure"])
 def test_validate_reports_positive_zero_residual(tmp_path, torus, kind, capsys):
     # every inequality holds strictly: the residual is 0.0, not -0.0
@@ -592,3 +693,27 @@ def test_unwritable_output_exits_1(structure_file, tmp_path, argv, capsys):
 def test_unknown_command_exits_1():
     assert run(["frobnicate"]) == 1
     assert run([]) == 1
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_cached_parser_carries_no_state(structure_file, tmp_path, torus, capsys):
+    # one parser serves every call in a process, so no flag, default or
+    # error may leak from one call into the next
+    svg = tmp_path / "a.svg"
+    assert run(["develop", structure_file, "--svg", str(svg)]) == 0
+    svg.unlink()
+    assert run(["develop", structure_file]) == 0
+    assert not svg.exists()
+    # within the default tol of 1e-9 only: 2 + 2e-10 > 1 + 1 at face 0
+    w = {p: 1.0 for p in torus.pairs}
+    w[(0, 0)] = 2.0 + 2e-10
+    measure = tmp_path / "measure.json"
+    fileio.save(measure, BrokenMeasure(torus, w))
+    assert run(["validate", str(measure), "--tol", "0"]) == 2
+    assert run(["validate", str(measure)]) == 0
+    assert run(["validate", structure_file, "--bogus"]) == 1
+    assert run(["validate", structure_file]) == 0
+    capsys.readouterr()

@@ -416,6 +416,21 @@ def test_develop_matches_node_oracle(request, name, last_base):
             assert svg == "\n".join([*head, *oracle_svg_body(want), "</svg>"]) + "\n"
 
 
+@pytest.mark.parametrize("name", ["torus", "sphere"])
+def test_output_is_written_per_vertex(request, name):
+    # develop's document and picture read the vertex table through
+    # corner, so writing them builds neither the per-node lifts nor nodes
+    H = samples.random_valid_structure(surface(request, name), samples.rng(13))
+    want = oracle_develop(H, 0, 8)
+    ball = develop(H, 0, 8)
+    text, svg = fileio.canonical_json(ball), render.ball_svg(ball)
+    assert "points" not in ball.__dict__ and "nodes" not in ball.__dict__
+    doc = oracle_ball_dict(0, 8, want) | {"max_drift": max(n.drift for n in want)}
+    assert text == fileio.canonical_json(doc)
+    head = svg.splitlines()[:7]
+    assert svg == "\n".join([*head, *oracle_svg_body(want), "</svg>"]) + "\n"
+
+
 @pytest.mark.parametrize(
     "bad, first",
     [

@@ -89,10 +89,18 @@ def test_structure_references_triangulation_file(tmp_path, torus, gen):
 
 
 def test_pair_keys(torus):
-    keyed = torus.pair_dict(np.arange(6.0).reshape(2, 3))
+    table = np.arange(6.0).reshape(2, 3)
+    keyed = torus.pair_dict(table)
     assert list(keyed) == ["0.0", "0.1", "0.2", "1.0", "1.1", "1.2"]
-    want = dict(zip(torus.pairs, range(6)))
-    assert torus.pairs_from_dict(keyed, "lambda") == want
+    # a full table comes back by flat index, in any key order
+    for d in (keyed, dict(reversed(keyed.items()))):
+        got = torus.pairs_from_dict(d, "lambda")
+        assert got.dtype == float and np.array_equal(got, table)
+    # one that leaves pairs out comes back keyed by pairs, for pair_table
+    del keyed["0.1"]
+    assert torus.pairs_from_dict(keyed, "lambda") == {
+        (0, 0): 0.0, (0, 2): 2.0, (1, 0): 3.0, (1, 1): 4.0, (1, 2): 5.0
+    }
     with pytest.raises(ValueError, match="'nonsense'"):
         torus.pairs_from_dict({"nonsense": 1.0}, "lambda")
 
