@@ -8,7 +8,6 @@ from .develop import (
     cusp_closure_residual,
     deck_candidates,
     develop,
-    develop_along,
     path_holonomy,
     tile_separation,
 )
@@ -43,8 +42,6 @@ from .forms import (
     pullback_residual,
     rank_report,
     ray_measure,
-    scale_lambdas,
-    scaled_image,
     scaling_identity_residual,
     thurston_form,
     to_measure,
@@ -66,7 +63,6 @@ from .minkowski import (
     mform,
     solve_triangle,
     solve_triangles,
-    tangency_point,
 )
 from .triangulation import (
     IdealTriangulation,

@@ -16,15 +16,15 @@ node adds one vertex, its fresh corner, and every node of a BFS level
 crosses independently of the others, so develop fills the table one
 level at a time: a gather of the parents' apex, head and tail vertices
 and the level's coefficients, three multiply-adds, and the level's
-fresh vertices written as one block of rows.  ball.points, each node's
-lift vertices[corner], and ball.nodes, the same ball as DevelopedNode
-objects whose points are tuples of float tuples, are built on first
-access.  A single path (develop_along, and through it
-path_holonomy and cusp_closure_residual) is a sequence of crossings,
-each the flat index 3f+s of the near pair (f, s) it crosses.  It stays
-scalar, one crossing at a time in Python arithmetic on H.crossing_rows,
-the same table as Python floats: on one 3-vector a numpy call costs
-several times the arithmetic it does.
+fresh vertices written as one block of rows.  Node i's lift is
+vertices[corner[i]]; ball.nodes, the same ball as DevelopedNode objects
+whose points are tuples of float tuples, is built on first access.  A
+single path (path_holonomy and cusp_closure_residual, both through
+_develop_along) is a sequence of crossings, each the flat index 3f+s of
+the near pair (f, s) it crosses.  It stays scalar, one crossing at a
+time in Python arithmetic on H.crossing_rows, the same table as Python
+floats: on one 3-vector a numpy call costs several times the arithmetic
+it does.
 
 Broken structures develop by similarity, not isometry: each crossing
 multiplies the running scale by the lambda ratio of the glued pair, and
@@ -41,7 +41,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import minkowski
-from .errors import NumericalBreakdown, OpenPath
+from .errors import NumericalBreakdown
 from .hyperbolic import DecoratedBrokenHyperbolic
 from .triangulation import (
     NEAR,
@@ -138,11 +138,6 @@ class DevelopedBall(UnfoldedBall):
     scale: np.ndarray
     drift: np.ndarray
 
-    @cached_property
-    def points(self) -> np.ndarray:
-        """vertices[corner]: node i's lift, one cone point per row, read-only."""
-        return read_only(self.vertices[self.corner])
-
     def _tree_rows(self):
         """(index, face, depth, parent, entry_slot) per node, None at the root."""
         rows = zip(
@@ -216,29 +211,23 @@ def develop(
     return DevelopedBall(base, depth, *tree, *geometry)
 
 
-def develop_along(H: DecoratedBrokenHyperbolic, crossings):
-    """Develop face by face along a sequence of crossings 3f+s.
+def _develop_along(H: DecoratedBrokenHyperbolic, crossings):
+    """Develop face by face along a nonempty chain of crossings 3f+s.
 
     Returns (start lift, final points, final scale, final face): the
     first face's own (3, 3) lift, the developed lift of the face the
     last crossing enters, the running scale there and that face's index.
-    Consecutive crossings must chain: each one leaves the face the
-    previous one entered.
+    The crossings are trusted: each must be in range and leave the face
+    the previous one entered, as check_loop and T.cycle_crossings ensure.
     """
-    crossings = check_indices(crossings, 3 * H.T.faces, "crossing")
-    if not crossings:
-        raise OpenPath("need at least one crossing")
     face = crossings[0] // 3
     lift = _start_lift(H, face)
     points = tuple(map(tuple, lift.tolist()))
     scale = 1.0
     for c in crossings:
-        if c // 3 != face:
-            raise OpenPath(f"crossing {divmod(c, 3)} does not start on face {face}")
         far, points, step, _ = _cross_edge(H, c, points)
-        face = far // 3
         scale *= step
-    return lift, points, scale, face
+    return lift, points, scale, far // 3
 
 
 @dataclass(frozen=True)
@@ -279,19 +268,23 @@ def path_holonomy(H: DecoratedBrokenHyperbolic, loop) -> PathHolonomy:
     if not loop:
         return PathHolonomy(np.eye(3), 1.0)
     loop = check_loop(H.T, loop)
-    start, points, scale, _ = develop_along(H, loop)
+    start, points, scale, _ = _develop_along(H, loop)
     m_0, m_1 = np.array((start, points)).swapaxes(1, 2)  # points as columns
     return PathHolonomy(m_1 @ np.linalg.inv(m_0), scale)
 
 
 def deck_candidates(H: DecoratedBrokenHyperbolic, ball: DevelopedBall):
-    """Holonomy pairs read off repeats of the base face inside a ball."""
+    """Holonomy pairs read off repeats of the base face inside a ball.
+
+    One (node, matrix, scale) triple per repeat of the base face, in node
+    order: the repeat's frame times the inverse of the root's, and the
+    repeat's scale, as path_holonomy gives them for the path to it.
+    """
     repeats = np.flatnonzero(ball.face == ball.base)  # the root first
     # the root's frame, then every repeat's, with the lift's points as columns
     frames = ball.vertices[ball.corner[repeats]].swapaxes(1, 2)
     mats = frames[1:] @ np.linalg.inv(frames[0])
-    scales = ball.scale[repeats[1:]].tolist()
-    return list(zip(repeats[1:].tolist(), map(PathHolonomy, mats, scales)))
+    return list(zip(repeats[1:].tolist(), mats, ball.scale[repeats[1:]].tolist()))
 
 
 @lru_cache(maxsize=TILE_CACHE_SIZE)
@@ -360,7 +353,7 @@ def cusp_closure_residual(H: DecoratedBrokenHyperbolic, puncture: int) -> float:
     """
     (puncture,) = check_indices([puncture], H.T.num_punctures, "puncture")
     crossings = H.T.cycle_crossings[puncture].tolist()
-    _, points, _, face = develop_along(H, crossings)
+    _, points, _, face = _develop_along(H, crossings)
     assert face == crossings[0] // 3
     # the last crossing's entry slot; the fresh corner sits there
     k2 = int(H.T.partner.ravel()[crossings[-1]]) % 3

@@ -110,27 +110,28 @@ def _ball_json(ball: DevelopedBall) -> str:
     return (_BALL_HEAD + _BALL_ROOT + _BALL_NODE * (n - 1) + _BALL_TAIL) % values
 
 
-def triangulation_from_dict(d: dict) -> IdealTriangulation:
-    return build_triangulation(d["faces"], d["gluing"])
-
-
 def _is_triangulation_dict(d) -> bool:
     return isinstance(d, dict) and "faces" in d and "gluing" in d
 
 
 def _resolve_triangulation(entry, base_dir: str | None) -> IdealTriangulation:
+    """The triangulation a structure or measure names by path or inlines.
+
+    A named file is read as JSON and must hold a triangulation alone, so a
+    file naming itself, or a cycle of files, is rejected, not followed.
+    """
     if isinstance(entry, str):
         path = entry if base_dir is None else os.path.join(base_dir, entry)
-        obj = load(path)
-        if not isinstance(obj, IdealTriangulation):
+        with open(path, "r", encoding="utf-8") as fh:
+            entry = json.load(fh)
+        if not _is_triangulation_dict(entry) or "lambda" in entry or "w" in entry:
             raise ValueError(f"{path} is not a triangulation file")
-        return obj
-    if not _is_triangulation_dict(entry):
+    elif not _is_triangulation_dict(entry):
         raise ValueError(
             '"triangulation" entry is neither a file path nor a dict with '
             '"faces" and "gluing"'
         )
-    return triangulation_from_dict(entry)
+    return build_triangulation(entry["faces"], entry["gluing"])
 
 
 def from_jsonable(d: dict, base_dir: str | None = None):
@@ -143,7 +144,7 @@ def from_jsonable(d: dict, base_dir: str | None = None):
             T = _resolve_triangulation(d["triangulation"], base_dir)
             return BrokenMeasure(T, T.pairs_from_dict(d["w"], "weight"))
         if _is_triangulation_dict(d):
-            return triangulation_from_dict(d)
+            return build_triangulation(d["faces"], d["gluing"])
     raise ValueError("dict is not a triangulation, structure, or measure")
 
 
@@ -165,6 +166,3 @@ def save(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(to_jsonable(obj)))
 
-
-def dumps(obj) -> str:
-    return canonical_json(to_jsonable(obj))

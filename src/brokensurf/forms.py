@@ -152,20 +152,6 @@ def pullback_residual(T: IdealTriangulation) -> float:
     return float(np.max(np.abs(jac.T @ iota @ jac - omega)))
 
 
-def scaled_image(H: DecoratedBrokenHyperbolic, x: float) -> BrokenMeasure:
-    """Weights x * gap(H); the degeneration family's measure image."""
-    return to_measure(H).scale(x)
-
-
-def scale_lambdas(
-    H: DecoratedBrokenHyperbolic, factor: float
-) -> DecoratedBrokenHyperbolic:
-    """Structure with every lambda multiplied by the same factor."""
-    if factor <= 0.0:
-        raise ValueError("factor must be positive")
-    return DecoratedBrokenHyperbolic(H.T, factor * H.lam)
-
-
 def ray_measure(H: DecoratedBrokenHyperbolic, n: float) -> BrokenMeasure:
     """Measure image of the degeneration ray at parameter n, scale 1/n.
 

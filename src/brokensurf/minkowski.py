@@ -214,36 +214,6 @@ def horocycle_arc(points, i: int) -> float:
     return float(horocycle_arcs(points)[i])
 
 
-def tangency_point(u, v, w):
-    """Foot of the perpendicular from w's ideal point onto geodesic (u, v).
-
-    Equivalently the point of the geodesic maximizing <x, w>; for the
-    symmetric decoration it is where the horocycles h(u), h(v) touch.
-    """
-    lam_e_sq = -mform(u, v)
-    lam_f_sq = -mform(v, w)
-    lam_g_sq = -mform(w, u)
-    if min(lam_e_sq, lam_f_sq, lam_g_sq) <= 0.0:
-        raise DegeneratePair("lift is not pairwise negative")
-    s = math.sqrt(lam_f_sq / lam_g_sq) / math.sqrt(2.0 * lam_e_sq)
-    t = math.sqrt(lam_g_sq / lam_f_sq) / math.sqrt(2.0 * lam_e_sq)
-    return s * np.asarray(u, dtype=float) + t * np.asarray(v, dtype=float)
-
-
-def project_poincare(w):
-    """Poincare disk image: (x, y)/(1 + z) on H, (x, y)/z for cone rays."""
-    w = np.asarray(w, dtype=float)
-    q = mform(w, w)
-    scale = max(abs(w[2]) ** 2, 1.0)
-    if abs(q) <= 1e-9 * scale:
-        if w[2] <= 0.0:
-            raise ValueError("cone ray must point up")
-        return np.array([w[0] / w[2], w[1] / w[2]])
-    if abs(q + 1.0) <= 1e-9:
-        return np.array([w[0] / (1.0 + w[2]), w[1] / (1.0 + w[2])])
-    raise ValueError(f"point is neither on H nor on the cone: <w,w> = {q}")
-
-
 def horocycle_disk_circle(u):
     """Euclidean center and radius of h(u)'s image in the Poincare disk.
 

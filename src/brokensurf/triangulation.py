@@ -255,8 +255,9 @@ class IdealTriangulation:
             pair = self.pairs[np.flatnonzero(bad)[0]]
             if keyed and pair not in values:
                 raise ValueError(f"missing {noun} for pair {pair}")
-            need = "positive" if positive else "finite"
-            raise ValueError(f"{noun} at {pair} must be {need}, got {table[pair]}")
+            value = table[pair]
+            need = "positive" if np.isfinite(value) else "finite"
+            raise ValueError(f"{noun} at {pair} must be {need}, got {value}")
         if keyed and len(values) > len(self.pairs):
             extra = sorted(set(values) - set(self.pairs))
             raise ValueError(f"{noun}s given for unknown pairs: {extra}")

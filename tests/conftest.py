@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from brokensurf import forms, render, samples, sphere_fixture, torus_fixture
-from brokensurf.develop import DevelopedNode, PathHolonomy, _cross_edge
+from brokensurf.develop import DevelopedNode, _cross_edge
 from brokensurf.errors import (
     Disconnected,
     NonOrientable,
@@ -275,10 +275,10 @@ def oracle_unbroken_spectrum(T) -> forms.RankReport:
 
 
 @cache
-def bench_surfaces():
-    """perfbench/surfaces.py, the benchmark's seeded surface generator."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "surfaces.py"
-    spec = importlib.util.spec_from_file_location("bench_surfaces", path)
+def bench_module(name: str):
+    """perfbench/<name>.py as a module: "surfaces" (the seeded generator), "tracing"."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
@@ -338,7 +338,7 @@ def oracle_deck(base: int, nodes) -> list:
     repeats = [n for n in nodes[1:] if n.face == base]
     frames = np.array([n.points for n in (nodes[0], *repeats)]).swapaxes(1, 2)
     mats = frames[1:] @ np.linalg.inv(frames[0])
-    return [(n.index, PathHolonomy(m, n.scale)) for n, m in zip(repeats, mats)]
+    return [(n.index, m, n.scale) for n, m in zip(repeats, mats)]
 
 
 def _ray_point(u) -> tuple[float, float]:

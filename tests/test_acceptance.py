@@ -18,6 +18,7 @@ from conftest import random_triangulation
 
 from brokensurf import cli, fileio, forms, minkowski, render, samples
 from brokensurf.develop import (
+    PathHolonomy,
     cusp_closure_residual,
     deck_candidates,
     develop,
@@ -169,7 +170,7 @@ def test_criterion_08_developing(torus):
     start = time.monotonic()
     H = constant_structure(torus, 2.0)
     ball = develop(H, depth=4)
-    holonomies = [hol for _, hol in deck_candidates(H, ball)]
+    holonomies = [PathHolonomy(m, s) for _, m, s in deck_candidates(H, ball)]
     for loop in dual_loops(torus, "punctures") + dual_loops(torus, "basis"):
         holonomies.append(path_holonomy(H, loop))
     assert holonomies

@@ -242,6 +242,37 @@ def test_inline_triangulation_must_be_a_triangulation(tmp_path, table, entry, ca
     )
 
 
+@pytest.mark.parametrize("cycle", [["a.json"], ["a.json", "b.json"]], ids=["self", "two-cycle"])
+@pytest.mark.parametrize("table", ["lambda", "w"])
+def test_named_triangulation_cycle_is_not_followed(tmp_path, table, cycle, capsys):
+    # a file naming itself, or a -> b -> a, used to recurse through
+    # fileio.load until RecursionError escaped the CLI's handler
+    for name, target in zip(cycle, cycle[1:] + cycle[:1]):
+        doc = {"triangulation": target, table: dict.fromkeys(KEYS, 2.0)}
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    path = str(tmp_path / "a.json")
+    message = f"{tmp_path / cycle[1 % len(cycle)]} is not a triangulation file"
+    with pytest.raises(ValueError) as exc:
+        fileio.load(path)
+    assert str(exc.value) == message
+    assert run(["validate", path]) == 1
+    assert capsys.readouterr().err == f"cannot read {path}: {message}\n"
+
+
+@pytest.mark.parametrize("text", ["1e400", "-1e400", "Infinity", "NaN"])
+def test_nonfinite_lambda_is_named_not_finite(tmp_path, torus, text, capsys):
+    # json reads 1e400 as inf; these used to read "must be positive"
+    doc = constant_structure(torus, 2.0).to_dict()
+    doc["lambda"]["0.0"] = "<value>"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc).replace('"<value>"', text), encoding="utf-8")
+    value = float(text)
+    assert run(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"cannot read {path}: lambda at (0, 0) must be finite, got {value}\n"
+    )
+
+
 @pytest.mark.parametrize("table", ["lambda", "w"])
 def test_loader_rejects_int_beyond_float_range(tmp_path, table, capsys):
     # used to escape the CLI's handler as OverflowError with a traceback

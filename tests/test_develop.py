@@ -17,16 +17,17 @@ from conftest import (
 from brokensurf import fileio, minkowski, render, samples
 from brokensurf.develop import (
     DRIFT_BOUND,
+    PathHolonomy,
     _cross_edge,
+    _develop_along,
     _tile_geometry,
     cusp_closure_residual,
     deck_candidates,
     develop,
-    develop_along,
     path_holonomy,
     tile_separation,
 )
-from brokensurf.errors import GeometryError, NumericalBreakdown, OpenPath
+from brokensurf.errors import GeometryError, NumericalBreakdown
 from brokensurf.hyperbolic import constant_structure, embed_unbroken
 from brokensurf.triangulation import check_loop, dual_loops, unfold_ball
 
@@ -142,23 +143,12 @@ def test_unbroken_ball_keeps_unit_scale(torus):
 def test_develop_along_chains(torus, gen):
     H = samples.random_boxed_structure(torus, gen)
     loop = dual_loops(torus, "punctures")[0]
-    lift, points, scale, face = develop_along(H, loop)
+    lift, points, scale, face = _develop_along(H, loop)
     assert face == loop[0] // 3
     for got, want in zip(lift, H.face_lift(face)):
         assert np.array_equal(got, want)
     assert len(points) == 3
     assert scale > 0.0
-
-
-def test_develop_along_rejects_bad_input(torus, gen):
-    H = samples.random_boxed_structure(torus, gen)
-    with pytest.raises(OpenPath):
-        develop_along(H, [])
-    # crossing 0 = (0, 0) lands on face 1, so crossing 1 = (0, 1) on
-    # face 0 does not chain
-    message = "crossing (0, 1) does not start on face 1"
-    with pytest.raises(OpenPath, match=re.escape(message)):
-        develop_along(H, [0, 1])
 
 
 NOT_INTS = {"negative": -1, "bool": True, "float": 1.0, "numpy-int": np.int64(0)}
@@ -177,7 +167,7 @@ def test_paths_reject_what_is_no_crossing(sphere, path):
     # to wrap to the last pair and 6 to raise a bare IndexError
     H = samples.random_valid_structure(sphere, samples.rng(1))
     message = re.escape(f"crossing {path[0]!r} is not an int in range(6)")
-    for call, first in ((check_loop, sphere), (develop_along, H), (path_holonomy, H)):
+    for call, first in ((check_loop, sphere), (path_holonomy, H)):
         with pytest.raises(ValueError, match=message):
             call(first, path)
 
@@ -276,13 +266,13 @@ def test_deck_candidates_unbroken(torus):
     cands = deck_candidates(H, ball)
     assert cands
     root_inv = np.linalg.inv(np.column_stack(ball.nodes[0].points))
-    for index, hol in cands:
+    for index, matrix, scale in cands:
         assert ball.nodes[index].face == 0
-        assert hol.scale == 1.0
-        assert hol.lorentz_residual() <= 1e-9
+        assert scale == 1.0
+        assert PathHolonomy(matrix, scale).lorentz_residual() <= 1e-9
         # end frame times inverse start frame, one node at a time
         want = np.column_stack(ball.nodes[index].points) @ root_inv
-        assert np.allclose(hol.matrix, want, rtol=1e-12, atol=0.0)
+        assert np.allclose(matrix, want, rtol=1e-12, atol=0.0)
 
 
 def test_cusp_closure_unbroken(torus, sphere, gen):
@@ -399,10 +389,10 @@ def test_develop_matches_node_oracle(request, name, last_base):
             want = oracle_develop(H, base, depth)
             assert node_fields(ball.nodes) == node_fields(want)
             deck, want_deck = deck_candidates(H, ball), oracle_deck(base, want)
-            assert [(i, bits(h.scale)) for i, h in deck] == [
-                (i, bits(h.scale)) for i, h in want_deck
+            assert [(i, bits(s)) for i, _, s in deck] == [
+                (i, bits(s)) for i, _, s in want_deck
             ]
-            mats = [np.array([h.matrix for _, h in d]).reshape(-1, 3, 3) for d in (deck, want_deck)]
+            mats = [np.array([m for _, m, _ in d]).reshape(-1, 3, 3) for d in (deck, want_deck)]
             assert np.array_equal(*(m.view(np.int64) for m in mats))
             doc = oracle_ball_dict(base, depth, want) | {"max_drift": max(n.drift for n in want)}
             text = fileio.canonical_json(ball)
@@ -419,12 +409,12 @@ def test_develop_matches_node_oracle(request, name, last_base):
 @pytest.mark.parametrize("name", ["torus", "sphere"])
 def test_output_is_written_per_vertex(request, name):
     # develop's document and picture read the vertex table through
-    # corner, so writing them builds neither the per-node lifts nor nodes
+    # corner, so writing them never builds the nodes
     H = samples.random_valid_structure(surface(request, name), samples.rng(13))
     want = oracle_develop(H, 0, 8)
     ball = develop(H, 0, 8)
     text, svg = fileio.canonical_json(ball), render.ball_svg(ball)
-    assert "points" not in ball.__dict__ and "nodes" not in ball.__dict__
+    assert "nodes" not in ball.__dict__
     doc = oracle_ball_dict(0, 8, want) | {"max_drift": max(n.drift for n in want)}
     assert text == fileio.canonical_json(doc)
     head = svg.splitlines()[:7]
@@ -469,7 +459,7 @@ def test_develop_along_reproduces_every_node(request, name):
         while i:
             path.append(int(ball.crossed[i]))
             i = ball.parent[i]
-        _, points, scale, face = develop_along(H, reversed(path))
+        _, points, scale, face = _develop_along(H, path[::-1])
         assert face == node.face
         assert bits(points) == bits(node.points)
         assert bits(scale) == bits(node.scale)
@@ -477,11 +467,10 @@ def test_develop_along_reproduces_every_node(request, name):
 
 def test_ball_arrays_are_read_only(torus, gen):
     ball = develop(samples.random_boxed_structure(torus, gen), 0, 3)
-    names = ("face", "parent", "entry_slot", "corner", "vertices", "points", "scale", "drift")
+    names = ("face", "parent", "entry_slot", "corner", "vertices", "scale", "drift")
     for name in names:
         with pytest.raises(ValueError):
             getattr(ball, name)[0] = 0
-    assert ball.points.shape == (len(ball.nodes), 3, 3)
     assert ball.nodes is ball.nodes  # built once
     # a child shares the two points of its entry edge with its parent
     for node in ball.nodes[1:]:
@@ -492,8 +481,8 @@ def test_ball_arrays_are_read_only(torus, gen):
 @pytest.mark.parametrize("name", ["torus", "sphere", 20])
 def test_ball_is_its_vertex_table(request, name):
     # develop's tree is unfold_ball's, corner included; each node adds
-    # one vertex, at its entry slot, and points is the table read at the
-    # corners, bit for bit
+    # one vertex, at its entry slot, and its lift is the table read at
+    # its corners, bit for bit
     T = surface(request, name)
     H = samples.random_boxed_structure(T, samples.rng(12))
     for depth in range(7):
@@ -503,9 +492,9 @@ def test_ball_is_its_vertex_table(request, name):
         assert ball.vertices.shape == (n + 2, 3)
         fresh = ball.corner[np.arange(1, n), ball.entry_slot[1:]]
         assert fresh.tolist() == list(range(3, n + 2))
+        lifts = np.array([node.points for node in ball.nodes])
         want = ball.vertices[ball.corner]
-        assert np.array_equal(ball.points.view(np.int64), want.view(np.int64))
-        assert not ball.points.flags.writeable
+        assert np.array_equal(lifts.view(np.int64), want.view(np.int64))
 
 
 def huge_torus(torus):
@@ -548,5 +537,5 @@ def test_drift_gate_names_first_failing_crossing(torus, gen, values, drift):
     with pytest.raises(NumericalBreakdown, match=re.escape(message)):
         develop(H, 0, 3)
     with pytest.raises(NumericalBreakdown, match=re.escape(message)):
-        develop_along(H, [1])
+        _develop_along(H, [1])
     assert develop(H, 0, 0).max_drift() == 0.0

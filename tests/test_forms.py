@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse
 
 from conftest import (
-    bench_surfaces,
+    bench_module,
     dense,
     oracle_constrained_rank,
     oracle_unbroken_spectrum,
@@ -93,14 +93,6 @@ def test_from_measure_rejects_negative(torus):
         forms.from_measure(BrokenMeasure(torus, w))
 
 
-def test_scaled_image(sphere, gen):
-    H = samples.random_valid_structure(sphere, gen)
-    m = forms.scaled_image(H, 0.25)
-    assert m.w == pytest.approx(0.25 * H.gaps(), rel=1e-14)
-    with pytest.raises(ValueError):
-        forms.scaled_image(H, -1.0)
-
-
 def test_scaling_identity_residual(torus, gen):
     H = samples.random_valid_structure(torus, gen)
     omega = forms.wp_form(torus)
@@ -116,7 +108,7 @@ def test_ray_measure_matches_materialized(torus, gen):
     H = samples.random_valid_structure(torus, gen)
     for n in (1.0, 3.0, 50.0, 400.0):
         symbolic = forms.ray_measure(H, n)
-        blown = forms.scale_lambdas(H, math.exp(n / 2.0))
+        blown = DecoratedBrokenHyperbolic(torus, math.exp(n / 2.0) * H.lam)
         direct = forms.to_measure(blown).scale(1.0 / n)
         for p in torus.pairs:
             assert symbolic.w[p] == pytest.approx(direct.w[p], abs=1e-12)
@@ -221,7 +213,7 @@ def test_unbroken_spectrum_matches_dense_oracle(table_surface):
 
 def test_unbroken_spectrum_matches_dense_oracle_on_bench_file(tmp_path):
     # the benchmark generator's F=400 seed-1 surface, read back from its file
-    surf = bench_surfaces()
+    surf = bench_module("surfaces")
     surface = surf.random_surface("f400", 400, 1, kinds=("broken",))
     T = fileio.load(surf.write_files(surface, str(tmp_path))["triangulation"])
     assert T.faces == 400

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
 
 from brokensurf import minkowski as mk
 from brokensurf import samples
@@ -234,74 +233,6 @@ def test_arc_matches_closed_form_ratio():
     assert consts[0] == pytest.approx(SQRT2, rel=1e-12)
 
 
-def test_tangency_point_all_sqrt2():
-    # the edge from (1,0,1) to (-1,0,1) carries its foot at the apex of H
-    lift = mk.solve_triangle(mk.DEFAULT_RAYS, (SQRT2, SQRT2, SQRT2))
-    f = mk.tangency_point(lift[0], lift[2], lift[1])
-    assert np.allclose(f, (0.0, 0.0, 1.0), atol=1e-12)
-    # at the symmetric decoration the edge horocycles touch there
-    assert mk.mform(f, lift[0]) == pytest.approx(-1.0, abs=1e-12)
-    assert mk.mform(f, lift[2]) == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_tangency_point_properties(gen):
-    # on the hyperboloid, on the edge plane, and at closed-form depths
-    # into the three horoballs
-    for _ in range(50):
-        lift = samples.random_lift(gen)
-        u, v, w = lift
-        lam_e = mk.lambda_pair(u, v)
-        lam_f = mk.lambda_pair(v, w)
-        lam_g = mk.lambda_pair(w, u)
-        f = mk.tangency_point(u, v, w)
-        assert mk.mform(f, f) == pytest.approx(-1.0, rel=1e-12)
-        assert np.linalg.det(np.column_stack([u, v, f])) == pytest.approx(
-            0.0, abs=1e-9
-        )
-        assert mk.mform(f, u) == pytest.approx(
-            -lam_g * lam_e / (SQRT2 * lam_f), rel=1e-11
-        )
-        assert mk.mform(f, v) == pytest.approx(
-            -lam_f * lam_e / (SQRT2 * lam_g), rel=1e-11
-        )
-        assert mk.mform(f, w) == pytest.approx(
-            -SQRT2 * lam_f * lam_g / lam_e, rel=1e-11
-        )
-
-
-def test_tangency_point_minimizes_distance_to_opposite_horoball(gen):
-    # independent oracle: parametrize the edge geodesic between u and v
-    # and minimize the Busemann level of the opposite vertex's horocycle
-    # along it; the minimizer is the tangency point.
-    for _ in range(20):
-        lift = samples.random_lift(gen)
-        u, v, w = lift
-
-        def level(t):
-            p = math.exp(-t) * u + math.exp(t) * v / (-mk.mform(u, v))
-            p = p / math.sqrt(-mk.mform(p, p))
-            return -mk.mform(p, w)
-
-        res = minimize_scalar(level, bounds=(-20, 20), method="bounded",
-                              options={"xatol": 1e-12})
-        f = mk.tangency_point(u, v, w)
-        p_star = math.exp(-res.x) * u + math.exp(res.x) * v / (-mk.mform(u, v))
-        p_star = p_star / math.sqrt(-mk.mform(p_star, p_star))
-        assert np.allclose(f, p_star, atol=1e-6)
-        assert level(res.x) >= -mk.mform(f, w) - 1e-9
-
-
-def test_project_poincare():
-    assert np.allclose(mk.project_poincare((0.0, 0.0, 1.0)), (0.0, 0.0))
-    assert np.allclose(mk.project_poincare((3.0, 4.0, 5.0)), (0.6, 0.8))
-    # hyperboloid point (0, 3/4, 5/4): disk point (0, 1/3)
-    assert np.allclose(
-        mk.project_poincare((0.0, 0.75, 1.25)), (0.0, 1.0 / 3.0), atol=1e-12
-    )
-    with pytest.raises(ValueError):
-        mk.project_poincare((1.0, 0.0, 3.0))
-
-
 def test_horocycle_disk_circle_tangency():
     gen = samples.rng(3)
     for _ in range(50):
@@ -309,7 +240,7 @@ def test_horocycle_disk_circle_tangency():
         center, r = mk.horocycle_disk_circle(u)
         # internally tangent to the unit circle at the ray's boundary point
         assert np.linalg.norm(center) + r == pytest.approx(1.0, abs=1e-12)
-        boundary = mk.project_poincare(u)
+        boundary = u[:2] / u[2]  # the ray's point on the unit circle
         assert np.allclose(center / np.linalg.norm(center), boundary, atol=1e-9)
 
 
@@ -321,5 +252,5 @@ def test_horocycle_disk_circle_matches_hyperboloid_points(gen):
         center, r = mk.horocycle_disk_circle(u)
         v = samples.random_rays(gen)[1]
         p = mk.horocycle_edge_point(u, v)  # one point of the horocycle
-        disk = mk.project_poincare(p)
+        disk = p[:2] / (1.0 + p[2])  # the hyperboloid point in the disk
         assert np.linalg.norm(disk - center) == pytest.approx(r, rel=1e-10)

@@ -113,8 +113,9 @@ def test_unrecognized_payloads():
 
 
 def test_dumps_deterministic(torus):
-    assert fileio.dumps(torus) == fileio.dumps(torus)
-    assert fileio.dumps(torus).endswith("\n")
+    text = fileio.canonical_json(fileio.to_jsonable(torus))
+    assert fileio.canonical_json(fileio.to_jsonable(torus)) == text
+    assert text.endswith("\n")
 
 
 # -- pictures -----------------------------------------------------------
