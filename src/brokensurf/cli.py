@@ -6,13 +6,14 @@ calibrate --samples below 1, a negative --seed, a --tol that is negative
 or not finite, ray --steps that are not positive and finite or whose
 weights overflow, a develop --base that is not a face of the file), 2
 when a loaded object fails validation, 3 when calibrate or holonomy
-misses its --tol, 4 when the numbers break down on valid input (a lift
-out of float range, or a developed point off the light cone).  develop
-and holonomy validate their structure first and on failure print only
-its report and exit 2.
+misses its --tol, 4 when the numbers break down on valid input (a face
+lift out of float range, near lambda 1e77, a developed point whose
+light-cone drift is above DRIFT_BOUND, infinite or NaN, or an unbroken
+singular value too small to resolve).  develop and holonomy validate
+their structure first and on failure print only its report and exit 2.
 Every command prints one JSON document to stdout, or to --out when given.
 
-A zero gap is one with |log(lambda^2 / 2)| <= GAP_FLOOR, everywhere.
+A zero gap is one with |2 log(lambda) - log(2)| <= GAP_FLOOR, everywhere.
 Where it leaves a figure undefined, the command reports it as null and
 keeps its exit code: holonomy's gap_holonomy at a puncture whose corner
 cycle meets one on either side of a crossing, and forms --constrained's
@@ -163,8 +164,7 @@ def cmd_forms(args) -> int:
         if structure is None:
             structure = samples.random_valid_structure(T, samples.rng(args.seed))
             doc["constrained_at"] = f"random structure, seed {args.seed}"
-        with np.errstate(over="ignore"):  # rank_report names an overflowed gap
-            structure.gaps()  # raises for a lambda below sqrt(2) anywhere
+        structure.gaps()  # raises for a lambda below sqrt(2) anywhere
         doc["constrained_rank"] = (
             None if structure.zero_gap.any()
             else forms.rank_report(T, structure, constrained=True).to_dict()

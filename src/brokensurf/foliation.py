@@ -47,10 +47,12 @@ class BrokenMeasure:
     def _smalls(self) -> np.ndarray:
         """Unclamped small weights, w @ SMALL_FROM_LARGE.T.
 
-        Evaluated as (neighbour sum - own weight) / 2, the order the corner
-        equations are written in, so each value rounds the same way.
+        Halving first is exact, so each value rounds as the corner equations'
+        (neighbour sum - own weight) / 2 does, and no sum of two weights
+        near the float maximum overflows.
         """
-        return 0.5 * (self.w @ LARGE_FROM_SMALL.T - self.w)
+        half = 0.5 * self.w
+        return half @ LARGE_FROM_SMALL.T - half
 
     @cached_property
     def _face_scale(self) -> np.ndarray:

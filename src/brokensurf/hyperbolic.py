@@ -2,15 +2,17 @@
 
 A structure assigns a positive lambda to every (face, slot) pair; the two
 sides of an edge may disagree, which is the brokenness.  The horocycle
-gap of a pair is delta = log(lambda^2 / 2), the distance cut off on the
-edge between the decoration horocycles at its two ends, measured in that
-face's metric.  Edge gluings are pinned by the two decoration crossing
-points, so the homothety factor across an edge is the gap ratio
-delta(far)/delta(near) and vanishing gaps leave the gluing underdetermined.
+gap of a pair is delta = 2 log(lambda) - log(2), finite for any finite
+lambda, the distance cut off on the edge between the decoration
+horocycles at its two ends, measured in that face's metric.  Edge
+gluings are pinned by the two decoration crossing points, so the
+homothety factor across an edge is the gap ratio delta(far)/delta(near)
+and vanishing gaps leave the gluing underdetermined.
 
 Validity: per face, lambda_j * lambda_k >= sqrt(2) * lambda_i for each
-slot i (equivalently the dual small weights are nonnegative), and the
-gap-ratio product around every puncture is 1 up to its gaps' rounding.
+slot i, checked as its log (delta_j + delta_k - delta_i) / 2 >= 0, the
+gap measure's small weight; and the gap-ratio product around every
+puncture is 1 up to its gaps' rounding.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import DegenerateEdge, InvalidDecoration
 from .triangulation import NEXT, PREV, IdealTriangulation, check_indices, read_only
 
 SQRT2 = math.sqrt(2.0)
+LOG2 = math.log(2.0)
 EPS = float(np.finfo(float).eps)
 
 # Gaps this close to zero count as exactly degenerate decoration.
@@ -89,12 +92,11 @@ class DecoratedBrokenHyperbolic:
 
     @cached_property
     def _gaps(self) -> np.ndarray:
-        """Signed gaps log(lambda^2 / 2), unclamped, one per pair."""
-        # float_power squares through libm pow, as Python's float ** 2 does
-        return np.log(np.float_power(self.lam, 2) / 2.0)
+        """Signed gaps 2 log(lambda) - log(2), unclamped, one per pair."""
+        return 2.0 * np.log(self.lam) - LOG2
 
     def gaps(self) -> np.ndarray:
-        """Every pair's gap log(lambda^2 / 2); InvalidDecoration below sqrt(2)."""
+        """Every pair's gap, finite for any lambda; InvalidDecoration below sqrt(2)."""
         below = np.flatnonzero(self._gaps < -GAP_FLOOR)
         if below.size:
             pair = self.T.pairs[below[0]]
@@ -105,7 +107,7 @@ class DecoratedBrokenHyperbolic:
 
     @cached_property
     def zero_gap(self) -> np.ndarray:
-        """Pairs with |log(lambda^2 / 2)| <= GAP_FLOOR: the one zero-gap test.
+        """Pairs with |2 log(lambda) - log(2)| <= GAP_FLOOR: the one zero-gap test.
 
         A zero gap on either side of an edge leaves its gluing unpinned.
         """
@@ -231,15 +233,14 @@ class DecoratedBrokenHyperbolic:
 
     def validate(self, tol: float = 1e-9) -> ValidityReport:
         report = ValidityReport(valid=True)
-        lam = self.lam
-        # slot i: lambda_j * lambda_k >= sqrt(2) * lambda_i, relative margin
-        both = lam[:, NEXT] * lam[:, PREV]
-        rel = (both - SQRT2 * lam) / both
-        bad = self.T.pairs_where(rel < -tol)
+        # slot i's small weight log(lambda_j * lambda_k / (sqrt(2) * lambda_i))
+        g = self._gaps
+        small = (g[:, NEXT] + g[:, PREV] - g) / 2
+        bad = self.T.pairs_where(small < -tol)
         report.add(
             "face_inequalities",
             not bad,
-            max(0.0, -float(rel.min())),
+            max(0.0, -float(small.min())),
             f"violations at (face, slot): {bad}" if bad else "",
         )
 
@@ -249,7 +250,7 @@ class DecoratedBrokenHyperbolic:
         report.add(
             "gaps_nonnegative",
             not below,
-            float(np.max((SQRT2 - lam) / SQRT2)) if below else 0.0,
+            float(np.max((SQRT2 - self.lam) / SQRT2)) if below else 0.0,
             f"lambda below sqrt(2) at pairs: {below}" if below else "",
         )
 

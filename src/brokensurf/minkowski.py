@@ -47,8 +47,11 @@ def mform(u, v) -> float:
 
 def renorm_lightcone(u):
     """Project back to the cone along z; returns (float triple, relative drift)."""
-    x, y = float(u[0]), float(u[1])
-    drift = abs(mform(u, u)) / (float(u[2]) ** 2) if u[2] else float("inf")
+    x, y, z = float(u[0]), float(u[1]), float(u[2])
+    try:
+        drift = abs(mform(u, u)) / z**2 if z else math.inf
+    except OverflowError:  # z^2 out of float range
+        drift = math.inf
     return (x, y, math.hypot(x, y)), drift
 
 

@@ -403,6 +403,18 @@ def oracle_svg_body(nodes) -> list:
     return body
 
 
+def drift_overflow_torus(torus):
+    """Valid, with a lift in range whose next developed corner's z^2 overflows.
+
+    The lambdas of from_measure(random_measure(torus, rng(0)).scale(170))
+    under the chart lambda = sqrt(2 e^w).
+    """
+    return DecoratedBrokenHyperbolic(torus, [
+        [419023899568.78577, 1.5014618832362698e25, 4.1991394596172556e33],
+        [7.358875474558624e63, 2.851238658882777e34, 6.060789986579788e30],
+    ])
+
+
 @pytest.fixture(scope="session")
 def torus():
     return torus_fixture()

@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from conftest import drift_overflow_torus
 
 from brokensurf import cli, fileio, samples
 from brokensurf.errors import DegenerateEdge
@@ -452,24 +458,115 @@ def test_forms_block_spectrum_is_exact(torus_file, capsys):
 
 
 @pytest.mark.parametrize("scale", [1e100, 1e200])
-def test_forms_constrained_at_overflowing_gap_exits_4(tmp_path, sphere, scale, capsys):
-    # at 1e200 lambda squared overflows and every slope 2 / gap would be
-    # 0: no constraint and a full rank; valid input, so exit 4, not 2
+def test_forms_constrained_at_huge_lambda(tmp_path, sphere, scale, capsys):
+    # gaps come from log(lambda), so they stay finite where lambda^2
+    # overflows (1e200) and linearize to the same constraints as at 1e100
     path = tmp_path / "huge.json"
     fileio.save(path, embed_unbroken(sphere, [scale, 2 * scale, 1.5 * scale]))
-    code = run(["forms", str(path), "--constrained"])
-    if scale == 1e100:
-        assert code == 0
-        constrained = read_doc(capsys)["constrained_rank"]
-        assert (constrained["num_constraints"], constrained["rank"]) == (2, 2)
-        return
-    assert code == 4
+    assert run(["forms", str(path), "--constrained"]) == 0
+    constrained = read_doc(capsys)["constrained_rank"]
+    assert (constrained["num_constraints"], constrained["rank"]) == (2, 2)
+
+
+# --- the float range -------------------------------------------------------
+
+# each command's arguments before the file
+FLOAT_RANGE_COMMANDS = {
+    "validate": ["validate"],
+    "ray": ["ray"],
+    "forms": ["forms", "--constrained"],
+    "develop": ["develop"],
+    "holonomy": ["holonomy"],
+    "holonomy-basis": ["holonomy", "--loops", "basis"],
+}
+LIFTED = ("develop", "holonomy", "holonomy-basis")
+
+
+def float_range_structure(T, scale):
+    """Edges (L, 2L, 1.5L) for a large L; every pair at L for a small one."""
+    if scale > 1.0:
+        return embed_unbroken(T, [scale, 2 * scale, 1.5 * scale])
+    return DecoratedBrokenHyperbolic(T, np.full((T.faces, 3), scale))
+
+
+def float_range_exit(scale, command) -> int:
+    """0 in range; past 1e77 a face lift leaves float range; below sqrt(2), 2."""
+    if scale < 1.0:
+        return 2
+    return 4 if scale > 1e77 and command in LIFTED else 0
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def check_float_range_run(scale, command, code, out, err):
+    assert code == float_range_exit(scale, command), err
+    assert "Traceback" not in err and "Warning" not in err, err
+    if out:  # one finite JSON document, or nothing
+        assert out == fileio.canonical_json(
+            json.loads(out, parse_constant=reject_constant)
+        )
+    if code == 4:
+        assert out == "" and err.startswith("NumericalBreakdown: ")
+    if scale < 1.0 and command in ("ray", "forms"):
+        gap = float(err.rsplit("gap ", 1)[1])
+        assert err.startswith("InvalidDecoration: ") and math.isfinite(gap)
+
+
+@pytest.mark.parametrize("command", FLOAT_RANGE_COMMANDS)
+@pytest.mark.parametrize("scale", [1e76, 1e155, 1e300, 1e-300, 5e-324])
+@pytest.mark.parametrize("surface", ["torus", "sphere"])
+def test_float_range(tmp_path, request, surface, scale, command, capsys):
+    path = tmp_path / "range.json"
+    H = float_range_structure(request.getfixturevalue(surface), scale)
+    fileio.save(path, H)
+    code = run([*FLOAT_RANGE_COMMANDS[command], str(path)])
+    captured = capsys.readouterr()
+    check_float_range_run(scale, command, code, captured.out, captured.err)
+
+
+def run_subprocess(argv) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, with Python's default warning filters."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    ))
+    script = "import sys; from brokensurf.cli import main; sys.exit(main())"
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
+
+
+@pytest.mark.parametrize("scale", [1e76, 1e300, 5e-324])
+def test_float_range_by_subprocess(tmp_path, torus, scale):
+    path = tmp_path / "range.json"
+    fileio.save(path, float_range_structure(torus, scale))
+    for command, argv in FLOAT_RANGE_COMMANDS.items():
+        done = run_subprocess([*argv, str(path)])
+        check_float_range_run(scale, command, done.returncode, done.stdout, done.stderr)
+
+
+@pytest.mark.parametrize("loops", ["punctures", "basis"])
+def test_holonomy_drift_overflow_exits_4(tmp_path, torus, loops, capsys):
+    path = tmp_path / "drift.json"
+    fileio.save(path, drift_overflow_torus(torus))
+    assert run(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert run(["holonomy", str(path), "--loops", loops]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "NumericalBreakdown: gap at (0, 0) is not finite: "
-        "lambda 1e+200 squared overflows\n"
-    )
+    assert captured.err.startswith("NumericalBreakdown: light-cone drift ")
+
+
+def test_validate_measure_near_float_max(tmp_path, torus, capsys):
+    # every small weight is 5e307: valid, though two weights sum past the max
+    path = tmp_path / "max.json"
+    fileio.save(path, BrokenMeasure(torus, np.full((torus.faces, 3), 1e308)))
+    assert run(["validate", str(path)]) == 0
+    report = read_doc(capsys)["report"]
+    assert report["valid"] and all(c["passed"] for c in report["checks"])
 
 
 def test_forms_impossible_tolerance(torus_file, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    drift_overflow_torus,
     oracle_ball_dict,
     oracle_deck,
     oracle_develop,
@@ -514,6 +515,19 @@ def test_lift_out_of_float_range_breaks_down(torus):
             develop(H, 0, depth)
     with pytest.raises(NumericalBreakdown, match="lift of face 0 is not finite"):
         path_holonomy(H, dual_loops(torus, "punctures")[0])
+
+
+def test_drift_overflow_breaks_down(torus):
+    # the start lift is in range, but a fresh corner's z^2 overflows: an
+    # infinite drift that fails the gate, not an OverflowError
+    H = drift_overflow_torus(torus)
+    assert H.validate().valid
+    message = "light-cone drift inf crossing (1, 1)"
+    for loop in ((1, 4), dual_loops(torus, "punctures")[0]):
+        with pytest.raises(NumericalBreakdown, match=re.escape(message)):
+            path_holonomy(H, loop)
+    with pytest.raises(NumericalBreakdown, match=re.escape(message)):
+        cusp_closure_residual(H, 0)
 
 
 def doctored(H, rows):

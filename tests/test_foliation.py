@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import glued, oracle_table, table_structures
+from conftest import glued, oracle_table, random_triangulation, table_structures
 
 from brokensurf import forms, samples
 from brokensurf.errors import TriangleInequalityViolated
@@ -33,6 +33,22 @@ def test_switch_conditions(torus, sphere, gen):
         m = samples.random_measure(T, gen)
         smalls = m.small_weights()
         assert smalls[:, NEXT] + smalls[:, PREV] == pytest.approx(m.w, rel=1e-14)
+
+
+def test_small_weights_near_float_max(torus):
+    # halving before summing keeps two weights near the max in range
+    m = BrokenMeasure(torus, np.full((2, 3), 1e308))
+    assert np.all(m.small_weights() == 5e307)
+
+
+def test_small_weights_halve_first_without_moving_a_bit(gen):
+    # halving is exact, so (sum - own) / 2 and sum / 2 - own / 2 agree
+    T = random_triangulation(200, 3)
+    L = np.ones((3, 3)) - np.eye(3)
+    for exponent in range(-300, 301, 25):
+        w = gen.uniform(0.0, 1.0, size=(200, 3)) * 10.0**exponent
+        old = 0.5 * (w @ L.T - w)
+        assert np.array_equal(BrokenMeasure(T, w)._smalls, old)
 
 
 def test_small_weight_roundtrip(torus, gen):

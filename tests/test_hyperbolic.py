@@ -5,7 +5,7 @@ import pytest
 
 from conftest import glued, oracle_table, random_triangulation, table_structures
 
-from brokensurf import minkowski, samples
+from brokensurf import forms, minkowski, samples
 from brokensurf.errors import DegenerateEdge, InvalidDecoration
 from brokensurf.foliation import BrokenMeasure
 from brokensurf.hyperbolic import (
@@ -16,6 +16,7 @@ from brokensurf.hyperbolic import (
     embed_unbroken,
 )
 from brokensurf.minkowski import lambda_pair
+from brokensurf.triangulation import NEXT, PREV
 
 
 def boxed(T, seed=0):
@@ -28,6 +29,35 @@ def test_gap_definition(torus):
     H2 = constant_structure(torus)  # all sqrt2: gaps at rounding level
     assert np.all(np.abs(H2.gaps()) <= 1e-15)
     assert np.all(H2.gaps() <= GAP_FLOOR)
+
+
+def test_gaps_are_finite_on_the_whole_float_range(torus):
+    # 2 log(lambda) - log(2) never squares lambda, so neither end overflows
+    huge = embed_unbroken(torus, [1e300, 2e300, 1.5e300])
+    want = 2.0 * math.log(1e300) - math.log(2.0)
+    assert huge.gaps()[0, 0] == pytest.approx(want, rel=1e-15)
+    report = huge.validate()
+    assert report.valid and not report.warnings
+    tiny = constant_structure(torus, 5e-324)
+    assert np.isfinite(tiny._gaps).all()
+    checks = {c.name: c for c in tiny.validate().checks}
+    assert not checks["gaps_nonnegative"].passed
+    assert checks["face_inequalities"].residual == pytest.approx(-tiny._gaps[0, 0] / 2)
+
+
+def test_face_check_is_the_gap_measures_triangle_inequality(torus, gen):
+    # (g_j + g_k - g_i) / 2 = log(lambda_j lambda_k / (sqrt2 lambda_i)): the
+    # face inequality's log margin is the small weight of the gap measure
+    for _ in range(100):
+        lam = np.exp(gen.uniform(math.log(SQRT2), 3.0, size=(2, 3)))
+        H = DecoratedBrokenHyperbolic(torus, lam)
+        check = {c.name: c for c in H.validate().checks}["face_inequalities"]
+        margin = np.log(lam[:, NEXT] * lam[:, PREV] / (SQRT2 * lam))
+        assert check.residual == pytest.approx(max(0.0, -margin.min()), abs=1e-14)
+        assert check.passed == (margin.min() >= -1e-9)
+        m = forms.to_measure(H)
+        assert m._smalls == pytest.approx(margin, abs=1e-14)
+        assert m.validate().valid == check.passed
 
 
 def test_gap_rejects_short_lambda(torus):
@@ -179,12 +209,15 @@ def test_validate_valid(sphere, gen):
 
 def test_validate_flags_face_inequality(torus):
     lam = {p: 2.0 for p in torus.pairs}
-    lam[(0, 0)] = 2.9  # 2 * 2 < sqrt2 * 2.9 * ... no wait: 4 > 4.1
+    lam[(0, 0)] = 2.9  # 2 * 2 < sqrt2 * 2.9
     H = DecoratedBrokenHyperbolic(torus, lam)
     rep = H.validate()
     assert not rep.valid
     names = {c.name: c for c in rep.checks}
     assert not names["face_inequalities"].passed
+    # the residual is the log margin log(sqrt2 lambda_i / (lambda_j lambda_k))
+    want = math.log(SQRT2 * 2.9 / 4.0)
+    assert names["face_inequalities"].residual == pytest.approx(want, rel=1e-13)
 
 
 def test_validate_flags_short_lambda_without_raising(torus):

@@ -52,6 +52,13 @@ def test_renorm_lightcone():
     assert 0.0 < drift < 1e-13
 
 
+def test_renorm_lightcone_drift_is_infinite_past_float_range():
+    # z^2 overflows, and z = 0 has no drift to scale: both fail any gate
+    u, drift = mk.renorm_lightcone((3e200, 4e200, 5e200))
+    assert u[:2] == (3e200, 4e200) and drift == math.inf
+    assert mk.renorm_lightcone((0.0, 0.0, 0.0))[1] == math.inf
+
+
 def test_solve_triangle_all_sqrt2():
     lift = mk.solve_triangle(mk.DEFAULT_RAYS, (SQRT2, SQRT2, SQRT2))
     target = [(1.0, 0.0, 1.0), (0.0, 2.0, 2.0), (-1.0, 0.0, 1.0)]
