@@ -1,15 +1,15 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 for unusable input (bad flags, unreadable or
-malformed files, an --out or --svg path that cannot be written,
-calibrate --samples below 1, a negative --seed, a --tol that is negative
-or not finite, ray --steps that are not positive and finite or whose
-weights overflow, a develop --base that is not a face of the file), 2
-when a loaded object fails validation, 3 when calibrate or holonomy
-misses its --tol, 4 when the numbers break down on valid input (a face
-lift out of float range, near lambda 1e77, a developed point whose
-light-cone drift is above DRIFT_BOUND, infinite or NaN, or an unbroken
-singular value too small to resolve).  develop and holonomy validate
+Exit codes: 0 on success, 1 for unusable input (a bad flag value, which
+the parser reports as usage and one error line; an unreadable or
+malformed file, an --out or --svg path that cannot be written, ray
+--steps whose weights overflow, or a develop --base that is not a face
+of the file), 2 when a loaded object fails validation, 3 when calibrate
+or holonomy misses its --tol, 4 when the numbers break down on valid
+input (a face lift out of float range, near lambda 1e77, a developed
+point whose light-cone drift is above DRIFT_BOUND, infinite or NaN, or
+an unbroken singular value too small to resolve), printed as one typed
+line on stderr with no numpy warning.  develop and holonomy validate
 their structure first and on failure print only its report and exit 2.
 Every command prints one JSON document to stdout, or to --out when given.
 
@@ -35,7 +35,7 @@ import numpy as np
 from . import fileio, forms, minkowski, render, samples
 from .develop import cusp_closure_residual, develop, path_holonomy
 from .errors import DegenerateEdge, GeometryError, NumericalBreakdown
-from .hyperbolic import DecoratedBrokenHyperbolic
+from .hyperbolic import SQRT2, DecoratedBrokenHyperbolic
 from .triangulation import IdealTriangulation, dual_loops
 
 EXIT_OK = 0
@@ -78,6 +78,11 @@ _positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
 _seed = _checked(int, lambda n: n >= 0, "a nonnegative integer")
 _tolerance = _checked(
     float, lambda x: 0.0 <= x < math.inf, "a finite number of at least 0"
+)
+_steps = _checked(
+    lambda text: [float(n) for n in text.split(",") if n],
+    lambda steps: steps and all(0.0 < n < math.inf for n in steps),
+    "a comma-separated list of positive finite numbers",
 )
 
 
@@ -175,16 +180,8 @@ def cmd_forms(args) -> int:
 
 def cmd_ray(args) -> int:
     H = _load_structure(args.file)
-    try:
-        steps = [float(n) for n in args.steps.split(",") if n]
-    except ValueError:
-        print(f"bad --steps list: {args.steps!r}", file=sys.stderr)
-        return EXIT_USAGE
-    if not steps or not all(0.0 < n < math.inf for n in steps):
-        print("--steps needs positive finite values", file=sys.stderr)
-        return EXIT_USAGE
     rows = []
-    for n in steps:
+    for n in args.steps:
         try:
             measure = forms.ray_measure(H, n)
         except ValueError as exc:
@@ -224,7 +221,7 @@ def cmd_calibrate(args) -> int:
         lo, hi = min(lo, float(ratios.min())), max(hi, float(ratios.max()))
     mean = total / args.samples
     spread = hi - lo
-    expected = 2.0**0.5
+    expected = SQRT2
     doc = {
         "samples": args.samples,
         "constant": mean,
@@ -305,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ray", help="measure images along the degeneration ray")
     p.add_argument("file", help="structure file")
-    p.add_argument("--steps", default="1,10,100,10000,1000000")
+    p.add_argument("--steps", type=_steps, default="1,10,100,10000,1000000")
     common(p)
     p.set_defaults(func=cmd_ray)
 

@@ -138,29 +138,20 @@ class DevelopedBall(UnfoldedBall):
     scale: np.ndarray
     drift: np.ndarray
 
-    def _tree_rows(self):
-        """(index, face, depth, parent, entry_slot) per node, None at the root."""
-        rows = zip(
-            range(len(self.face)),
-            self.face.tolist(),
-            self.depths.tolist(),
-            self.parent.tolist(),
-            self.entry_slot.tolist(),
-        )
-        i, f, d, _, _ = next(rows)
-        yield i, f, d, None, None
-        yield from rows
-
     @cached_property
     def nodes(self) -> tuple:
         """The ball as DevelopedNode objects, built on first access.
 
-        Nodes meeting at a vertex share its (x, y, z) tuple.
+        Nodes meeting at a vertex share its (x, y, z) tuple; the root has
+        None for parent and entry slot.
         """
         cone = np.fromiter(zip(*self.vertices.T.tolist()), object, len(self.vertices))
         lifts = map(tuple, cone[self.corner].tolist())
-        rows = zip(self._tree_rows(), lifts, self.scale.tolist(), self.drift.tolist())
-        return tuple(DevelopedNode(*row, lift, s, d) for row, lift, s, d in rows)
+        parent, entry_slot = self.parent.tolist(), self.entry_slot.tolist()
+        parent[0] = entry_slot[0] = None
+        tree = (self.face.tolist(), self.depths.tolist(), parent, entry_slot)
+        geometry = (lifts, self.scale.tolist(), self.drift.tolist())
+        return tuple(map(DevelopedNode, range(len(parent)), *tree, *geometry))
 
     def max_drift(self) -> float:
         return float(self.drift.max())
@@ -175,8 +166,9 @@ def develop(
     arithmetic of _cross_edge in the same order, so every float is the
     one a crossing-by-crossing walk gives.  A fresh corner whose drift is
     not within DRIFT_BOUND (NaN included) raises NumericalBreakdown
-    naming the first such crossing in BFS order, as does a base lift out
-    of float range.
+    naming the first such crossing in BFS order and its drift by
+    renorm_lightcone, as the scalar walk does; so does a base lift out of
+    float range.
     """
     tree = ball_tree(H.T, base, depth)
     _, parent, _, crossed, levels, corner = tree
@@ -201,9 +193,9 @@ def develop(
             )
             if not level_drift.max() <= DRIFT_BOUND:  # NaN fails too
                 i = int(np.argmin(level_drift <= DRIFT_BOUND))
-                bad = float(level_drift[i]) if u[i, 2] else math.inf
+                bad = minkowski.renorm_lightcone(u[i])[1]
                 raise _breakdown(bad, int(crossed[a + i]))
-            u[:, 2] = list(map(math.hypot, *u[:, :2].T.tolist()))
+            u[:, 2] = minkowski.hypots(u[:, 0], u[:, 1])
             vertices[a + 2 : b + 2] = u
             scale[a:b] = scale[parent[a:b]] * step[:, 0]
             drift[a:b] = level_drift

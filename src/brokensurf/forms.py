@@ -131,12 +131,18 @@ def to_measure(H: DecoratedBrokenHyperbolic) -> BrokenMeasure:
 
 
 def from_measure(m: BrokenMeasure) -> DecoratedBrokenHyperbolic:
-    """Inverse gap chart lambda = exp((w + log 2) / 2): finite for 0 <= w < 1418."""
+    """Inverse gap chart lambda = exp((w + log 2) / 2); NumericalBreakdown past 1418."""
     negative = np.flatnonzero(m.w < -1e-12)
     if negative.size:
         p = m.T.pairs[negative[0]]
         raise InvalidDecoration(f"negative weight {float(m.w[p])} at {p} has no lambda")
-    return DecoratedBrokenHyperbolic(m.T, np.exp((np.maximum(m.w, 0.0) + LOG2) / 2))
+    with np.errstate(over="ignore"):
+        lam = np.exp((np.maximum(m.w, 0.0) + LOG2) / 2)
+    huge = np.flatnonzero(np.isinf(lam))
+    if huge.size:
+        p = m.T.pairs[huge[0]]
+        raise NumericalBreakdown(f"lambda at {p} overflows at weight {float(m.w[p])}")
+    return DecoratedBrokenHyperbolic(m.T, lam)
 
 
 def pullback_residual(T: IdealTriangulation) -> float:
@@ -319,24 +325,21 @@ def unbroken_rank_report(T: IdealTriangulation) -> RankReport:
     """Rank of the wp form pulled back to the edge-equal subspace.
 
     Both sides of an edge share one coordinate, so the restriction A is
-    E x E and its row e is the sum of the block rows of e's two sides,
-    each at its face's three edge indices.  The spectrum comes from one
-    symmetric eigensolve of the Gram matrix G = A^T A, scattered from
-    those rows without forming A.  G squares A's conditioning, so it
-    cannot resolve A's kernel; the horocycle kernel V certifies it
-    instead, A V == 0 exactly and rank V = s, and its s values are
-    written as exact zeros.  The other E - s are the square roots of G's
-    largest eigenvalues, in descending order, and the smallest of them
-    must clear both the rank cutoff and G's rounding error, or
+    E x E and its row e is the sum of the block rows of e's two sides
+    T.edge_sides[e], each at its face's three edge indices.  The spectrum
+    comes from one symmetric eigensolve of the Gram matrix G = A^T A,
+    scattered from those rows without forming A.  G squares A's
+    conditioning, so it cannot resolve A's kernel; the horocycle kernel V
+    certifies it instead, A V == 0 exactly and rank V = s, and its s
+    values are written as exact zeros.  The other E - s are the square
+    roots of G's largest eigenvalues, in descending order, and the
+    smallest must clear both the rank cutoff and G's rounding error, or
     NumericalBreakdown names it.  The rank is then E - s = 6g - 6 + 2s.
     """
     form = wp_form(T)
     E, s = T.num_edges, T.num_punctures
-    partner = T.partner.ravel()
-    near = np.flatnonzero(np.arange(partner.size) < partner)
-    sides = np.stack((near, partner[near]), axis=1)
-    cols = T.edge_index[sides // 3].reshape(E, 6)
-    vals = form.block[sides % 3].reshape(E, 6)
+    cols = T.edge_index[T.edge_sides // 3].reshape(E, 6)
+    vals = form.block[T.edge_sides % 3].reshape(E, 6)
     kernel = horocycle_kernel(T)
     if np.einsum("ej,ejs->es", vals, kernel[cols]).any() or (
         np.linalg.matrix_rank(kernel) != s

@@ -77,11 +77,11 @@ class DecoratedBrokenHyperbolic:
     lam is a read-only (F, 3) float array indexed [face, slot], built
     from a pair-keyed mapping or an (F, 3) array; H.lam[(f, s)] reads
     one pair.  Because lam cannot change, the signed gap table, the
-    zero-gap mask, the far/near ratio tables and the per-pair crossing
-    coefficients of the developing map are computed on first use and
-    kept on the structure.  Every per-pair quantity is served as an
-    (F, 3) table indexed like lam, with NaN where a zero gap leaves an
-    entry undefined.
+    zero-gap and below-sqrt(2) masks, the far/near ratio tables and the
+    per-pair crossing coefficients of the developing map are computed on
+    first use and kept on the structure.  Every per-pair quantity is
+    served as an (F, 3) table indexed like lam, with NaN where a zero gap
+    leaves an entry undefined.
     """
 
     def __init__(self, T: IdealTriangulation, lam) -> None:
@@ -97,7 +97,7 @@ class DecoratedBrokenHyperbolic:
 
     def gaps(self) -> np.ndarray:
         """Every pair's gap, finite for any lambda; InvalidDecoration below sqrt(2)."""
-        below = np.flatnonzero(self._gaps < -GAP_FLOOR)
+        below = np.flatnonzero(self.below_sqrt2)
         if below.size:
             pair = self.T.pairs[below[0]]
             raise InvalidDecoration(
@@ -112,6 +112,11 @@ class DecoratedBrokenHyperbolic:
         A zero gap on either side of an edge leaves its gluing unpinned.
         """
         return read_only(np.abs(self._gaps) <= GAP_FLOOR)
+
+    @cached_property
+    def below_sqrt2(self) -> np.ndarray:
+        """Pairs whose gap is below -GAP_FLOOR: the one below-sqrt(2) test."""
+        return read_only(self._gaps < -GAP_FLOOR)
 
     @cached_property
     def lambda_ratios(self) -> np.ndarray:
@@ -186,18 +191,21 @@ class DecoratedBrokenHyperbolic:
         the apex itself).  These hold at any common scale of the lift, so
         they depend on the glued pair alone (Penner's lambda-length
         calculus); step is the factor the crossing puts on the scale.
+        A pair whose coefficients leave float range holds inf or NaN, with
+        no warning: the drift gate of the walk that crosses it reports it.
         """
         lam = self.lam
         flat = lam.ravel()
         far = self.T.partner
         far_face = far - far % 3
         ell, a, b = lam, lam[:, PREV], lam[:, NEXT]
-        step = ell / flat[far]
-        p = step * flat[far_face + (far + 2) % 3]
-        q = step * flat[far_face + (far + 1) % 3]
-        t = -p * q / (a * b)
-        x = q * (q + p * a / b) / (ell * ell)
-        y = p * (p + q * b / a) / (ell * ell)
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = ell / flat[far]
+            p = step * flat[far_face + (far + 2) % 3]
+            q = step * flat[far_face + (far + 1) % 3]
+            t = -p * q / (a * b)
+            x = q * (q + p * a / b) / (ell * ell)
+            y = p * (p + q * b / a) / (ell * ell)
         return read_only(np.stack([v.ravel() for v in (x, y, t, step)], axis=1))
 
     @cached_property
@@ -244,9 +252,7 @@ class DecoratedBrokenHyperbolic:
             f"violations at (face, slot): {bad}" if bad else "",
         )
 
-        # Same predicate as gaps(), so a structure that passes never makes
-        # gaps() raise.
-        below = self.T.pairs_where(self._gaps < -GAP_FLOOR)
+        below = self.T.pairs_where(self.below_sqrt2)
         report.add(
             "gaps_nonnegative",
             not below,

@@ -55,6 +55,11 @@ def renorm_lightcone(u):
     return (x, y, math.hypot(x, y)), drift
 
 
+def hypots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """math.hypot per entry, as renorm_lightcone takes z: np.hypot may differ."""
+    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, len(x))
+
+
 def _pairing(u, v):
     """Minkowski pairing of stacked vectors along their last axis."""
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] - u[..., 2] * v[..., 2]

@@ -18,12 +18,12 @@ its radii.
 
 from __future__ import annotations
 
-import math
 from itertools import chain
 
 import numpy as np
 
 from .develop import DevelopedBall
+from .minkowski import hypots
 
 # The antipodal test lives at the output precision.
 ANTIPODAL_TOL = 1e-9
@@ -59,11 +59,6 @@ _ARC = '<path class="edge" d="M %s A %s %s 0 0 %d %s"/>'
 _HOROCYCLE = '<circle class="horocycle" cx="%.9g" cy="%.9g" r="%.9g"/>'
 
 
-def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """math.hypot per entry: np.hypot can differ from it in the last bit."""
-    return np.array(list(map(math.hypot, x.tolist(), y.tolist())))
-
-
 def _written(*columns: np.ndarray) -> np.ndarray:
     """Per entry, fmt of each column's value joined by spaces.
 
@@ -87,7 +82,7 @@ def ball_svg(ball: DevelopedBall) -> str:
     u, v, w = ball.vertices.T
     # each vertex's boundary point in the disk
     x, y = u / w, v / w
-    norm = _hypot(x, y)
+    norm = hypots(x, y)
     ex, ey = x / norm, y / norm
     # the sides node by node, slot by slot: side i runs from corner i + 1
     # to corner i + 2; the root's entry slot is -1, so it draws all three
@@ -120,7 +115,7 @@ def ball_svg(ball: DevelopedBall) -> str:
         templates[k] = _LINE
     # each vertex's horocycle: centre and radius of h(u) projected to the
     # cone along z, as minkowski.horocycle_disk_circle has them
-    z = _hypot(u, v)
+    z = hypots(u, v)
     if (z <= 0.0).any():
         raise ValueError("cone ray must point up")
     lift = z + 1.0

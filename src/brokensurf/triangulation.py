@@ -14,11 +14,12 @@ A pair (f, s) and a sector (f, c) both have the flat index 3 * f + s
 crosses by that index alone.  The matching is the flat involution
 partner on pairs, and the corner cycles (one per puncture) are the
 cycles of one permutation of sectors.  Construction builds only int
-arrays over flat indices: partner, onward, edge_index, puncture_of and
-cycle_crossings.  The tuple views pairs and edges, which tables and
-files are keyed by, are built on first access.  Per-pair data is an
-(F, 3) array indexed [face, slot], read row by row in pair order.  Also
-here: dual loops, and unfolded balls used by the developing map.
+arrays over flat indices: partner, onward, edge_sides, edge_index,
+puncture_of and cycle_crossings.  The tuple views pairs and edges,
+which tables and files are keyed by, are built on first access.
+Per-pair data is an (F, 3) array indexed [face, slot], read row by row
+in pair order.  Also here: dual loops, and unfolded balls used by the
+developing map.
 """
 
 from __future__ import annotations
@@ -174,10 +175,12 @@ class IdealTriangulation:
         # onward[c], c = 3 * f + s: the flat pairs an unfolded ball crosses
         # after crossing (f, s), the far face's two other slots in order
         self.onward = 3 * (partner // 3)[:, None] + ONWARD[partner % 3]
-        # edge_index[f, s] is the position in edges of the edge through (f, s)
+        # edge_sides[e] = (p, q): edge e's near and far flat pairs, p < q,
+        # in the order of p; edge_index[f, s] is the edge through (f, s)
         near = np.flatnonzero(np.arange(partner.size) < partner)
+        self.edge_sides = read_only(np.array((near, partner[near])).T)
         edge_index = np.empty_like(partner)
-        edge_index[near] = edge_index[partner[near]] = np.arange(near.size)
+        edge_index[self.edge_sides.T] = np.arange(near.size)
         self.edge_index = edge_index.reshape(faces, 3)
         self.num_edges = near.size
 
@@ -228,10 +231,9 @@ class IdealTriangulation:
 
         That is the sorted order of the canonical pair-of-pairs.
         """
-        partner = self.partner.ravel()
-        near = np.flatnonzero(np.arange(partner.size) < partner)
+        near, far = self.edge_sides.T.tolist()
         at = self.pairs.__getitem__
-        return tuple(zip(map(at, near.tolist()), map(at, partner[near].tolist())))
+        return tuple(zip(map(at, near), map(at, far)))
 
     def pair_table(self, values, noun: str, positive: bool) -> np.ndarray:
         """One float per (face, slot) pair, as a read-only (F, 3) array.
@@ -402,8 +404,8 @@ def _cycle_basis(T: IdealTriangulation):
                 tree_edges.add(edge_index[c])
                 queue.append(g)
     loops = []
-    for c, q in enumerate(partner):
-        if c > q or edge_index[c] in tree_edges:
+    for e, (c, q) in enumerate(T.edge_sides.tolist()):
+        if e in tree_edges:
             continue
         # loop: 0 -> c's face, cross c, q's face -> 0 (reverse of its tree path).
         back = tuple(partner[x] for x in reversed(tree_path[q // 3]))

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import sys
+import tempfile
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
@@ -9,6 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from brokensurf import forms, render, samples, sphere_fixture, torus_fixture
 from brokensurf.develop import DevelopedNode, _cross_edge
@@ -413,6 +415,32 @@ def drift_overflow_torus(torus):
         [419023899568.78577, 1.5014618832362698e25, 4.1991394596172556e33],
         [7.358875474558624e63, 2.851238658882777e34, 6.060789986579788e30],
     ])
+
+
+def mixed_scale_torus(torus):
+    """Valid, with lambdas e^50 and e^400 whose crossing coefficients overflow.
+
+    Developing from face 0 first fails at crossing (0, 2), and the
+    puncture loop at crossing (1, 1), each with a NaN drift.
+    """
+    return DecoratedBrokenHyperbolic(torus, np.exp([[50, 50, 50], [50, 400, 400]]))
+
+
+HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+
+def pytest_configure(config):
+    # hypothesis caches the constants it reads from source files while
+    # tests are collected; keep that cache out of the working tree
+    home = config.stash[HYPOTHESIS_HOME] = tempfile.TemporaryDirectory(
+        prefix="hypothesis-"
+    )
+    set_hypothesis_home_dir(home.name)
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    config.stash[HYPOTHESIS_HOME].cleanup()
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import drift_overflow_torus
+from conftest import drift_overflow_torus, mixed_scale_torus
 
 from brokensurf import cli, fileio, samples
 from brokensurf.errors import DegenerateEdge
@@ -560,6 +560,21 @@ def test_holonomy_drift_overflow_exits_4(tmp_path, torus, loops, capsys):
     assert captured.err.startswith("NumericalBreakdown: light-cone drift ")
 
 
+@pytest.mark.parametrize(
+    "command, crossing", [("develop", "(0, 2)"), ("holonomy", "(1, 1)")]
+)
+def test_crossing_out_of_float_range_exits_4(tmp_path, torus, command, crossing):
+    # the crossing coefficients used to overflow with five numpy warnings
+    path = tmp_path / "mixed.json"
+    fileio.save(path, mixed_scale_torus(torus))
+    done = run_subprocess([command, str(path)])
+    assert done.returncode == 4
+    assert done.stdout == ""
+    assert done.stderr == (
+        f"NumericalBreakdown: light-cone drift nan crossing {crossing}\n"
+    )
+
+
 def test_validate_measure_near_float_max(tmp_path, torus, capsys):
     # every small weight is 5e307: valid, though two weights sum past the max
     path = tmp_path / "max.json"
@@ -578,16 +593,23 @@ def test_forms_impossible_tolerance(torus_file, capsys):
     assert "unrecognized arguments: --tol 0" in captured.err
 
 
-def tolerance_rejected(capsys, command, tol) -> bool:
-    """Nothing on stdout; stderr is usage and one error line naming --tol."""
+def flag_rejected(capsys, command, flag, need, value) -> bool:
+    """Nothing on stdout; stderr is usage and one error line naming the flag."""
     captured = capsys.readouterr()
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     return (
         captured.out == ""
         and captured.err.startswith("usage: ")
-        and errors == [f"brokensurf {command}: error: argument --tol: "
-                       f"needs a finite number of at least 0, got {tol!r}"]
+        and errors == [f"brokensurf {command}: error: argument {flag}: "
+                       f"needs {need}, got {value!r}"]
     )
+
+
+def tolerance_rejected(capsys, command, tol) -> bool:
+    return flag_rejected(capsys, command, "--tol", "a finite number of at least 0", tol)
+
+
+STEPS_NEED = "a comma-separated list of positive finite numbers"
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9", "tight"])
@@ -630,19 +652,20 @@ def test_ray_report(structure_file, capsys):
     assert doc["steps"][1]["x"] == 1e-6
 
 
-def test_ray_rejects_bad_steps(structure_file):
-    assert run(["ray", structure_file, "--steps", "five"]) == 1
+def test_ray_rejects_bad_steps(structure_file, capsys):
+    # the parser checks --steps, like every other flag
+    for steps in ("five", ""):
+        assert run(["ray", structure_file, "--steps", steps]) == 1
+        assert flag_rejected(capsys, "ray", "--steps", STEPS_NEED, steps)
     assert run(["ray", structure_file, "--steps=-2,4"]) == 1
-    assert run(["ray", structure_file, "--steps", ""]) == 1
+    assert flag_rejected(capsys, "ray", "--steps", STEPS_NEED, "-2,4")
 
 
 @pytest.mark.parametrize("steps", ["nan", "inf", "1,inf", "-inf,2"])
 def test_ray_rejects_nonfinite_steps(structure_file, steps, capsys):
     # nan and inf used to escape as a ValueError traceback
     assert run(["ray", structure_file, f"--steps={steps}"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "--steps needs positive finite values\n"
+    assert flag_rejected(capsys, "ray", "--steps", STEPS_NEED, steps)
 
 
 @pytest.mark.parametrize("steps", ["1e-320", "1,1e-310"])

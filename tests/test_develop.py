@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     drift_overflow_torus,
+    mixed_scale_torus,
     oracle_ball_dict,
     oracle_deck,
     oracle_develop,
@@ -528,6 +529,20 @@ def test_drift_overflow_breaks_down(torus):
             path_holonomy(H, loop)
     with pytest.raises(NumericalBreakdown, match=re.escape(message)):
         cusp_closure_residual(H, 0)
+    # the level gate names the failing point by renorm_lightcone too
+    with pytest.raises(NumericalBreakdown, match=re.escape(message)):
+        develop(H, 0, 8)
+
+
+def test_crossing_out_of_float_range_breaks_down(torus):
+    # the crossing coefficients overflow; the drift gate of the walk that
+    # crosses them reports it, and no RuntimeWarning escapes
+    H = mixed_scale_torus(torus)
+    assert H.validate().valid
+    with pytest.raises(NumericalBreakdown, match=re.escape("drift nan crossing (0, 2)")):
+        develop(H, 0, 4)
+    with pytest.raises(NumericalBreakdown, match=re.escape("drift nan crossing (1, 1)")):
+        path_holonomy(H, dual_loops(torus, "punctures")[0])
 
 
 def doctored(H, rows):

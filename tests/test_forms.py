@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +92,17 @@ def test_from_measure_rejects_negative(torus):
     w[(0, 0)] = -0.5
     with pytest.raises(InvalidDecoration):
         forms.from_measure(BrokenMeasure(torus, w))
+
+
+def test_from_measure_past_float_range_breaks_down(torus):
+    # exp used to overflow with a numpy warning and an untyped ValueError
+    w = np.full((2, 3), 1400.0)
+    w[0, 1] = w[1, 0] = 1500.0
+    message = "lambda at (0, 1) overflows at weight 1500.0"
+    with pytest.raises(NumericalBreakdown, match=re.escape(message)):
+        forms.from_measure(BrokenMeasure(torus, w))
+    m = BrokenMeasure(torus, np.full((2, 3), 1400.0))
+    assert forms.to_measure(forms.from_measure(m)).w == pytest.approx(m.w, rel=1e-15)
 
 
 def test_scaling_identity_residual(torus, gen):

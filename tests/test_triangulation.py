@@ -49,6 +49,16 @@ SURFACES = {
 }
 
 
+@pytest.mark.parametrize("faces", [2, 20, 200])
+def test_edge_sides_agree_with_edges_and_edge_index(faces):
+    T = random_triangulation(faces, faces)
+    sides = T.edge_sides
+    assert sides.shape == (T.num_edges, 2) and not sides.flags.writeable
+    assert [tuple(map(divmod, e, (3, 3))) for e in sides.tolist()] == list(T.edges)
+    assert (T.edge_index.ravel()[sides] == np.arange(T.num_edges)[:, None]).all()
+    assert (T.partner.ravel()[sides[:, 0]] == sides[:, 1]).all()
+
+
 @pytest.mark.parametrize("surface", SURFACES)
 def test_corner_cycles_partition_sectors(surface):
     T = SURFACES[surface]()
