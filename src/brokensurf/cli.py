@@ -143,6 +143,14 @@ def _census(T: IdealTriangulation) -> dict:
     }
 
 
+def _unless_zero_gap(figure):
+    """figure(), or None when a zero gap leaves it undefined (DegenerateEdge)."""
+    try:
+        return figure()
+    except DegenerateEdge:
+        return None
+
+
 def cmd_validate(args) -> int:
     obj = _load(args.file)
     if isinstance(obj, IdealTriangulation):
@@ -169,10 +177,8 @@ def cmd_forms(args) -> int:
         if structure is None:
             structure = samples.random_valid_structure(T, samples.rng(args.seed))
             doc["constrained_at"] = f"random structure, seed {args.seed}"
-        structure.gaps()  # raises for a lambda below sqrt(2) anywhere
-        doc["constrained_rank"] = (
-            None if structure.zero_gap.any()
-            else forms.rank_report(T, structure, constrained=True).to_dict()
+        doc["constrained_rank"] = _unless_zero_gap(
+            lambda: forms.rank_report(T, structure, constrained=True).to_dict()
         )
     _emit(doc, args.out)
     return EXIT_OK
@@ -234,13 +240,6 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def _gap_holonomy(H: DecoratedBrokenHyperbolic, puncture: int) -> float | None:
-    try:
-        return H.puncture_holonomy(puncture, "gap")
-    except DegenerateEdge:
-        return None
-
-
 def cmd_holonomy(args) -> int:
     H = _load_structure(args.file)
     if not _valid(H, args.out):
@@ -250,7 +249,7 @@ def cmd_holonomy(args) -> int:
             "puncture": i,
             "length": len(crossed),
             "lambda_holonomy": H.puncture_holonomy(i, "lambda"),
-            "gap_holonomy": _gap_holonomy(H, i),
+            "gap_holonomy": _unless_zero_gap(lambda: H.puncture_holonomy(i, "gap")),
             "cusp_closure_residual": cusp_closure_residual(H, i),
         }
         for i, crossed in enumerate(H.T.cycle_crossings)

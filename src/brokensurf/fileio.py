@@ -30,7 +30,7 @@ import numpy as np
 from .develop import DevelopedBall
 from .foliation import BrokenMeasure
 from .hyperbolic import DecoratedBrokenHyperbolic
-from .triangulation import IdealTriangulation, build_triangulation
+from .triangulation import IdealTriangulation
 
 
 def canonical_json(obj) -> str:
@@ -131,7 +131,7 @@ def _resolve_triangulation(entry, base_dir: str | None) -> IdealTriangulation:
             '"triangulation" entry is neither a file path nor a dict with '
             '"faces" and "gluing"'
         )
-    return build_triangulation(entry["faces"], entry["gluing"])
+    return IdealTriangulation(entry["faces"], entry["gluing"])
 
 
 def from_jsonable(d: dict, base_dir: str | None = None):
@@ -144,7 +144,7 @@ def from_jsonable(d: dict, base_dir: str | None = None):
             T = _resolve_triangulation(d["triangulation"], base_dir)
             return BrokenMeasure(T, T.pairs_from_dict(d["w"], "weight"))
         if _is_triangulation_dict(d):
-            return build_triangulation(d["faces"], d["gluing"])
+            return _resolve_triangulation(d, base_dir)
     raise ValueError("dict is not a triangulation, structure, or measure")
 
 

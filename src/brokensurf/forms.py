@@ -35,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartMismatch, InvalidDecoration, NumericalBreakdown
+from .errors import ChartMismatch, DegenerateEdge, InvalidDecoration, NumericalBreakdown
 from .foliation import SMALL_FROM_LARGE, BrokenMeasure
-from .hyperbolic import LOG2, DecoratedBrokenHyperbolic
+from .hyperbolic import EPS, GAP_FLOOR, LOG2, DecoratedBrokenHyperbolic
 from .triangulation import NEXT, PREV, IdealTriangulation
 
 CHART_LOG_LAMBDA = "log_lambda"
@@ -131,8 +131,11 @@ def to_measure(H: DecoratedBrokenHyperbolic) -> BrokenMeasure:
 
 
 def from_measure(m: BrokenMeasure) -> DecoratedBrokenHyperbolic:
-    """Inverse gap chart lambda = exp((w + log 2) / 2); NumericalBreakdown past 1418."""
-    negative = np.flatnonzero(m.w < -1e-12)
+    """Inverse gap chart lambda = exp((w + log 2) / 2), the package's only one.
+
+    InvalidDecoration below -GAP_FLOOR; NumericalBreakdown past 1418.
+    """
+    negative = np.flatnonzero(m.w < -GAP_FLOOR)
     if negative.size:
         p = m.T.pairs[negative[0]]
         raise InvalidDecoration(f"negative weight {float(m.w[p])} at {p} has no lambda")
@@ -226,14 +229,14 @@ def _holonomy_jacobian(H: DecoratedBrokenHyperbolic) -> np.ndarray:
 
     The holonomy's log is the sum of log gap(far) - log gap(near) over
     the puncture's crossings, and gap = 2 ell - log 2 gives
-    d log gap / d ell = 2 / gap, which needs every gap nondegenerate.  Pair
+    d log gap / d ell = 2 / gap, undefined at a zero gap (DegenerateEdge).  Pair
     (f, k) is crossed out of its face around the puncture at its corner
     k+2 and into it around the puncture at its corner k+1.
     """
     T = H.T
     gaps = H.gaps()
     if H.zero_gap.any():
-        raise InvalidDecoration("constrained rank needs every gap above GAP_FLOOR")
+        raise DegenerateEdge("constrained rank needs every gap above GAP_FLOOR")
     slope = (2.0 / gaps).ravel()
     pairs = np.arange(slope.size)
     jac = np.zeros((T.num_punctures, slope.size))
@@ -254,13 +257,14 @@ def rank_report(
 ) -> RankReport:
     """Rank of the wp form, optionally restricted to the holonomy level set.
 
-    The constrained variant needs a valid nondegenerate structure on T's
-    gluing (ChartMismatch otherwise).  The form is restricted to the
-    tangent space K, the kernel of the r orthonormal rows N of the
-    constraint Jacobian in log-lambda coordinates.  Omega squared is -12
-    on each face's (1,1,1)-complement and 0 on (1,1,1), so with P the
-    per-face mean, U = span(N, Omega N, P N) is Omega-invariant.  Its
-    complement lies in K and Omega acts there unchanged, so the
+    The constrained variant needs a structure on T's gluing (ChartMismatch
+    otherwise), no lambda below sqrt(2) (InvalidDecoration) and no zero gap
+    (DegenerateEdge).  The form is restricted to the tangent space K, the
+    kernel of the r orthonormal rows N of the constraint Jacobian in
+    log-lambda coordinates.  Omega squared is -12 on each face's
+    (1,1,1)-complement and 0 on (1,1,1), so with P the per-face mean,
+    U = span(N, Omega N, P N) is Omega-invariant.  Its complement lies in
+    K and Omega acts there unchanged, so the
     restricted spectrum has three parts, listed in descending order:
 
         2F - rank(Omega|U) copies of the block's norm,
@@ -353,7 +357,7 @@ def unbroken_rank_report(T: IdealTriangulation) -> RankReport:
     eig = np.linalg.eigvalsh(gram)
     if s < E:
         cutoff = RANK_CUTOFF * _norm(form)
-        floor = max(cutoff * cutoff, E * np.finfo(float).eps * eig[-1])
+        floor = max(cutoff * cutoff, E * EPS * eig[-1])
         if not eig[s] > floor:
             raise NumericalBreakdown(
                 f"unbroken Gram eigenvalue {eig[s]} is not above its resolution {floor}"

@@ -256,7 +256,7 @@ class DecoratedBrokenHyperbolic:
         report.add(
             "gaps_nonnegative",
             not below,
-            float(np.max((SQRT2 - self.lam) / SQRT2)) if below else 0.0,
+            float(-self._gaps.min()) if below else 0.0,
             f"lambda below sqrt(2) at pairs: {below}" if below else "",
         )
 

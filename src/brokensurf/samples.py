@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from . import minkowski
+from . import forms, minkowski
 from .foliation import BrokenMeasure, from_small_weights
 from .hyperbolic import DecoratedBrokenHyperbolic, embed_unbroken
 from .triangulation import IdealTriangulation
@@ -37,14 +37,12 @@ def random_valid_structure(
 ) -> DecoratedBrokenHyperbolic:
     """Valid structure with closed puncture holonomy, broken on every edge.
 
-    gap(f, s) = mu_f * beta_e: the beta cancels within each crossing and
-    the mu's telescope around each corner cycle.
+    forms.from_measure of gaps mu_f * beta_e: the beta cancels within each
+    crossing and the mu's telescope around each corner cycle.
     """
     beta = gen.uniform(1.0, 1.9, size=T.num_edges)
     mu = gen.uniform(0.6, 1.7, size=T.faces)
-    gaps = mu[:, None] * beta[T.edge_index]
-    lam = [math.sqrt(2.0 * math.exp(gap)) for gap in gaps.ravel().tolist()]
-    return DecoratedBrokenHyperbolic(T, np.reshape(lam, (-1, 3)))
+    return forms.from_measure(BrokenMeasure(T, mu[:, None] * beta[T.edge_index]))
 
 
 def random_boxed_structure(

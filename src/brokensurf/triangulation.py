@@ -186,8 +186,8 @@ class IdealTriangulation:
 
         self._trace_corner_cycles()
         self.num_punctures = len(self.cycle_crossings)
-        # chi = F - E = 2 - 2g - s; always negative since E = 3F/2.
-        twice_genus = 2 - self.num_punctures + self.faces // 2
+        # chi = F - E = 2 - 2g - s
+        twice_genus = 2 - self.num_punctures - self.euler_characteristic()
         if twice_genus % 2 or twice_genus < 0:
             raise AssertionError("corner cycle census is inconsistent")
         self.genus = twice_genus // 2
@@ -335,23 +335,18 @@ class IdealTriangulation:
         }
 
 
-def build_triangulation(faces: int, gluing_pairs) -> IdealTriangulation:
-    """Validate and assemble a triangulation from raw matching data."""
-    return IdealTriangulation(faces, gluing_pairs)
+build_triangulation = IdealTriangulation  # validate and assemble raw matching data
 
 
 def torus_fixture() -> IdealTriangulation:
     """Two faces glued with a cyclic slot offset: genus 1, one puncture."""
-    return build_triangulation(
-        2, [((0, k), (1, (k + 1) % 3)) for k in range(3)]
-    )
+    return IdealTriangulation(2, [((0, k), (1, (k + 1) % 3)) for k in range(3)])
 
 
 def sphere_fixture() -> IdealTriangulation:
     """Double of a triangle: genus 0, three punctures."""
-    return build_triangulation(
-        2, [((0, 0), (1, 0)), ((0, 1), (1, 2)), ((0, 2), (1, 1))]
-    )
+    pairs = [((0, 0), (1, 0)), ((0, 1), (1, 2)), ((0, 2), (1, 1))]
+    return IdealTriangulation(2, pairs)
 
 
 # --- dual structures ------------------------------------------------------

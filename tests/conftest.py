@@ -1,5 +1,7 @@
 import importlib.util
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from collections import deque
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from brokensurf import forms, render, samples, sphere_fixture, torus_fixture
+from brokensurf import cli, forms, render, samples, sphere_fixture, torus_fixture
 from brokensurf.develop import DevelopedNode, _cross_edge
 from brokensurf.errors import (
     Disconnected,
@@ -20,6 +22,7 @@ from brokensurf.errors import (
     SlotReused,
     SlotUnglued,
 )
+from brokensurf.foliation import BrokenMeasure
 from brokensurf.hyperbolic import SQRT2, DecoratedBrokenHyperbolic
 from brokensurf.minkowski import horocycle_disk_circle
 from brokensurf.triangulation import ONWARD, build_triangulation
@@ -276,6 +279,19 @@ def oracle_unbroken_spectrum(T) -> forms.RankReport:
     )
 
 
+def run_subprocess(argv) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, with Python's default warning filters."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    ))
+    script = "import sys; from brokensurf.cli import main; sys.exit(main())"
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
+
+
 @cache
 def bench_module(name: str):
     """perfbench/<name>.py as a module: "surfaces" (the seeded generator), "tracing"."""
@@ -414,6 +430,18 @@ def drift_overflow_torus(torus):
     return DecoratedBrokenHyperbolic(torus, [
         [419023899568.78577, 1.5014618832362698e25, 4.1991394596172556e33],
         [7.358875474558624e63, 2.851238658882777e34, 6.060789986579788e30],
+    ])
+
+
+def mixed_scale_measure(torus):
+    """Valid: nonnegative small weights on two faces 1e11 apart in scale.
+
+    Its switch defects exceed 1e-9 of its smallest weights, though they
+    are rounding of each face's scale.
+    """
+    return BrokenMeasure(torus, [
+        [1.409821551561571e-09, 0.07802036547070208, 0.07802036566214768],
+        [1213.267413848966, 274118819613.62228, 274118820826.88968],
     ])
 
 

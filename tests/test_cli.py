@@ -1,19 +1,22 @@
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import drift_overflow_torus, mixed_scale_torus
+from conftest import (
+    bench_module,
+    drift_overflow_torus,
+    mixed_scale_measure,
+    mixed_scale_torus,
+    run_subprocess,
+)
 
 from brokensurf import cli, fileio, samples
 from brokensurf.errors import DegenerateEdge
 from brokensurf.foliation import BrokenMeasure
 from brokensurf.hyperbolic import (
+    EPS,
     DecoratedBrokenHyperbolic,
     constant_structure,
     embed_unbroken,
@@ -95,6 +98,34 @@ def test_validate_measure_switch_check_uses_tol(tmp_path, torus, capsys):
     checks = {c["name"]: c for c in read_doc(capsys)["report"]["checks"]}
     assert checks["triangle_inequalities"]["passed"] is True
     assert checks["switch_conditions"]["passed"] is True
+
+
+def test_validate_mixed_scale_measure(tmp_path, torus, capsys):
+    path = tmp_path / "mixed.json"
+    fileio.save(path, mixed_scale_measure(torus))
+    assert run(["validate", str(path)]) == 0
+    checks = {c["name"]: c for c in read_doc(capsys)["report"]["checks"]}
+    assert checks["switch_conditions"]["residual"] <= 4.0 * EPS
+
+
+def test_generator_measures_validate_at_zero_tol(tmp_path, torus, sphere):
+    paths = []
+    for name, T in (("torus", torus), ("sphere", sphere)):
+        paths.append(tmp_path / f"{name}.json")
+        fileio.save(paths[-1], samples.random_measure(T, samples.rng(1)))
+    surfaces = bench_module("surfaces")
+    for faces in (20, 200):
+        surface = surfaces.random_surface(f"f{faces}", faces, 1, kinds=("broken",))
+        paths.append(surfaces.write_files(surface, str(tmp_path))["measure"])
+    for path in paths:
+        assert run(["validate", str(path), "--tol", "0"]) == 0, path
+
+
+def test_validate_rejects_triangle_violation_at_any_tol(tmp_path, torus):
+    path = tmp_path / "violated.json"
+    fileio.save(path, BrokenMeasure(torus, [[1.0, 1.0, 3.0], [1.0, 1.0, 1.0]]))
+    for tol in ("0", "1e-9"):
+        assert run(["validate", str(path), "--tol", tol]) == 2
 
 
 def test_validate_agrees_with_gap_near_sqrt2(tmp_path, torus, capsys):
@@ -524,19 +555,6 @@ def test_float_range(tmp_path, request, surface, scale, command, capsys):
     code = run([*FLOAT_RANGE_COMMANDS[command], str(path)])
     captured = capsys.readouterr()
     check_float_range_run(scale, command, code, captured.out, captured.err)
-
-
-def run_subprocess(argv) -> subprocess.CompletedProcess:
-    """The CLI in a fresh interpreter, with Python's default warning filters."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))
-    ))
-    script = "import sys; from brokensurf.cli import main; sys.exit(main())"
-    return subprocess.run(
-        [sys.executable, "-c", script, *argv],
-        capture_output=True, text=True, env=env, check=False,
-    )
 
 
 @pytest.mark.parametrize("scale", [1e76, 1e300, 5e-324])

@@ -2,7 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import glued, oracle_table, random_triangulation, table_structures
+from conftest import (
+    glued,
+    mixed_scale_measure,
+    oracle_table,
+    random_triangulation,
+    table_structures,
+)
 
 from brokensurf import forms, samples
 from brokensurf.errors import TriangleInequalityViolated
@@ -12,6 +18,7 @@ from brokensurf.foliation import (
     puncture_loop_vector,
     split_collars,
 )
+from brokensurf.hyperbolic import EPS
 from brokensurf.triangulation import NEXT, PREV
 
 
@@ -68,6 +75,39 @@ def test_triangle_inequality_violation(torus):
         m.shifts()
     rep = m.validate()
     assert not rep.valid
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e-6, 1e-300, 1e290])
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9])
+def test_validate_is_scale_invariant_on_mixed_scales(torus, factor, tol):
+    report = mixed_scale_measure(torus).scale(factor).validate(tol)
+    assert report.valid, report.to_dict()
+
+
+def test_switch_defect_is_rounding_at_every_scale(gen):
+    # nonnegative small weights mixing 1e8 within a face, at 1e-300..1e300
+    T = random_triangulation(20, 2)
+    for exponent in range(-300, 301, 50):
+        smalls = 10.0 ** (exponent + gen.uniform(-8.0, 0.0, size=(T.faces, 3)))
+        report = from_small_weights(T, smalls).validate()
+        assert report.valid, (exponent, report.to_dict())
+        switch = {c.name: c.residual for c in report.checks}["switch_conditions"]
+        assert switch <= 4.0 * EPS
+
+
+def test_switch_check_catches_a_wrong_recomputation(torus):
+    # one recomputed small weight off by 1e-9 of its face's scale: the
+    # triangle check still passes, the switch check must not
+    m = mixed_scale_measure(torus)
+    wrong = m._smalls.copy()
+    wrong[1, 2] += 1e-9 * m._face_scale[1, 0]
+    m.__dict__["_smalls"] = wrong  # the cached table validate reads
+    passed = {c.name: c.passed for c in m.validate().checks}
+    assert passed == {
+        "weights_nonnegative": True,
+        "triangle_inequalities": True,
+        "switch_conditions": False,
+    }
 
 
 def test_validate_random_measures(torus, sphere, gen):

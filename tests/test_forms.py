@@ -15,9 +15,14 @@ from conftest import (
 )
 
 from brokensurf import cli, fileio, forms, samples
-from brokensurf.errors import ChartMismatch, InvalidDecoration, NumericalBreakdown
+from brokensurf.errors import (
+    ChartMismatch,
+    DegenerateEdge,
+    InvalidDecoration,
+    NumericalBreakdown,
+)
 from brokensurf.foliation import BrokenMeasure
-from brokensurf.hyperbolic import DecoratedBrokenHyperbolic
+from brokensurf.hyperbolic import GAP_FLOOR, DecoratedBrokenHyperbolic
 from brokensurf.triangulation import NEXT, PREV
 
 
@@ -439,6 +444,32 @@ def test_holonomy_jacobian_matches_central_differences():
 
 
 def test_holonomy_jacobian_rejects_degenerate_gap(torus):
+    # a zero gap is valid decoration that leaves the Jacobian undefined
     H = DecoratedBrokenHyperbolic(torus, {p: math.sqrt(2.0) for p in torus.pairs})
-    with pytest.raises(InvalidDecoration):
+    with pytest.raises(DegenerateEdge):
         forms.rank_report(torus, H, constrained=True)
+    # a lambda below sqrt(2) is invalid, and named before any zero gap
+    lam = H.lam.copy()
+    lam[1, 2] = 1.0
+    with pytest.raises(InvalidDecoration):
+        forms.rank_report(torus, DecoratedBrokenHyperbolic(torus, lam), constrained=True)
+
+
+def test_from_measure_takes_weights_down_to_minus_gap_floor(torus):
+    w = np.ones((torus.faces, 3))
+    w[0, 1] = -GAP_FLOOR
+    assert forms.from_measure(BrokenMeasure(torus, w)).zero_gap[0, 1]
+    w[0, 1] = -2.0 * GAP_FLOOR
+    with pytest.raises(InvalidDecoration, match=r"at \(0, 1\) has no lambda"):
+        forms.from_measure(BrokenMeasure(torus, w))
+
+
+def test_random_valid_structure_is_the_inverse_chart_of_its_gaps():
+    # the generator's lambdas come from from_measure, bit for bit
+    T = random_triangulation(20, 4)
+    gen = samples.rng(11)
+    beta = gen.uniform(1.0, 1.9, size=T.num_edges)
+    mu = gen.uniform(0.6, 1.7, size=T.faces)
+    gaps = BrokenMeasure(T, mu[:, None] * beta[T.edge_index])
+    H = samples.random_valid_structure(T, samples.rng(11))
+    assert np.array_equal(H.lam, forms.from_measure(gaps).lam)

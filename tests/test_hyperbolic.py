@@ -227,6 +227,9 @@ def test_validate_flags_short_lambda_without_raising(torus):
     assert not rep.valid
     names = {c.name: c for c in rep.checks}
     assert not names["gaps_nonnegative"].passed
+    # in the gap units of its predicate: the most negative gap, negated
+    want = math.log(2.0) - 2.0 * math.log(1.2)
+    assert names["gaps_nonnegative"].residual == pytest.approx(want, rel=1e-15)
 
 
 def test_validate_degenerate_warns(torus):
