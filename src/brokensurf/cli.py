@@ -219,10 +219,9 @@ def cmd_calibrate(args) -> int:
     total, lo, hi = 0.0, math.inf, -math.inf
     for start in range(0, args.samples, CALIBRATE_BLOCK):
         m = min(CALIBRATE_BLOCK, args.samples - start)
-        points = samples.random_lifts(gen, m)
-        corner = gen.integers(0, 3, size=m)
-        every = minkowski.horocycle_arcs(points) / minkowski.hlengths(points)
-        ratios = every[np.arange(m), corner]
+        lift = samples.random_corner_lifts(gen, m)  # sampled corner is vertex 0
+        u, v, w = lift[:, 0], lift[:, 1], lift[:, 2]
+        ratios = minkowski.arc_columns(u, v, w) / minkowski.hlength_columns(u, v, w)
         total += float(ratios.sum())
         lo, hi = min(lo, float(ratios.min())), max(hi, float(ratios.max()))
     mean = total / args.samples

@@ -30,6 +30,10 @@ from .triangulation import NEXT, PREV, IdealTriangulation, read_only
 LARGE_FROM_SMALL = 1.0 - np.eye(3)
 SMALL_FROM_LARGE = (LARGE_FROM_SMALL - np.eye(3)) / 2.0
 
+# Small weights down to -DUST_TOL times the face scale are rounding dust,
+# which small_weights clamps to 0; validate's default tolerance.
+DUST_TOL = 1e-12
+
 
 class BrokenMeasure:
     """Nonnegative large-branch weights on an ideal triangulation's freeway.
@@ -59,9 +63,9 @@ class BrokenMeasure:
         """max(1, |w|) over each face's three slots, shape (F, 1)."""
         return np.maximum(1.0, np.abs(self.w).max(axis=1, keepdims=True))
 
-    def small_weights(self, tol: float = 1e-12) -> np.ndarray:
+    def small_weights(self) -> np.ndarray:
         """Every small weight, dust clamped; TriangleInequalityViolated if negative."""
-        bad = np.flatnonzero(self._smalls < -tol * self._face_scale)
+        bad = np.flatnonzero(self._smalls < -DUST_TOL * self._face_scale)
         if bad.size:
             f, c = divmod(int(bad[0]), 3)
             raise TriangleInequalityViolated(
@@ -98,7 +102,7 @@ class BrokenMeasure:
         near_over_far = self.homothety_factors.ravel()[far]  # NaN at w(far) = 0
         return foreign * np.where(self.w == 0, np.nan, near_over_far) - smalls[:, NEXT]
 
-    def validate(self, tol: float = 1e-12) -> ValidityReport:
+    def validate(self, tol: float = DUST_TOL) -> ValidityReport:
         """Nonnegativity, then triangle and switch checks on the face scale.
 
         A switch clamps at most tol * face scale, so it holds within tol + 4 eps.

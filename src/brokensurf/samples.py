@@ -92,6 +92,36 @@ _LIFT_LOW, _LIFT_HIGH = np.repeat(
     (1, 3, 3, 3),
     axis=0,
 ).T
+_LIFT_SPAN = _LIFT_HIGH - _LIFT_LOW
+_THIRDS = np.array([0.0, 1.0, 2.0]) * (2.0 * math.pi / 3.0)
+# _ROTATE[k, c] = (c + k) % 3: vertex k of a triangle rotated to start at c
+_ROTATE = np.add.outer(np.arange(3), np.arange(3)) % 3
+
+
+def _lift_columns(u: np.ndarray, corner: np.ndarray) -> np.ndarray:
+    """Solved lifts of the uniforms u (n, 10), coordinate-major (3, 3, n).
+
+    Row r is rotated so that its drawn vertex corner[r] comes first; the
+    solver is equivariant under that rotation, so each cone point keeps
+    its bits.  cos and sin run on the contiguous (n, 3) angle array.
+    """
+    n = len(u)
+    angles = u[:, :1] + _THIRDS + u[:, 1:4]
+    # vertex k of row r is drawn vertex (corner[r] + k) % 3: the flat
+    # indices of its angle in angles and of its scale in u, whose lambda
+    # sits three entries after the scale
+    k = _ROTATE.take(corner, axis=1)
+    at_angle, at_scale = k + np.arange(0, 3 * n, 3), k + np.arange(4, 10 * n, 10)
+    scales = u.take(at_scale)
+    x = scales * np.cos(angles).take(at_angle)
+    y = scales * np.sin(angles).take(at_angle)
+    return minkowski.solve_columns(np.stack((x, y, scales)), u.take(at_scale + 3))
+
+
+def _lift_uniforms(gen: np.random.Generator, n: int) -> np.ndarray:
+    """n lifts' uniforms (n, 10): the draws and stream of
+    gen.uniform(_LIFT_LOW, _LIFT_HIGH, (n, 10)), without its broadcast."""
+    return _LIFT_LOW + _LIFT_SPAN * gen.random((n, 10))
 
 
 def random_lifts(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -99,11 +129,18 @@ def random_lifts(gen: np.random.Generator, n: int) -> np.ndarray:
 
     Draws the same stream as n calls of random_lift.
     """
-    u = gen.uniform(_LIFT_LOW, _LIFT_HIGH, size=(n, 10))
-    base, jitter, scales, lambdas = u[:, :1], u[:, 1:4], u[:, 4:7], u[:, 7:]
-    angles = base + np.array([0.0, 1.0, 2.0]) * (2.0 * math.pi / 3.0) + jitter
-    rays = np.stack([np.cos(angles), np.sin(angles), np.ones_like(angles)], axis=-1)
-    return minkowski.solve_triangles(scales[..., None] * rays, lambdas)
+    lifts = _lift_columns(_lift_uniforms(gen, n), np.zeros(n, dtype=int))
+    return np.ascontiguousarray(lifts.T)
+
+
+def random_corner_lifts(gen: np.random.Generator, n: int) -> np.ndarray:
+    """random_lifts(gen, n) then one uniform corner of each, gen.integers(0, 3, n).
+
+    Coordinate-major (3, 3, n), each lift rotated so that its sampled
+    corner is vertex 0.
+    """
+    u = _lift_uniforms(gen, n)
+    return _lift_columns(u, gen.integers(0, 3, size=n))
 
 
 def random_lift(gen: np.random.Generator) -> np.ndarray:

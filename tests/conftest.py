@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -25,7 +26,7 @@ from brokensurf.errors import (
 from brokensurf.foliation import BrokenMeasure
 from brokensurf.hyperbolic import SQRT2, DecoratedBrokenHyperbolic
 from brokensurf.minkowski import horocycle_disk_circle
-from brokensurf.triangulation import ONWARD, build_triangulation
+from brokensurf.triangulation import NEXT, ONWARD, PREV, build_triangulation
 
 
 def random_gluing(faces: int, seed: int) -> list:
@@ -301,6 +302,74 @@ def bench_module(name: str):
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+def _row_pairing(u, v):
+    """Minkowski pairing of row-major stacks, along their last axis."""
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] - u[..., 2] * v[..., 2]
+
+
+def oracle_solve_triangles(rays, lambdas) -> np.ndarray:
+    """minkowski.solve_triangles row-major: every operation on (..., 3, 3).
+
+    The solver as it was before it worked in coordinate columns, for
+    valid input only; its bits are the ones the column kernel keeps.
+    """
+    rays = np.asarray(rays, dtype=float)
+    lambdas = np.asarray(lambdas, dtype=float)
+    cone = rays.copy()
+    cone[..., 2] = np.hypot(rays[..., 0], rays[..., 1])
+    head, tail = cone.take(NEXT, axis=-2), cone.take(PREV, axis=-2)
+    m = np.float_power(lambdas, 2) / -_row_pairing(head, tail)
+    t = np.sqrt(m.take(NEXT, axis=-1) * m.take(PREV, axis=-1) / m)
+    return t[..., None] * cone
+
+
+def oracle_horocycle_arcs(points) -> np.ndarray:
+    """minkowski.horocycle_arcs row-major, at every corner."""
+    points = np.asarray(points, dtype=float)
+
+    def edge_point(u, v):
+        return 0.5 * u + v / -_row_pairing(u, v)[..., None]
+
+    p = edge_point(points, points.take(NEXT, axis=-2))
+    q = edge_point(points, points.take(PREV, axis=-2))
+    return np.sqrt(np.maximum(-2.0 * _row_pairing(p, q) - 2.0, 0.0))
+
+
+def oracle_hlengths(points) -> np.ndarray:
+    """minkowski.hlengths row-major, at every corner."""
+    points = np.asarray(points, dtype=float)
+    lam = np.sqrt(-_row_pairing(points.take(NEXT, axis=-2), points.take(PREV, axis=-2)))
+    return lam / (lam.take(NEXT, axis=-1) * lam.take(PREV, axis=-1))
+
+
+def oracle_random_lifts(gen, n: int) -> np.ndarray:
+    """samples.random_lifts row-major, drawn by gen.uniform with array bounds."""
+    u = gen.uniform(samples._LIFT_LOW, samples._LIFT_HIGH, size=(n, 10))
+    base, jitter, scales, lambdas = u[:, :1], u[:, 1:4], u[:, 4:7], u[:, 7:]
+    angles = base + np.array([0.0, 1.0, 2.0]) * (2.0 * math.pi / 3.0) + jitter
+    rays = np.stack([np.cos(angles), np.sin(angles), np.ones_like(angles)], axis=-1)
+    return oracle_solve_triangles(scales[..., None] * rays, lambdas)
+
+
+def oracle_calibrate(count: int, seed: int) -> str:
+    """calibrate's document as it was computed: every corner of row-major
+    lifts measured, then the sampled corner's ratio kept."""
+    gen = samples.rng(seed)
+    total, lo, hi = 0.0, math.inf, -math.inf
+    for start in range(0, count, cli.CALIBRATE_BLOCK):
+        m = min(cli.CALIBRATE_BLOCK, count - start)
+        points = oracle_random_lifts(gen, m)
+        corner = gen.integers(0, 3, size=m)
+        every = oracle_horocycle_arcs(points) / oracle_hlengths(points)
+        ratios = every[np.arange(m), corner]
+        total += float(ratios.sum())
+        lo, hi = min(lo, float(ratios.min())), max(hi, float(ratios.max()))
+    mean = total / count
+    doc = {"samples": count, "constant": mean, "spread": hi - lo,
+           "expected": SQRT2, "error": abs(mean - SQRT2)}
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def oracle_develop(H, base: int, depth: int) -> tuple:

@@ -9,6 +9,7 @@ from conftest import (
     drift_overflow_torus,
     mixed_scale_measure,
     mixed_scale_torus,
+    oracle_calibrate,
     run_subprocess,
 )
 
@@ -793,6 +794,15 @@ def test_calibrate_is_deterministic(tmp_path):
     doc = json.loads(texts[0])
     assert doc["samples"] == 5000
     assert abs(doc["constant"] - math.sqrt(2.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("count", [1, 2047, 2049, 5000, 20000])
+def test_calibrate_keeps_the_row_major_bytes(count, seed, capsys):
+    # one corner per lift, solved in columns, against every corner of
+    # row-major lifts: the same document byte for byte
+    assert run(["calibrate", "--samples", str(count), "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == oracle_calibrate(count, seed)
 
 
 def test_holonomy_report(structure_file, capsys):

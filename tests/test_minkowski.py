@@ -1,7 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
+
+from conftest import (
+    oracle_hlengths,
+    oracle_horocycle_arcs,
+    oracle_random_lifts,
+    oracle_solve_triangles,
+)
 
 from brokensurf import minkowski as mk
 from brokensurf import samples
@@ -149,6 +157,78 @@ def test_stacked_arcs_reject_proportional_points():
         mk.horocycle_arcs(points)
     with pytest.raises(CollinearRays, match=r"index \(1, 1\)"):
         mk.hlengths(points)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (200,), (20, 10)], ids=str)
+def test_column_kernels_keep_the_row_major_bits(shape):
+    # the coordinate-major kernels run the same IEEE operations per entry
+    rays, lams = seeded_stack(200, 21)
+    n = math.prod(shape)
+    rays, lams = rays[:n].reshape(*shape, 3, 3), lams[:n].reshape(*shape, 3)
+    points = mk.solve_triangles(rays, lams)
+    assert points.shape == (*shape, 3, 3) and points.flags.c_contiguous
+    assert np.array_equal(points, oracle_solve_triangles(rays, lams))
+    assert np.array_equal(mk.horocycle_arcs(points), oracle_horocycle_arcs(points))
+    assert np.array_equal(mk.hlengths(points), oracle_hlengths(points))
+
+
+@pytest.mark.parametrize("n", [1, 2047, 2049])
+def test_random_lifts_keep_the_row_major_bits(n):
+    # gen.random draws what gen.uniform with array bounds drew
+    got = samples.random_lifts(samples.rng(n), n)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, oracle_random_lifts(samples.rng(n), n))
+
+
+def test_corner_lifts_rotate_the_sampled_corner_first():
+    g1, g2 = samples.rng(5), samples.rng(5)
+    lifts = samples.random_corner_lifts(g1, 300)
+    every = samples.random_lifts(g2, 300)
+    corner = g2.integers(0, 3, size=300)
+    assert g1.random() == g2.random()  # the same stream, drawn to the same place
+    for k in range(3):
+        want = every[np.arange(300), (corner + k) % 3]
+        assert np.array_equal(lifts[:, k].T, want)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_solver_rejects_non_finite_input(bad, recwarn):
+    rays, lams = seeded_stack(4, 22)
+    lams[2, 1] = bad
+    with pytest.raises(ValueError, match=r"lambdas must be finite, got .* at index 2$"):
+        mk.solve_triangles(rays, lams)
+    got = re.escape(f"lambdas must be finite, got {(bad, 1.0, 1.0)}")
+    with pytest.raises(ValueError, match=got + "$"):
+        mk.solve_triangle(mk.DEFAULT_RAYS, (bad, 1.0, 1.0))
+    rays, lams = seeded_stack(4, 22)
+    rays[3, 0, 1] = bad
+    with pytest.raises(ValueError, match=r"rays must be finite at index 3$"):
+        mk.solve_triangles(rays, lams)
+    # the rays' z is re-projected, never read
+    rays[3, 0] = (1.0, 0.0, bad)
+    assert np.isfinite(mk.solve_triangles(rays, lams)).all()
+    points = mk.solve_triangles(*seeded_stack(4, 23))
+    points[1, 2, 0] = bad
+    for kernel in (mk.horocycle_arcs, mk.hlengths):
+        with pytest.raises(ValueError, match=r"points must be finite at index 1$"):
+            kernel(points)
+    for kernel in (mk.lambda_pair, mk.horocycle_edge_point):
+        with pytest.raises(ValueError, match=r"points must be finite at index 2$"):
+            kernel(points[1], points[0])
+        with pytest.raises(ValueError, match=r"points must be finite$"):
+            kernel(points[1, 2], points[0, 0])
+        # the first row that is not finite in either stack
+        with pytest.raises(ValueError, match=r"points must be finite at index 0$"):
+            kernel(points[1], points[1, ::-1])
+    assert not recwarn.list
+
+
+def test_solver_lets_a_squared_lambda_overflow():
+    # a finite lambda past 1e154 is valid input: its lift leaves float
+    # range, which develop reports as a numerical breakdown
+    with np.errstate(over="ignore", invalid="ignore"):
+        lift = mk.solve_triangle(mk.DEFAULT_RAYS, (1e200, 1.0, 1.0))
+    assert not np.isfinite(lift).all()
 
 
 def test_random_lifts_keep_the_single_lift_stream():
