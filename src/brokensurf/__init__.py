@@ -4,10 +4,12 @@ punctured surfaces: coordinates, two-forms, and developing maps."""
 from .develop import (
     DevelopedBall,
     DevelopedNode,
+    DevelopedPaths,
     PathHolonomy,
     cusp_closure_residual,
     deck_candidates,
     develop,
+    loop_holonomies,
     path_holonomy,
     tile_separation,
 )

@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from . import fileio, forms, minkowski, render, samples
-from .develop import cusp_closure_residual, develop, path_holonomy
+from .develop import DevelopedPaths, develop
 from .errors import DegenerateEdge, GeometryError, NumericalBreakdown
 from .hyperbolic import SQRT2, DecoratedBrokenHyperbolic
 from .triangulation import IdealTriangulation, dual_loops
@@ -243,32 +243,37 @@ def cmd_holonomy(args) -> int:
     H = _load_structure(args.file)
     if not _valid(H, args.out):
         return EXIT_INVALID
+    paths = DevelopedPaths(H)  # a corner cycle is walked once, for both reports
     punctures = [
         {
             "puncture": i,
             "length": len(crossed),
             "lambda_holonomy": H.puncture_holonomy(i, "lambda"),
             "gap_holonomy": _unless_zero_gap(lambda: H.puncture_holonomy(i, "gap")),
-            "cusp_closure_residual": cusp_closure_residual(H, i),
+            "cusp_closure_residual": paths.cusp_closure_residual(i),
         }
         for i, crossed in enumerate(H.T.cycle_crossings)
     ]
-    loops = []
-    worst = 0.0
-    for crossings in dual_loops(H.T, which=args.loops):
-        hol = path_holonomy(H, crossings)
-        res = hol.lorentz_residual()
-        worst = max(worst, res)
-        loops.append(
+    loops = dual_loops(H.T, which=args.loops)
+    hol = paths.holonomies(loops)
+    residuals = hol.lorentz_residual().tolist()
+    rows = zip(loops, hol.scale.tolist(), residuals, hol.backward_residual().tolist())
+    doc = {
+        "census": _census(H.T),
+        "punctures": punctures,
+        "loops": [
             {
                 "crossings": [list(divmod(c, 3)) for c in crossings],
-                "scale": hol.scale,
+                "scale": scale,
                 "lorentz_residual": res,
-                "backward_residual": hol.backward_residual(),
+                "backward_residual": backward,
             }
-        )
-    doc = {"census": _census(H.T), "punctures": punctures, "loops": loops}
+            for crossings, scale, res, backward in rows
+        ],
+    }
     _emit(doc, args.out)
+    # from 0.0 by builtin max, which skips a NaN residual wherever it stands
+    worst = max([0.0, *residuals])
     return EXIT_OK if worst <= args.tol else EXIT_TOLERANCE
 
 

@@ -18,13 +18,20 @@ level at a time: a gather of the parents' apex, head and tail vertices
 and the level's coefficients, three multiply-adds, and the level's
 fresh vertices written as one block of rows.  Node i's lift is
 vertices[corner[i]]; ball.nodes, the same ball as DevelopedNode objects
-whose points are tuples of float tuples, is built on first access.  A
-single path (path_holonomy and cusp_closure_residual, both through
-_develop_along) is a sequence of crossings, each the flat index 3f+s of
-the near pair (f, s) it crosses.  It stays scalar, one crossing at a
-time in Python arithmetic on H.crossing_rows, the same table as Python
-floats: on one 3-vector a numpy call costs several times the arithmetic
-it does.
+whose points are tuples of float tuples, is built on first access.
+
+A single path is a sequence of crossings, each the flat index 3f+s of
+the near pair (f, s) it crosses.  _develop_along walks it scalar, one
+crossing at a time in Python arithmetic on H.crossing_rows, the same
+table as Python floats, with the crossing and its drift gate inline:
+on one 3-vector a numpy call, or even a Python call, costs several
+times the arithmetic it does.  DevelopedPaths walks each path it is
+asked about once and solves each start face's lift once, so a corner
+cycle serves both its cusp closure and its loop holonomy; its
+holonomies check all loops in one pass, then stack every loop's start
+and end frames for one inverse, one product and array passes for the
+residuals.  path_holonomy and loop_holonomies are its one-loop and
+many-loop cases, cusp_closure_residual its one-puncture case.
 
 Broken structures develop by similarity, not isometry: each crossing
 multiplies the running scale by the lambda ratio of the glued pair, and
@@ -48,7 +55,7 @@ from .triangulation import (
     UnfoldedBall,
     ball_tree,
     check_indices,
-    check_loop,
+    check_loops,
     read_only,
 )
 
@@ -74,42 +81,6 @@ def _start_lift(H: DecoratedBrokenHyperbolic, face: int) -> np.ndarray:
             f"lift of face {face} is not finite at lambdas {H.lam[face].tolist()}"
         )
     return lift
-
-
-def _cross_edge(H: DecoratedBrokenHyperbolic, crossed: int, points):
-    """Develop across pair crossed = 3f+s; returns (far, far points, step, drift).
-
-    far = 3g+k2 is the pair glued to (f, s).  The far triple is placed
-    so the far face's own slot labels index it: gluing reverses the
-    edge, so the near corner s+1 lands at the far corner k2+2 and vice
-    versa.  The fresh corner is the combination x*tail + y*head + t*apex
-    of the near lift's corners, with the pair's coefficients and lambda
-    ratio step read from H.crossing_rows; they hold at any common scale
-    of the lift, so the lift's own homothety factor carries over and no
-    lambda is read back from it.
-    """
-    far, x, y, t, step = H.crossing_rows[crossed]
-    slot, k2 = crossed % 3, far % 3
-    apex = points[slot]
-    head = points[(slot + 1) % 3]  # far corner k2 + 2
-    tail = points[(slot + 2) % 3]  # far corner k2 + 1
-
-    (ux, uy, uz), (vx, vy, vz), (wx, wy, wz) = tail, head, apex
-    z, drift = minkowski.renorm_lightcone(
-        (
-            x * ux + y * vx + t * wx,
-            x * uy + y * vy + t * wy,
-            x * uz + y * vz + t * wz,
-        )
-    )
-    if not drift <= DRIFT_BOUND:  # NaN fails too
-        raise _breakdown(drift, crossed)
-
-    far_points = [None, None, None]
-    far_points[k2] = z
-    far_points[(k2 + 1) % 3] = tail
-    far_points[(k2 + 2) % 3] = head
-    return far, tuple(far_points), step, drift
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,12 +134,12 @@ def develop(
     """Develop the combinatorial ball of the given depth around a face.
 
     One BFS level at a time, each node's lift from its parent's with the
-    arithmetic of _cross_edge in the same order, so every float is the
-    one a crossing-by-crossing walk gives.  A fresh corner whose drift is
-    not within DRIFT_BOUND (NaN included) raises NumericalBreakdown
-    naming the first such crossing in BFS order and its drift by
-    renorm_lightcone, as the scalar walk does; so does a base lift out of
-    float range.
+    crossing arithmetic of _develop_along in the same order, so every
+    float is the one a crossing-by-crossing walk gives.  A fresh corner
+    whose drift is not within DRIFT_BOUND (NaN included) raises
+    NumericalBreakdown naming the first such crossing in BFS order and
+    its drift by renorm_lightcone, as the scalar walk does; so does a
+    base lift out of float range.
     """
     tree = ball_tree(H.T, base, depth)
     _, parent, _, crossed, levels, corner = tree
@@ -203,43 +174,106 @@ def develop(
     return DevelopedBall(base, depth, *tree, *geometry)
 
 
-def _develop_along(H: DecoratedBrokenHyperbolic, crossings):
+def _develop_along(H: DecoratedBrokenHyperbolic, crossings, lifts: dict):
     """Develop face by face along a nonempty chain of crossings 3f+s.
 
     Returns (start lift, final points, final scale, final face): the
     first face's own (3, 3) lift, the developed lift of the face the
     last crossing enters, the running scale there and that face's index.
-    The crossings are trusted: each must be in range and leave the face
-    the previous one entered, as check_loop and T.cycle_crossings ensure.
+    lifts maps a face to its start lift and that lift's points as
+    tuples; a face it lacks is solved and added.  The crossings are trusted: each must be in range and leave the face the
+    previous one entered, as check_loops and T.cycle_crossings ensure.
+
+    Crossing 3f+s glues to far = 3g+k2.  The fresh corner is the
+    combination x*tail + y*head + t*apex of the near lift's corners,
+    with the pair's coefficients and lambda ratio step read from
+    H.crossing_rows; they hold at any common scale of the lift, so the
+    lift's own homothety factor carries over and no lambda is read back
+    from it.  The far triple is placed so the far face's own slot labels
+    index it: gluing reverses the edge, so the near corner s+1 lands at
+    the far corner k2+2 and vice versa.  The fresh corner goes back on
+    the cone and its drift is gated as minkowski.renorm_lightcone
+    computes them: a drift not within DRIFT_BOUND (NaN included) raises
+    NumericalBreakdown naming the crossing.
     """
     face = crossings[0] // 3
-    lift = _start_lift(H, face)
-    points = tuple(map(tuple, lift.tolist()))
+    if face not in lifts:
+        lift = _start_lift(H, face)
+        lifts[face] = lift, tuple(map(tuple, lift.tolist()))
+    lift, points = lifts[face]
+    rows, hypot = H.crossing_rows, math.hypot
     scale = 1.0
     for c in crossings:
-        far, points, step, _ = _cross_edge(H, c, points)
+        far, x, y, t, step = rows[c]
+        slot = c % 3
+        if slot == 0:
+            apex, head, tail = points
+        elif slot == 1:
+            tail, apex, head = points
+        else:
+            head, tail, apex = points
+        (ux, uy, uz), (vx, vy, vz), (wx, wy, wz) = tail, head, apex
+        X = x * ux + y * vx + t * wx
+        Y = x * uy + y * vy + t * wy
+        Z = x * uz + y * vz + t * wz
+        try:
+            drift = abs(X * X + Y * Y - Z * Z) / Z**2 if Z else math.inf
+        except OverflowError:  # Z^2 out of float range
+            drift = math.inf
+        if not drift <= DRIFT_BOUND:  # NaN fails too
+            raise _breakdown(drift, c)
+        fresh = (X, Y, hypot(X, Y))
+        k2 = far % 3
+        if k2 == 0:
+            points = (fresh, tail, head)
+        elif k2 == 1:
+            points = (head, fresh, tail)
+        else:
+            points = (tail, head, fresh)
         scale *= step
     return lift, points, scale, far // 3
 
 
+def _squares(x) -> np.ndarray:
+    """x ** 2 entry by entry in Python float arithmetic, as an array.
+
+    numpy's ** 2 on an array is x * x, which can differ from pow(x, 2)
+    in the last bit; squaring by pow gives a stack's residuals the bits
+    of each path's own, computed in Python floats.
+    """
+    return np.reshape([v**2 for v in np.ravel(x).tolist()], np.shape(x))
+
+
 @dataclass(frozen=True)
 class PathHolonomy:
-    """Linear part and scale of a developed closed path."""
+    """Linear part and scale of a developed closed path, or of a stack of them.
+
+    One path has a (3, 3) matrix and a float scale, and its residuals are
+    floats; n paths have an (n, 3, 3) matrix and an (n,) scale, and
+    their residuals are (n,) arrays.
+    """
 
     matrix: np.ndarray
-    scale: float
+    scale: float | np.ndarray
 
     @cached_property
-    def _defect(self) -> float:
-        """max |M^T J M - scale^2 J|, shared by both residuals."""
+    def _residuals(self):
+        """max |M^T J M - scale^2 J| over scale^2 and over max |M|^2."""
         m = self.matrix
-        return float(np.max(np.abs(m.T @ _J @ m - self.scale**2 * _J)))
+        square = _squares(self.scale)
+        gram = m.swapaxes(-1, -2) @ _J @ m - square[..., None, None] * _J
+        defect = np.abs(gram).max(axis=(-2, -1))
+        lorentz = defect / square
+        backward = defect / _squares(np.abs(m).max(axis=(-2, -1)))
+        if lorentz.ndim:
+            return lorentz, backward
+        return float(lorentz), float(backward)
 
-    def lorentz_residual(self) -> float:
+    def lorentz_residual(self):
         """How far matrix/scale is from the isometry group, max norm."""
-        return self._defect / self.scale**2
+        return self._residuals[0]
 
-    def backward_residual(self) -> float:
+    def backward_residual(self):
         """The same defect relative to max |M|^2, the size of M^T J M.
 
         Rounding in a product of n crossings leaves a defect of about
@@ -247,22 +281,82 @@ class PathHolonomy:
         loop; this ratio stays at rounding level when every crossing is
         exact.
         """
-        return self._defect / float(np.max(np.abs(self.matrix))) ** 2
+        return self._residuals[1]
+
+
+class DevelopedPaths:
+    """Closed paths of one structure, each developed at most once.
+
+    A path asked about twice, as a corner cycle is when both its cusp
+    closure and its loop holonomy are wanted, is walked once, and each
+    start face's lift is solved once.
+    """
+
+    def __init__(self, H: DecoratedBrokenHyperbolic):
+        self.H = H
+        self._lifts = {}  # face: (start lift, its points as tuples)
+        self._walks = {}  # crossings: what _develop_along returned
+
+    def _walk(self, crossings: tuple):
+        walk = self._walks.get(crossings)
+        if walk is None:
+            walk = self._walks[crossings] = _develop_along(self.H, crossings, self._lifts)
+        return walk
+
+    def holonomies(self, loops) -> PathHolonomy:
+        """loop_holonomies(H, loops), reusing the walks already taken."""
+        walks = [self._walk(loop) for loop in check_loops(self.H.T, loops)]
+        # the lifts' points as columns
+        starts = np.array([w[0] for w in walks]).reshape(-1, 3, 3).swapaxes(1, 2)
+        ends = np.array([w[1] for w in walks]).reshape(-1, 3, 3).swapaxes(1, 2)
+        scale = np.array([w[2] for w in walks])
+        return PathHolonomy(ends @ np.linalg.inv(starts), scale)
+
+    def cusp_closure_residual(self, puncture: int) -> float:
+        """|log| of the lambda ratio the puncture loop fails to close by.
+
+        Developing once around the corner cycle re-lands on the start
+        face.  The fresh copy of the edge entered last carries a definite
+        lambda (its pair lambda under the final lift); for an unbroken
+        structure it matches the structure's own, and the mismatch
+        factor is exactly the loop's lambda-convention holonomy.
+        """
+        H = self.H
+        (puncture,) = check_indices([puncture], H.T.num_punctures, "puncture")
+        crossings = tuple(H.T.cycle_crossings[puncture].tolist())
+        _, points, _, face = self._walk(crossings)
+        assert face == crossings[0] // 3
+        # the last crossing's entry slot; the fresh corner sits there
+        k2 = int(H.T.partner.ravel()[crossings[-1]]) % 3
+        fresh_slot = (k2 + 1) % 3  # edge joining fresh corner to corner k2+2
+        lam_geo = minkowski.lambda_pair(points[k2], points[(k2 + 2) % 3])
+        ratio = lam_geo / H.lam[face, fresh_slot]
+        return abs(float(np.log(ratio)))
+
+
+def loop_holonomies(H: DecoratedBrokenHyperbolic, loops) -> PathHolonomy:
+    """Holonomy pairs of nonempty closed dual paths, as one stacked PathHolonomy.
+
+    Entry i is path_holonomy(H, loops[i]), bit for bit.  Every loop is
+    checked before any is developed: one that is no closed path raises
+    what check_loop raises for the first such loop.  Then one inverse,
+    one product and the residuals serve all loops as array passes.
+    """
+    return DevelopedPaths(H).holonomies(loops)
 
 
 def path_holonomy(H: DecoratedBrokenHyperbolic, loop) -> PathHolonomy:
     """Holonomy pair of a closed dual path: end frame times inverse start frame.
 
     Composition is contravariant: the matrix of loop1 + loop2 is
-    matrix(loop1) @ matrix(loop2), and the scales multiply.
+    matrix(loop1) @ matrix(loop2), and the scales multiply.  The empty
+    loop gives the identity; any other is loop_holonomies' one-loop case.
     """
     loop = tuple(loop)
     if not loop:
         return PathHolonomy(np.eye(3), 1.0)
-    loop = check_loop(H.T, loop)
-    start, points, scale, _ = _develop_along(H, loop)
-    m_0, m_1 = np.array((start, points)).swapaxes(1, 2)  # points as columns
-    return PathHolonomy(m_1 @ np.linalg.inv(m_0), scale)
+    hol = loop_holonomies(H, [loop])
+    return PathHolonomy(hol.matrix[0], float(hol.scale[0]))
 
 
 def deck_candidates(H: DecoratedBrokenHyperbolic, ball: DevelopedBall):
@@ -335,21 +429,5 @@ def tile_separation(points_a, points_b) -> float:
 
 
 def cusp_closure_residual(H: DecoratedBrokenHyperbolic, puncture: int) -> float:
-    """|log| of the lambda ratio the puncture loop fails to close by.
-
-    Developing once around the corner cycle re-lands on the start face.
-    The fresh copy of the edge entered last carries a definite lambda
-    (its pair lambda under the final lift); for an unbroken structure it
-    matches the structure's own, and the mismatch factor is exactly the
-    loop's lambda-convention holonomy.
-    """
-    (puncture,) = check_indices([puncture], H.T.num_punctures, "puncture")
-    crossings = H.T.cycle_crossings[puncture].tolist()
-    _, points, _, face = _develop_along(H, crossings)
-    assert face == crossings[0] // 3
-    # the last crossing's entry slot; the fresh corner sits there
-    k2 = int(H.T.partner.ravel()[crossings[-1]]) % 3
-    fresh_slot = (k2 + 1) % 3  # edge joining fresh corner to corner k2+2
-    lam_geo = minkowski.lambda_pair(points[k2], points[(k2 + 2) % 3])
-    ratio = lam_geo / H.lam[face, fresh_slot]
-    return abs(float(np.log(ratio)))
+    """DevelopedPaths(H).cusp_closure_residual(puncture)."""
+    return DevelopedPaths(H).cusp_closure_residual(puncture)

@@ -370,6 +370,32 @@ def check_loop(T: IdealTriangulation, crossings) -> tuple[int, ...]:
     return crossings
 
 
+def check_loops(T: IdealTriangulation, loops) -> list[tuple[int, ...]]:
+    """check_loop on every loop, in one pass over all their crossings.
+
+    Returns the loops as tuples of ints, or raises what check_loop raises
+    for the first loop it rejects.
+    """
+    loops = [tuple(loop) for loop in loops]
+    flat = [c for loop in loops for c in loop]
+    if (
+        all(loops)
+        and set(map(type, flat)) <= {int}
+        and 0 <= min(flat, default=0)
+        and max(flat, default=0) < 3 * T.faces
+    ):
+        path = np.array(flat, dtype=np.intp)
+        lands = T.partner.ravel()[path] // 3
+        # each crossing's successor in its own loop, the last wrapping round
+        lengths = np.array([len(loop) for loop in loops], dtype=np.intp)
+        ends = np.cumsum(lengths)
+        successor = np.arange(1, len(flat) + 1)
+        successor[ends - 1] = ends - lengths
+        if np.array_equal(lands, path[successor] // 3):
+            return loops
+    return [check_loop(T, loop) for loop in loops]
+
+
 def dual_loops(T: IdealTriangulation, which="punctures"):
     """Closed loops in the dual graph, as tuples of near-side crossings 3f+s.
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from brokensurf import cli, forms, render, samples, sphere_fixture, torus_fixture
-from brokensurf.develop import DevelopedNode, _cross_edge
+from brokensurf.develop import DRIFT_BOUND, DevelopedNode, _breakdown, _start_lift
 from brokensurf.errors import (
     Disconnected,
     NonOrientable,
@@ -25,8 +25,8 @@ from brokensurf.errors import (
 )
 from brokensurf.foliation import BrokenMeasure
 from brokensurf.hyperbolic import SQRT2, DecoratedBrokenHyperbolic
-from brokensurf.minkowski import horocycle_disk_circle
-from brokensurf.triangulation import NEXT, ONWARD, PREV, build_triangulation
+from brokensurf.minkowski import horocycle_disk_circle, renorm_lightcone
+from brokensurf.triangulation import NEXT, ONWARD, PREV, build_triangulation, check_loop
 
 
 def random_gluing(faces: int, seed: int) -> list:
@@ -372,12 +372,79 @@ def oracle_calibrate(count: int, seed: int) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def oracle_cross_edge(H, crossed: int, points):
+    """Develop across pair crossed = 3f+s; returns (far, far points, step, drift).
+
+    One crossing as a call of its own, the drift by renorm_lightcone:
+    the walk develop._develop_along does inline.  far = 3g+k2 is the
+    pair glued to (f, s).  The far triple is placed so the far face's
+    own slot labels index it: gluing reverses the edge, so the near
+    corner s+1 lands at the far corner k2+2 and vice versa.  The fresh
+    corner is the combination x*tail + y*head + t*apex of the near
+    lift's corners, with the pair's coefficients and lambda ratio step
+    read from H.crossing_rows.
+    """
+    far, x, y, t, step = H.crossing_rows[crossed]
+    slot, k2 = crossed % 3, far % 3
+    apex = points[slot]
+    head = points[(slot + 1) % 3]  # far corner k2 + 2
+    tail = points[(slot + 2) % 3]  # far corner k2 + 1
+
+    (ux, uy, uz), (vx, vy, vz), (wx, wy, wz) = tail, head, apex
+    z, drift = renorm_lightcone(
+        (
+            x * ux + y * vx + t * wx,
+            x * uy + y * vy + t * wy,
+            x * uz + y * vz + t * wz,
+        )
+    )
+    if not drift <= DRIFT_BOUND:  # NaN fails too
+        raise _breakdown(drift, crossed)
+
+    far_points = [None, None, None]
+    far_points[k2] = z
+    far_points[(k2 + 1) % 3] = tail
+    far_points[(k2 + 2) % 3] = head
+    return far, tuple(far_points), step, drift
+
+
+def oracle_develop_along(H, crossings) -> tuple:
+    """(start lift, final points, final scale, final face), one oracle_cross_edge a crossing."""
+    face = crossings[0] // 3
+    lift = _start_lift(H, face)
+    points = tuple(map(tuple, lift.tolist()))
+    scale = 1.0
+    for c in crossings:
+        far, points, step, _ = oracle_cross_edge(H, c, points)
+        scale *= step
+    return lift, points, scale, far // 3
+
+
+def oracle_path_holonomy(H, loop) -> tuple:
+    """(matrix, scale, lorentz residual, backward residual) of one closed path.
+
+    One loop at a time, the residuals in Python floats off one (3, 3)
+    matrix: the holonomy as the CLI computed it loop by loop.
+    """
+    start, points, scale, _ = oracle_develop_along(H, check_loop(H.T, loop))
+    m_0, m_1 = np.array((start, points)).swapaxes(1, 2)  # points as columns
+    m = m_1 @ np.linalg.inv(m_0)
+    return m, scale, *oracle_residuals(m, scale)
+
+
+def oracle_residuals(m, scale: float) -> tuple[float, float]:
+    """(lorentz, backward) residual of one (3, 3) matrix, squares by Python pow."""
+    J = np.diag([1.0, 1.0, -1.0])
+    defect = float(np.max(np.abs(m.T @ J @ m - scale**2 * J)))
+    return defect / scale**2, defect / float(np.max(np.abs(m))) ** 2
+
+
 def oracle_develop(H, base: int, depth: int) -> tuple:
     """A developed ball one node at a time: the DevelopedNode tuple.
 
     The walk develop used to take: a BFS queue of face instances, each
     crossing its slots other than its entry slot in slot order, one
-    _cross_edge per node.
+    oracle_cross_edge per node.
     """
     root = tuple(map(tuple, H.face_lift(base).tolist()))
     nodes = [DevelopedNode(0, base, 0, None, None, root, 1.0, 0.0)]
@@ -389,7 +456,7 @@ def oracle_develop(H, base: int, depth: int) -> tuple:
         for s in (0, 1, 2):
             if s == node.entry_slot:
                 continue
-            far, points, step, drift = _cross_edge(H, 3 * node.face + s, node.points)
+            far, points, step, drift = oracle_cross_edge(H, 3 * node.face + s, node.points)
             g, k = divmod(far, 3)
             child = DevelopedNode(
                 len(nodes), g, node.depth + 1, node.index, k, points,

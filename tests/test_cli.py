@@ -10,10 +10,11 @@ from conftest import (
     mixed_scale_measure,
     mixed_scale_torus,
     oracle_calibrate,
+    random_triangulation,
     run_subprocess,
 )
 
-from brokensurf import cli, fileio, samples
+from brokensurf import cli, cusp_closure_residual, dual_loops, fileio, path_holonomy, samples
 from brokensurf.errors import DegenerateEdge
 from brokensurf.foliation import BrokenMeasure
 from brokensurf.hyperbolic import (
@@ -833,6 +834,54 @@ def test_holonomy_rejects_invalid_structure(tmp_path, torus, loops, capsys):
     for command in ("validate", "ray", "develop"):
         assert run([command, str(path)]) == 2
     capsys.readouterr()
+
+
+def per_loop_holonomy_doc(H, loops: str) -> tuple[dict, float]:
+    """holonomy's document from the public per-puncture and per-loop calls, and its worst residual."""
+
+    def gap(i):
+        try:
+            return H.puncture_holonomy(i, "gap")
+        except DegenerateEdge:
+            return None
+
+    punctures = [
+        {
+            "puncture": i,
+            "length": len(crossed),
+            "lambda_holonomy": H.puncture_holonomy(i, "lambda"),
+            "gap_holonomy": gap(i),
+            "cusp_closure_residual": cusp_closure_residual(H, i),
+        }
+        for i, crossed in enumerate(H.T.cycle_crossings)
+    ]
+    rows, worst = [], 0.0
+    for crossings in dual_loops(H.T, loops):
+        hol = path_holonomy(H, crossings)
+        worst = max(worst, hol.lorentz_residual())
+        rows.append({
+            "crossings": [list(divmod(c, 3)) for c in crossings],
+            "scale": hol.scale,
+            "lorentz_residual": hol.lorentz_residual(),
+            "backward_residual": hol.backward_residual(),
+        })
+    return {"census": cli._census(H.T), "punctures": punctures, "loops": rows}, worst
+
+
+@pytest.mark.parametrize("name", ["torus", "sphere", 20, 200])
+@pytest.mark.parametrize("kind", ["broken", "unbroken"])
+@pytest.mark.parametrize("loops", ["punctures", "basis"])
+def test_holonomy_document_is_the_per_loop_calls(request, tmp_path, name, kind, loops, capsys):
+    # walking each corner cycle once and finishing the loops as one stack
+    # changes no byte of the document and no exit code
+    T = random_triangulation(name, name) if isinstance(name, int) else request.getfixturevalue(name)
+    make = samples.random_valid_structure if kind == "broken" else samples.random_unbroken
+    path = tmp_path / "structure.json"
+    fileio.save(path, make(T, samples.rng(18)))
+    code = run(["holonomy", str(path), "--loops", loops])
+    doc, worst = per_loop_holonomy_doc(fileio.load(path), loops)
+    assert capsys.readouterr().out == fileio.canonical_json(doc)
+    assert code == (0 if worst <= 1e-9 else 3)
 
 
 def test_holonomy_basis_loops(structure_file, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import math
 import re
@@ -10,8 +11,12 @@ from conftest import (
     drift_overflow_torus,
     mixed_scale_torus,
     oracle_ball_dict,
+    oracle_cross_edge,
     oracle_deck,
     oracle_develop,
+    oracle_develop_along,
+    oracle_path_holonomy,
+    oracle_residuals,
     oracle_svg_body,
     random_triangulation,
 )
@@ -19,19 +24,20 @@ from conftest import (
 from brokensurf import fileio, minkowski, render, samples
 from brokensurf.develop import (
     DRIFT_BOUND,
+    DevelopedPaths,
     PathHolonomy,
-    _cross_edge,
     _develop_along,
     _tile_geometry,
     cusp_closure_residual,
     deck_candidates,
     develop,
+    loop_holonomies,
     path_holonomy,
     tile_separation,
 )
-from brokensurf.errors import GeometryError, NumericalBreakdown
+from brokensurf.errors import GeometryError, NumericalBreakdown, OpenPath
 from brokensurf.hyperbolic import constant_structure, embed_unbroken
-from brokensurf.triangulation import check_loop, dual_loops, unfold_ball
+from brokensurf.triangulation import check_loop, check_loops, dual_loops, unfold_ball
 
 
 def bits(x) -> str:
@@ -82,7 +88,7 @@ def test_crossing_matches_extend_across(torus, sphere, gen):
             H = samples.random_boxed_structure(T, gen)
             near = H.face_lift(0).tolist()
             for s in range(3):
-                glued, far, _, _ = _cross_edge(H, s, near)
+                glued, far, _, _ = oracle_cross_edge(H, s, near)
                 g, k2 = divmod(glued, 3)
                 apex, head, tail = near[s], near[(s + 1) % 3], near[(s + 2) % 3]
                 factor = minkowski.lambda_pair(head, tail) / H.lam[(g, k2)]
@@ -145,7 +151,7 @@ def test_unbroken_ball_keeps_unit_scale(torus):
 def test_develop_along_chains(torus, gen):
     H = samples.random_boxed_structure(torus, gen)
     loop = dual_loops(torus, "punctures")[0]
-    lift, points, scale, face = _develop_along(H, loop)
+    lift, points, scale, face = _develop_along(H, loop, {})
     assert face == loop[0] // 3
     for got, want in zip(lift, H.face_lift(face)):
         assert np.array_equal(got, want)
@@ -169,10 +175,193 @@ def test_paths_reject_what_is_no_crossing(sphere, path):
     # to wrap to the last pair and 6 to raise a bare IndexError
     H = samples.random_valid_structure(sphere, samples.rng(1))
     message = re.escape(f"crossing {path[0]!r} is not an int in range(6)")
-    for call, first in ((check_loop, sphere), (path_holonomy, H)):
+    closed = dual_loops(sphere, "basis")[0]
+    calls = (
+        (check_loop, sphere, path),
+        (path_holonomy, H, path),
+        # the batched check names the loop check_loop rejects
+        (check_loops, sphere, [closed, path]),
+        (loop_holonomies, H, [closed, path]),
+    )
+    for call, first, arg in calls:
         with pytest.raises(ValueError, match=message):
-            call(first, path)
+            call(first, arg)
 
+
+# on the sphere crossing 0 = (0, 0) lands on face 1
+OPEN_PATHS = {"empty": [], "open": [0], "open-twice": [0, 0], "open-late": [0, 3, 1]}
+
+
+@pytest.mark.parametrize(
+    "second", [*OPEN_PATHS.values(), *BAD_PATHS.values()], ids=[*OPEN_PATHS, *BAD_PATHS]
+)
+def test_batched_check_raises_what_check_loop_raises(sphere, second):
+    # a list whose second loop is rejected raises check_loop's error for
+    # it, type and text, though the third is open too; an open first
+    # loop is named before a second that is no crossing
+    H = samples.random_valid_structure(sphere, samples.rng(1))
+    closed = dual_loops(sphere, "basis")[0]
+    with pytest.raises((ValueError, OpenPath)) as want:
+        check_loop(sphere, second)
+    for call, first in ((check_loops, sphere), (loop_holonomies, H)):
+        with pytest.raises((ValueError, OpenPath)) as got:
+            call(first, [closed, second, [0]])
+        assert (type(got.value), str(got.value)) == (want.type, str(want.value))
+        with pytest.raises(OpenPath, match=re.escape("crossing (0, 0) lands on face 1")):
+            call(first, [[0], second])
+
+
+def test_batched_check_passes_closed_loops(sphere):
+    loops = [*dual_loops(sphere, "punctures"), *dual_loops(sphere, "basis")]
+    assert check_loops(sphere, loops) == [check_loop(sphere, loop) for loop in loops]
+    assert check_loops(sphere, map(list, loops)) == loops
+    assert check_loops(sphere, []) == []
+
+
+def random_walk(T, gen, length: int) -> list:
+    """A chain of crossings from a random face, each leaving by a random slot."""
+    partner = T.partner.ravel()
+    path = [3 * int(gen.integers(T.faces)) + int(gen.integers(3))]
+    while len(path) < length:
+        path.append(3 * (int(partner[path[-1]]) // 3) + int(gen.integers(3)))
+    return path
+
+
+def walk_outcomes(H, path) -> tuple:
+    """The inline and the oracle walk: each start lift's bytes and the bits of the rest, or its error."""
+
+    def outcome(walk):
+        try:
+            lift, *rest = walk()
+        except GeometryError as exc:
+            return type(exc), str(exc)
+        return lift.tobytes(), bits(rest)
+
+    return outcome(lambda: _develop_along(H, path, {})), outcome(lambda: oracle_develop_along(H, path))
+
+
+@pytest.mark.parametrize("name", ["torus", "sphere", 20])
+@pytest.mark.parametrize("kind", ["broken", "unbroken"])
+def test_inline_walk_matches_crossing_oracle(request, name, kind):
+    # the inlined crossings against one oracle_cross_edge call per
+    # crossing: points, scale and final face bit for bit, over every
+    # loop and random chains through every slot
+    T = surface(request, name)
+    make = samples.random_valid_structure if kind == "broken" else samples.random_unbroken
+    H = make(T, samples.rng(14))
+    gen = samples.rng(15)
+    chains = [random_walk(T, gen, n) for n in (1, 2, 3, 40, 40, 40, 200)]
+    for path in [*dual_loops(T, "punctures"), *dual_loops(T, "basis"), *chains]:
+        got, want = walk_outcomes(H, path)
+        assert got == want
+        assert got[0] is not NumericalBreakdown
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (mixed_scale_torus, "light-cone drift nan crossing (1, 1)"),
+        (drift_overflow_torus, "light-cone drift inf crossing (1, 1)"),
+        (lambda torus: huge_torus(torus), "lift of face 0 is not finite"),
+    ],
+    ids=["drift-nan", "drift-inf", "lift-not-finite"],
+)
+def test_inline_walk_breaks_down_as_the_oracle(torus, make, message):
+    H = make(torus)
+    loop = dual_loops(torus, "punctures")[0]
+    for path in (loop, loop[:3], [1, 4], [4]):
+        got, want = walk_outcomes(H, path)
+        assert got == want
+    assert message in walk_outcomes(H, loop)[0][1]
+
+
+def holonomy_fields(hols) -> list:
+    """Every float of each holonomy pair, as bits: matrix, scale, both residuals."""
+    assert {type(h.scale) for h in hols} | {
+        type(f()) for h in hols for f in (h.lorentz_residual, h.backward_residual)
+    } <= {float}
+    return [
+        (h.matrix.tobytes(), bits(h.scale), bits(h.lorentz_residual()), bits(h.backward_residual()))
+        for h in hols
+    ]
+
+
+@pytest.mark.parametrize("name", ["torus", "sphere", 20, 200])
+@pytest.mark.parametrize("kind", ["broken", "unbroken"])
+def test_loop_holonomies_match_path_holonomy(request, name, kind):
+    # the stacked finish against one-loop path_holonomy and the
+    # loop-by-loop oracle, bit for bit; a loop that breaks down makes the
+    # batch raise the first such loop's error
+    T = surface(request, name)
+    make = samples.random_valid_structure if kind == "broken" else samples.random_unbroken
+    H = make(T, samples.rng(16))
+    for which in ("punctures", "basis"):
+        loops = dual_loops(T, which)
+        singles, failures = {}, []
+        for loop in loops:
+            try:
+                singles[loop] = path_holonomy(H, loop)
+            except GeometryError as exc:
+                failures.append(exc)
+        if failures:
+            with pytest.raises(type(failures[0]), match=re.escape(str(failures[0]))):
+                loop_holonomies(H, loops)
+        good = list(singles)
+        hol = loop_holonomies(H, good)
+        assert loop_holonomies(H, []).matrix.shape == (0, 3, 3)
+        assert hol.matrix.shape == (len(good), 3, 3)
+        stacked = [
+            PathHolonomy(m, s)
+            for m, s in zip(hol.matrix, hol.scale.tolist())
+        ]
+        want = holonomy_fields(singles.values())
+        assert holonomy_fields(stacked) == want
+        assert [bits(r) for r in hol.lorentz_residual().tolist()] == [w[2] for w in want]
+        assert [bits(r) for r in hol.backward_residual().tolist()] == [w[3] for w in want]
+        oracle = [oracle_path_holonomy(H, loop) for loop in good]
+        assert [(m.tobytes(), *map(bits, rest)) for m, *rest in oracle] == want
+
+
+def test_stacked_residuals_square_by_pow():
+    # pow(x, 2), the one-loop formula's square, and numpy's x * x differ
+    # in the last bit for about one float in 1200; 2 x 5000 squares here
+    gen = samples.rng(19)
+    m = gen.normal(size=(5000, 3, 3))
+    scale = gen.uniform(0.5, 2.0, 5000)
+    hol = PathHolonomy(m, scale)
+    got = zip(hol.lorentz_residual().tolist(), hol.backward_residual().tolist())
+    want = [oracle_residuals(mi, s) for mi, s in zip(m, scale.tolist())]
+    assert bits(list(got)) == bits(want)
+    one = PathHolonomy(m[0], float(scale[0]))
+    assert bits((one.lorentz_residual(), one.backward_residual())) == bits(want[0])
+
+
+def test_corner_cycles_are_walked_once(sphere, monkeypatch):
+    # a corner cycle's cusp closure and its loop holonomy share one walk,
+    # and every walk from a face shares its start lift
+    develop_module = importlib.import_module("brokensurf.develop")  # not the function
+    counts = {"walks": 0, "lifts": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    H = samples.random_valid_structure(sphere, samples.rng(17))
+    loops = dual_loops(sphere, "punctures")
+    want = [cusp_closure_residual(H, p) for p in range(sphere.num_punctures)]
+    want_hol = loop_holonomies(H, loops)
+    monkeypatch.setattr(develop_module, "_develop_along", counted("walks", _develop_along))
+    monkeypatch.setattr(develop_module, "_start_lift", counted("lifts", develop_module._start_lift))
+    paths = DevelopedPaths(H)
+    got = [paths.cusp_closure_residual(p) for p in range(sphere.num_punctures)]
+    hol = paths.holonomies(loops)
+    assert counts == {"walks": len(loops), "lifts": len({loop[0] // 3 for loop in loops})}
+    assert bits(got) == bits(want)
+    assert hol.matrix.tobytes() == want_hol.matrix.tobytes()
+    assert hol.scale.tobytes() == want_hol.scale.tobytes()
 
 
 @pytest.mark.parametrize("bad", BAD_PUNCTURES.values(), ids=BAD_PUNCTURES)
@@ -456,12 +645,13 @@ def test_develop_along_reproduces_every_node(request, name):
     H = samples.random_boxed_structure(T, samples.rng(12))
     ball = develop(H, 0, 6)
     assert bits(ball.nodes[0].points) == bits(tuple(map(tuple, H.face_lift(0).tolist())))
+    lifts = {}  # every walk starts at face 0 and reuses its lift
     for node in ball.nodes[1:]:
         path, i = [], node.index
         while i:
             path.append(int(ball.crossed[i]))
             i = ball.parent[i]
-        _, points, scale, face = _develop_along(H, path[::-1])
+        _, points, scale, face = _develop_along(H, path[::-1], lifts)
         assert face == node.face
         assert bits(points) == bits(node.points)
         assert bits(scale) == bits(node.scale)
@@ -566,5 +756,5 @@ def test_drift_gate_names_first_failing_crossing(torus, gen, values, drift):
     with pytest.raises(NumericalBreakdown, match=re.escape(message)):
         develop(H, 0, 3)
     with pytest.raises(NumericalBreakdown, match=re.escape(message)):
-        _develop_along(H, [1])
+        _develop_along(H, [1], {})
     assert develop(H, 0, 0).max_drift() == 0.0
