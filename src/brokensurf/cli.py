@@ -256,24 +256,21 @@ def cmd_holonomy(args) -> int:
     ]
     loops = dual_loops(H.T, which=args.loops)
     hol = paths.holonomies(loops)
-    residuals = hol.lorentz_residual().tolist()
-    rows = zip(loops, hol.scale.tolist(), residuals, hol.backward_residual().tolist())
+    residuals = hol.lorentz_residual()
+    figures = {
+        "scale": hol.scale,
+        "lorentz_residual": residuals,
+        "backward_residual": hol.backward_residual(),
+    }
     doc = {
         "census": _census(H.T),
         "punctures": punctures,
-        "loops": [
-            {
-                "crossings": [list(divmod(c, 3)) for c in crossings],
-                "scale": scale,
-                "lorentz_residual": res,
-                "backward_residual": backward,
-            }
-            for crossings, scale, res, backward in rows
-        ],
+        # each crossing is written as its [face, slot] pair
+        "loops": fileio.LoopRows(loops, figures),
     }
     _emit(doc, args.out)
     # from 0.0 by builtin max, which skips a NaN residual wherever it stands
-    worst = max([0.0, *residuals])
+    worst = max([0.0, *residuals.tolist()])
     return EXIT_OK if worst <= args.tol else EXIT_TOLERANCE
 
 

@@ -20,10 +20,18 @@ which tables and files are keyed by, are built on first access.
 Per-pair data is an (F, 3) array indexed [face, slot], read row by row
 in pair order.  Also here: dual loops, and unfolded balls used by the
 developing map.
+
+Files reach these arrays in whole-input passes.  A gluing of plain ints
+is type-checked over its flattened entries and range-checked as one int
+array; a pair table keyed "face.slot" is spelling-checked by one match
+over all its keys and parsed into flat indices by one numpy pass.
+Whatever those passes turn away is walked entry by entry or key by key,
+which raises the message for the first bad one in order.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -90,22 +98,29 @@ def _partner(faces: int, entries: list) -> np.ndarray:
     """The flat partner array of the matching that (p, q) entries glue.
 
     Entries of plain tuples or lists of plain ints pass a few checks over
-    the whole input.  Anything those checks turn away goes to
-    _partner_by_entry, which raises for the first bad entry in order.
+    the whole input: type checks over the flattened entries, then range
+    and once-each checks on one int array.  Anything those checks turn
+    away goes to _partner_by_entry, which raises for the first bad entry
+    in order.
     """
     if set(map(type, entries)) <= {tuple, list} and set(map(len, entries)) == {2}:
         pairs = list(chain.from_iterable(entries))
         if set(map(type, pairs)) <= {tuple, list} and set(map(len, pairs)) == {2}:
             flat = list(chain.from_iterable(pairs))
-            if (
-                set(map(type, flat)) == {int}
-                and min(flat) >= 0
-                and max(flat[0::2]) < faces
-                and max(flat[1::2]) <= 2
-            ):
+            if len(flat) == 6 * faces and set(map(type, flat)) == {int}:
+                try:
+                    ints = np.fromiter(flat, np.intp, len(flat))
+                except OverflowError:  # an int beyond intp is out of range
+                    return _partner_by_entry(faces, entries)
+                face, slot = ints[0::2], ints[1::2]
+                slots = 3 * face + slot
                 # every slot once: none unglued, reused or glued to itself
-                slots = 3 * np.array(flat[0::2]) + flat[1::2]
-                if slots.size == 3 * faces and (np.bincount(slots) == 1).all():
+                if (
+                    ints.min() >= 0
+                    and face.max() < faces
+                    and slot.max() <= 2
+                    and (np.bincount(slots) == 1).all()
+                ):
                     a, b = slots[0::2], slots[1::2]
                     partner = np.empty_like(slots)
                     partner[a], partner[b] = b, a
@@ -269,19 +284,11 @@ class IdealTriangulation:
         """The pairs at which an (F, 3) boolean table holds, in pair order."""
         return list(map(divmod, np.flatnonzero(mask).tolist(), repeat(3)))
 
-    def _pair_keys(self) -> list[str]:
-        """The "face.slot" key of every pair, in pair order: the file format."""
-        slots = (".0", ".1", ".2")
-        return [f + s for f in map(str, range(self.faces)) for s in slots]
-
     def pair_dict(self, table: np.ndarray) -> dict:
         """A pair table keyed "face.slot", the form files store."""
-        return dict(zip(self._pair_keys(), table.ravel().tolist()))
-
-    @cached_property
-    def _flat_index(self) -> dict[str, int]:
-        """The flat index 3 * f + s of the pair each "face.slot" key names."""
-        return dict(zip(self._pair_keys(), range(3 * self.faces)))
+        slots = (".0", ".1", ".2")
+        keys = [f + s for f in map(str, range(self.faces)) for s in slots]
+        return dict(zip(keys, table.ravel().tolist()))
 
     def pairs_from_dict(self, d: dict, noun: str) -> np.ndarray | dict:
         """Read back what pair_dict writes, as values for pair_table.
@@ -293,27 +300,39 @@ class IdealTriangulation:
         ValueError naming the first such key; so no two keys can name one
         pair.  A table that leaves pairs out comes back keyed by pairs,
         so that pair_table names the first bad pair in pair order.
+
+        The keys of a table of 3F entries are checked by one match over
+        them all and parsed by one numpy pass, and its values by one type
+        check and one conversion.  Any table those checks turn away goes
+        to _pairs_by_key, which raises for the first bad key in order.
         """
         if not isinstance(d, Mapping):
             raise ValueError(f"{noun} table must map pair keys to values, got {d!r}")
-        index = self._flat_index
-        at, numbers = list(map(index.get, d)), list(d.values())
-        if (
-            len(at) == len(index)
-            and None not in at
-            and set(map(type, numbers)) <= {int, float}
-        ):
-            try:
-                numbers = list(map(float, numbers))
-            except OverflowError:
-                pass  # the walk below names the first key too large
-            else:
-                table = np.empty(len(at))
-                table[at] = numbers
-                return table.reshape(self.faces, 3)
-        values = {}
+        size = 3 * self.faces
+        if len(d) == size:
+            at = self._flat_indices(d)
+            numbers = list(d.values())
+            if at is not None and set(map(type, numbers)) <= {int, float}:
+                try:
+                    numbers = np.array(numbers, dtype=float)
+                except OverflowError:
+                    pass  # _pairs_by_key names the first key too large
+                else:
+                    table = np.empty(size)
+                    table[at] = numbers
+                    return table.reshape(self.faces, 3)
+        return self._pairs_by_key(d, noun)
+
+    def _pairs_by_key(self, d: Mapping, noun: str) -> dict:
+        """pairs_from_dict checked one key at a time, in order, keyed by pairs.
+
+        Also what pairs_from_dict's checks turn away on type alone takes
+        this walk: int and float subclasses other than bool.
+        """
+        key_pattern, values = self._key_pattern(), {}
         for key, value in d.items():
-            if key not in index:
+            spelled = isinstance(key, str) and re.fullmatch(key_pattern, key)
+            if not spelled or int(key[:-2]) >= self.faces:
                 raise ValueError(f'{noun} key {key!r} names no "face.slot" pair')
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{noun} at {key!r} must be a number, got {value!r}")
@@ -321,8 +340,39 @@ class IdealTriangulation:
                 float(value)
             except OverflowError:
                 raise ValueError(f"{noun} at {key!r} is too large for a float") from None
-            values[divmod(index[key], 3)] = value
+            values[(int(key[:-2]), int(key[-1]))] = value
         return values
+
+    def _key_pattern(self) -> str:
+        """A regex for a key as pair_dict spells it: the face in ASCII
+        decimal with no sign, space or leading zero, a dot and the slot.
+
+        The face has at most as many digits as F - 1, so parsing one can
+        neither overflow nor hit int's digit limit; a face below that
+        bound but not below F still matches.
+        """
+        return rf"(?:0|[1-9][0-9]{{0,{len(str(self.faces - 1)) - 1}}})\.[012]"
+
+    def _flat_indices(self, keys) -> np.ndarray | None:
+        """The flat index of the pair each key names, or None.
+
+        None unless every key is a str spelled as pair_dict spells it and
+        names a face below F.  One match over the keys joined by newlines
+        checks the spelling, and one numpy pass parses them; a key holding
+        a newline splits into two, which the count then turns away.
+        """
+        try:
+            joined = "\n".join(keys)
+        except TypeError:  # a key that is no str
+            return None
+        key = self._key_pattern()
+        if not re.fullmatch(rf"(?:{key}\n)*{key}", joined):
+            return None
+        face_slot = np.fromstring(joined.replace(".", " "), dtype=np.intp, sep=" ")
+        face, slot = face_slot[0::2], face_slot[1::2]
+        if face.size != len(keys) or face.max() >= self.faces:
+            return None
+        return 3 * face + slot
 
     def euler_characteristic(self) -> int:
         return self.faces - self.num_edges

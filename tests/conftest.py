@@ -29,6 +29,11 @@ from brokensurf.minkowski import horocycle_disk_circle, renorm_lightcone
 from brokensurf.triangulation import NEXT, ONWARD, PREV, build_triangulation, check_loop
 
 
+def json_text(doc) -> str:
+    """doc as json itself writes it canonically: fileio.canonical_json's reference."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def random_gluing(faces: int, seed: int) -> list:
     """The 3F slots shuffled into pairs, reshuffled until connected.
 

@@ -1,7 +1,9 @@
 """What perfbench/ reads of the package, checked without running it."""
 
+import pytest
 from conftest import bench_module
 
+from brokensurf import cli, fileio, samples
 from brokensurf.develop import DevelopedBall, PathHolonomy
 
 
@@ -16,3 +18,25 @@ def test_traced_names_are_where_the_tracer_patches_them():
     # path_holonomy's callback reads lorentz_residual
     assert "nodes" in DevelopedBall.__dict__
     assert "lorentz_residual" in PathHolonomy.__dict__
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["forms", "--constrained"], ["develop", "--depth", "3"],
+     ["holonomy"], ["holonomy", "--loops", "basis"]],
+    ids=lambda argv: "-".join(argv),
+)
+def test_each_document_is_one_canonical_json_call(tmp_path, torus, monkeypatch, capsys, argv):
+    # the tracer counts fileio.json_bytes from what fileio.canonical_json
+    # returns, so each document's whole text must be one call's result
+    path = tmp_path / "torus.json"
+    fileio.save(path, samples.random_valid_structure(torus, samples.rng(2)))
+    texts, write = [], fileio.canonical_json
+
+    def traced(obj):
+        texts.append(write(obj))
+        return texts[-1]
+
+    monkeypatch.setattr(fileio, "canonical_json", traced)
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 0
+    assert texts == [capsys.readouterr().out]

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     bench_module,
     drift_overflow_torus,
+    json_text,
     mixed_scale_measure,
     mixed_scale_torus,
     oracle_calibrate,
@@ -50,7 +51,7 @@ def structure_file(tmp_path, torus):
 def read_doc(capsys):
     out = capsys.readouterr().out
     doc = json.loads(out)
-    assert out == fileio.canonical_json(doc)
+    assert out == json_text(doc)
     return doc
 
 
@@ -255,8 +256,11 @@ def test_loader_does_not_coerce(tmp_path, doc, capsys):
         ("ab", "malformed gluing entry: 'ab'"),
         ([[0, 0], [1, 1], [2, 2]], "malformed gluing entry: [[0, 0], [1, 1], [2, 2]]"),
         ([[0, 0], 5], "malformed (face, slot) pair: 5"),
+        ([[0, 0], [1, True]], "malformed (face, slot) pair: [1, True]"),
+        ([[0, 0], [1, -1]], "slot index out of range: [1, -1]"),
+        ([[0, 0], [2**70, 1]], f"face index out of range: [{2**70}, 1]"),
     ],
-    ids=["string", "three-pairs", "int-pair"],
+    ids=["string", "three-pairs", "int-pair", "true-slot", "negative-slot", "face-beyond-int64"],
 )
 def test_malformed_gluing_entry_is_named_as_written(tmp_path, entry, message, capsys):
     # the loader used to unpack and copy each entry before the checks saw
@@ -345,6 +349,23 @@ LOAD_MESSAGES = {
         pair_table_doc("w", ("2.0", 1.0)),
         "weight " + NAMES_NO_PAIR.format("2.0"),
     ),
+    # in place of a pair's own key, so that the table still holds 3F keys
+    **{
+        f"{name}-in-place": (
+            pair_table_doc("lambda", (key, 2.0), drop=("0.1",)),
+            "lambda " + NAMES_NO_PAIR.format(key),
+        )
+        for name, key in [
+            ("leading-zero", "00.1"),
+            ("no-slot", "0."),
+            ("no-face", ".1"),
+            ("slot-3", "1.3"),
+            ("full-width-digit", "\uff10.1"),
+            ("past-last-face", "2.1"),
+            ("two-keys-in-one", "0.1\n0.2"),
+            ("face-past-int-digit-limit", "1" + "0" * 5000 + ".1"),
+        ]
+    },
     "string-value": (
         pair_table_doc("lambda", ("0.1", "2.0")),
         "lambda at '0.1' must be a number, got '2.0'",
@@ -537,9 +558,7 @@ def check_float_range_run(scale, command, code, out, err):
     assert code == float_range_exit(scale, command), err
     assert "Traceback" not in err and "Warning" not in err, err
     if out:  # one finite JSON document, or nothing
-        assert out == fileio.canonical_json(
-            json.loads(out, parse_constant=reject_constant)
-        )
+        assert out == json_text(json.loads(out, parse_constant=reject_constant))
     if code == 4:
         assert out == "" and err.startswith("NumericalBreakdown: ")
     if scale < 1.0 and command in ("ray", "forms"):
@@ -880,7 +899,7 @@ def test_holonomy_document_is_the_per_loop_calls(request, tmp_path, name, kind, 
     fileio.save(path, make(T, samples.rng(18)))
     code = run(["holonomy", str(path), "--loops", loops])
     doc, worst = per_loop_holonomy_doc(fileio.load(path), loops)
-    assert capsys.readouterr().out == fileio.canonical_json(doc)
+    assert capsys.readouterr().out == json_text(doc)
     assert code == (0 if worst <= 1e-9 else 3)
 
 

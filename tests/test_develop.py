@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     drift_overflow_torus,
+    json_text,
     mixed_scale_torus,
     oracle_ball_dict,
     oracle_cross_edge,
@@ -588,7 +589,7 @@ def test_develop_matches_node_oracle(request, name, last_base):
             doc = oracle_ball_dict(base, depth, want) | {"max_drift": max(n.drift for n in want)}
             text = fileio.canonical_json(ball)
             if depth <= 8:  # the CLI's depths; depth 0 is the root alone
-                assert text == fileio.canonical_json(doc)
+                assert text == json_text(doc)
             else:  # json's C encoder: the same floats and key order, faster
                 assert compact_json(json.loads(text)) == compact_json(doc)
             svg = render.ball_svg(ball)
@@ -607,7 +608,7 @@ def test_output_is_written_per_vertex(request, name):
     text, svg = fileio.canonical_json(ball), render.ball_svg(ball)
     assert "nodes" not in ball.__dict__
     doc = oracle_ball_dict(0, 8, want) | {"max_drift": max(n.drift for n in want)}
-    assert text == fileio.canonical_json(doc)
+    assert text == json_text(doc)
     head = svg.splitlines()[:7]
     assert svg == "\n".join([*head, *oracle_svg_body(want), "</svg>"]) + "\n"
 
