@@ -2,6 +2,7 @@
 punctured surfaces: coordinates, two-forms, and developing maps."""
 
 from .develop import (
+    DeckCandidates,
     DevelopedBall,
     DevelopedNode,
     DevelopedPaths,

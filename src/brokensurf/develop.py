@@ -14,11 +14,15 @@ which say the ideal vertex at each node's corners, the (N + 2, 3) table
 of those vertices' cone points, and per node the scale and drift.  Each
 node adds one vertex, its fresh corner, and every node of a BFS level
 crosses independently of the others, so develop fills the table one
-level at a time: a gather of the parents' apex, head and tail vertices
-and the level's coefficients, three multiply-adds, and the level's
-fresh vertices written as one block of rows.  Node i's lift is
-vertices[corner[i]]; ball.nodes, the same ball as DevelopedNode objects
-whose points are tuples of float tuples, is built on first access.
+level at a time.  It works in columns: the cone points are a (3, N + 2)
+table with one contiguous row per coordinate, and a level is one gather
+of its parents' apex, head and tail vertices (3, 3, m), multiply-adds
+and the drift gate on (3, m) and (m,) rows, and the fresh vertices
+written as one block of columns.  ball.vertices is that table's
+transpose.  Node i's lift is vertices[corner[i]]; ball.nodes, the same
+ball as DevelopedNode objects whose points are tuples of float tuples,
+is built on first access.  deck_candidates reads a ball's base repeats
+off the same columns and returns them as stacked arrays, DeckCandidates.
 
 A single path is a sequence of crossings, each the flat index 3f+s of
 the near pair (f, s) it crosses.  _develop_along walks it scalar, one
@@ -42,6 +46,7 @@ closed paths come back as (matrix, scale) pairs satisfying
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -51,7 +56,6 @@ from . import minkowski
 from .errors import NumericalBreakdown
 from .hyperbolic import DecoratedBrokenHyperbolic
 from .triangulation import (
-    NEAR,
     UnfoldedBall,
     ball_tree,
     check_indices,
@@ -135,42 +139,45 @@ def develop(
 
     One BFS level at a time, each node's lift from its parent's with the
     crossing arithmetic of _develop_along in the same order, so every
-    float is the one a crossing-by-crossing walk gives.  A fresh corner
+    float is the one a crossing-by-crossing walk gives.  The vertex
+    table is filled as (3, N + 2) columns, one contiguous row per
+    coordinate, and ball.vertices is its transpose.  A fresh corner
     whose drift is not within DRIFT_BOUND (NaN included) raises
     NumericalBreakdown naming the first such crossing in BFS order and
     its drift by renorm_lightcone, as the scalar walk does; so does a
-    base lift out of float range.
+    base lift out of float range.  A base or depth that is no int
+    raises ValueError, as ball_tree does.
     """
-    tree = ball_tree(H.T, base, depth)
-    _, parent, _, crossed, levels, corner = tree
+    tree, near = ball_tree(H.T, base, depth)
+    _, parent, _, crossed, levels, _ = tree
     n = len(parent)
-    vertices = np.empty((n + 2, 3))
+    cols = np.empty((3, n + 2))
     scale = np.empty(n)
     drift = np.empty(n)
-    vertices[:3], scale[0], drift[0] = _start_lift(H, base), 1.0, 0.0
-    # each node's parent's apex, head and tail; the root's are not read
-    near = corner[parent[:, None], NEAR[crossed % 3]]
-    coef = H.crossing_table[crossed]
+    cols[:, :3], scale[0], drift[0] = _start_lift(H, base).T, 1.0, 0.0
+    # each node's crossing coefficients x, y, t and step; the root's are not read
+    coef = H.crossing_table.take(crossed, axis=0).T
     # overflow, 0/0 and a zero z end up in a drift that fails the gate
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for a, b in zip(levels[1:-1].tolist(), levels[2:].tolist()):
-            x, y, t, step = coef[a:b].T[:, :, None]
-            apex, head, tail = vertices[near[a:b].T]
-            u = x * tail + y * head + t * apex
+            x, y, t, step = coef[:, a:b]
+            apex, head, tail = cols.take(near[:, a:b], axis=1).swapaxes(0, 1)
+            # x * tail + y * head + t * apex, in two buffers
+            u, v = x * tail, y * head
+            u += v
+            u += np.multiply(t, apex, out=v)
             # |mform(u, u)| / uz^2, as renorm_lightcone has it
-            sq = u * u
-            level_drift = np.abs(sq[:, 0] + sq[:, 1] - sq[:, 2]) / np.float_power(
-                u[:, 2], 2
-            )
+            sq = np.multiply(u, u, out=v)
+            level_drift = np.abs(sq[0] + sq[1] - sq[2]) / np.float_power(u[2], 2)
             if not level_drift.max() <= DRIFT_BOUND:  # NaN fails too
                 i = int(np.argmin(level_drift <= DRIFT_BOUND))
-                bad = minkowski.renorm_lightcone(u[i])[1]
+                bad = minkowski.renorm_lightcone(u[:, i])[1]
                 raise _breakdown(bad, int(crossed[a + i]))
-            u[:, 2] = minkowski.hypots(u[:, 0], u[:, 1])
-            vertices[a + 2 : b + 2] = u
-            scale[a:b] = scale[parent[a:b]] * step[:, 0]
+            u[2] = minkowski.hypots(u[0], u[1])
+            cols[:, a + 2 : b + 2] = u
+            scale[a:b] = scale[parent[a:b]] * step
             drift[a:b] = level_drift
-    geometry = map(read_only, (vertices, scale, drift))
+    geometry = read_only(cols).T, read_only(scale), read_only(drift)
     return DevelopedBall(base, depth, *tree, *geometry)
 
 
@@ -359,18 +366,47 @@ def path_holonomy(H: DecoratedBrokenHyperbolic, loop) -> PathHolonomy:
     return PathHolonomy(hol.matrix[0], float(hol.scale[0]))
 
 
-def deck_candidates(H: DecoratedBrokenHyperbolic, ball: DevelopedBall):
+@dataclass(frozen=True, eq=False)
+class DeckCandidates:
+    """Holonomy pairs read off a ball's base repeats, as read-only arrays.
+
+    nodes (k,) holds the repeats in node order, matrices (k, 3, 3) each
+    repeat's frame times the inverse of the root's, scales (k,) each
+    repeat's scale.  As a sequence it is the k triples (node, matrix,
+    scale): an int, a (3, 3) array and a float.
+    """
+
+    nodes: np.ndarray
+    matrices: np.ndarray
+    scales: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def __getitem__(self, i) -> tuple:
+        i = operator.index(i)
+        return int(self.nodes[i]), self.matrices[i], float(self.scales[i])
+
+    def __iter__(self):
+        return zip(self.nodes.tolist(), self.matrices, self.scales.tolist())
+
+
+def deck_candidates(H: DecoratedBrokenHyperbolic, ball: DevelopedBall) -> DeckCandidates:
     """Holonomy pairs read off repeats of the base face inside a ball.
 
     One (node, matrix, scale) triple per repeat of the base face, in node
     order: the repeat's frame times the inverse of the root's, and the
-    repeat's scale, as path_holonomy gives them for the path to it.
+    repeat's scale, as path_holonomy gives them for the path to it.  They
+    come as one DeckCandidates, the three stacked read-only arrays; the
+    frames are gathered from the ball's vertex columns.
     """
     repeats = np.flatnonzero(ball.face == ball.base)  # the root first
-    # the root's frame, then every repeat's, with the lift's points as columns
-    frames = ball.vertices[ball.corner[repeats]].swapaxes(1, 2)
-    mats = frames[1:] @ np.linalg.inv(frames[0])
-    return list(zip(repeats[1:].tolist(), mats, ball.scale[repeats[1:]].tolist()))
+    # the root's frame, then every repeat's, gathered from the vertex
+    # columns: frames[:, r] has the lift's points as columns
+    frames = ball.vertices.T.take(ball.corner.take(repeats, axis=0), axis=1)
+    mats = frames[:, 1:].swapaxes(0, 1) @ np.linalg.inv(frames[:, 0])
+    nodes = repeats[1:]
+    return DeckCandidates(*map(read_only, (nodes, mats, ball.scale.take(nodes))))
 
 
 @lru_cache(maxsize=TILE_CACHE_SIZE)

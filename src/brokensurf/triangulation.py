@@ -530,13 +530,20 @@ class UnfoldedBall:
 
 
 def ball_tree(T: IdealTriangulation, base: int, depth: int):
-    """The BFS walk of a ball: UnfoldedBall's arrays, face to corner.
+    """The BFS walk of a ball: UnfoldedBall's arrays face to corner, and near.
 
     Each level after the first is one gather: a node that crossed pair c
-    crosses T.onward[c] next.  A node's corners, its fresh vertex and
-    the head and tail of its parent's across c, then take one gather and
-    scatter per level.
+    crosses T.onward[c] next.  The nodes' corners then take one gather
+    and one scatter per level, on flat corner indices 3 * node + k.
+    near, a (3, N) int table, holds the vertices at the apex, head and
+    tail of the pair each node's parent crossed to reach it (the root's
+    column is not set); develop reads its levels from it.  base and
+    depth must be ints, numpy integers included: anything else raises
+    ValueError naming it.
     """
+    for noun, value in (("base face", base), ("depth", depth)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{noun} must be an int, got {value!r}")
     if not 0 <= base < T.faces:
         raise ValueError(f"base face out of range: {base}")
     if depth < 0:
@@ -547,24 +554,32 @@ def ball_tree(T: IdealTriangulation, base: int, depth: int):
     if depth:
         crossed[1:4] = 3 * base + np.arange(3)
     for a, b, c in zip(levels[1:], levels[2:], levels[3:]):
-        crossed[b:c] = T.onward[crossed[a:b]].ravel()
+        crossed[b:c] = T.onward.take(crossed[a:b], axis=0).ravel()
     face, entry_slot = np.divmod(T.partner.ravel()[crossed], 3)
     face[0], entry_slot[0] = base, -1
     parent = np.arange(-2, n - 2) // 2
     parent[1:4] = 0
-    # node i's fresh corner is vertex i + 2, and its head and tail are its
-    # parent's, copied one level at a time
-    node = np.arange(n)
+    # The corner walk runs on flat indices 3 * node + k: src[:, i] is where
+    # node i's parent holds the apex, head and tail of the pair it crossed,
+    # dst[:, i] where node i holds its fresh corner (vertex i + 2), that
+    # head and that tail.  Each level gathers near from src and scatters
+    # its head and tail rows to dst.
     corner = np.empty((n, 3), dtype=int)
-    corner[0] = 0, 1, 2
-    corner[node[1:], entry_slot[1:]] = node[1:] + 2
-    near, far = NEAR[crossed % 3, 1:], FAR[entry_slot, 1:]
+    flat = corner.reshape(-1)
+    src = NEAR.T.take(crossed % 3, axis=1)
+    src += 3 * parent
+    dst = FAR.T.take(entry_slot, axis=1)
+    dst += np.arange(0, 3 * n, 3)
+    flat[:3] = 0, 1, 2
+    flat[dst[0, 1:]] = np.arange(3, n + 2)
+    near = np.empty((3, n), dtype=int)
     for a, b in zip(levels[1:-1], levels[2:]):
-        corner[node[a:b, None], far[a:b]] = corner[parent[a:b, None], near[a:b]]
+        near[:, a:b] = flat[src[:, a:b]]
+        flat[dst[1:, a:b]] = near[1:, a:b]
     arrays = (face, parent, entry_slot, crossed, np.array(levels), corner)
-    return tuple(map(read_only, arrays))
+    return tuple(map(read_only, arrays)), near
 
 
 def unfold_ball(T: IdealTriangulation, base: int, depth: int) -> UnfoldedBall:
     """The combinatorial ball of the given depth: ball_tree as an UnfoldedBall."""
-    return UnfoldedBall(base, depth, *ball_tree(T, base, depth))
+    return UnfoldedBall(base, depth, *ball_tree(T, base, depth)[0])

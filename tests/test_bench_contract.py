@@ -4,7 +4,7 @@ import pytest
 from conftest import bench_module
 
 from brokensurf import cli, fileio, samples
-from brokensurf.develop import DevelopedBall, PathHolonomy
+from brokensurf.develop import DevelopedBall, PathHolonomy, deck_candidates, develop
 
 
 def test_traced_names_are_where_the_tracer_patches_them():
@@ -40,3 +40,14 @@ def test_each_document_is_one_canonical_json_call(tmp_path, torus, monkeypatch, 
     monkeypatch.setattr(fileio, "canonical_json", traced)
     assert cli.main([argv[0], str(path), *argv[1:]]) == 0
     assert texts == [capsys.readouterr().out]
+
+
+@pytest.mark.parametrize("name", ["torus", "sphere"])
+def test_deck_length_counts_base_repeats(request, name):
+    # workloads.ball_call takes len() of deck_candidates' result and
+    # checks it against the base face's repeats after the root
+    H = samples.random_valid_structure(request.getfixturevalue(name), samples.rng(3))
+    for depth in (0, 1, 4, 8):
+        ball = develop(H, 0, depth)
+        repeats = sum(1 for n in ball.nodes[1:] if n.face == ball.base)
+        assert len(deck_candidates(H, ball)) == repeats

@@ -37,7 +37,7 @@ from brokensurf.develop import (
     tile_separation,
 )
 from brokensurf.errors import GeometryError, NumericalBreakdown, OpenPath
-from brokensurf.hyperbolic import constant_structure, embed_unbroken
+from brokensurf.hyperbolic import EPS, constant_structure, embed_unbroken
 from brokensurf.triangulation import check_loop, check_loops, dual_loops, unfold_ball
 
 
@@ -115,6 +115,32 @@ def test_broken_torus_develops_deep(torus, seed):
     dets = np.linalg.det(np.array([node.points for node in ball.nodes]))
     assert np.all(dets > 0.0)
     assert ball.max_drift() <= DRIFT_BOUND
+
+
+@pytest.mark.parametrize("make", ["unbroken", "broken"])
+def test_ball_beyond_determinant_resolution(torus, make):
+    # depth 16: on the broken torus 100 of the lifts have det <= 0 (the
+    # determinant is z^3 * chord^3, below the rounding of z), yet every
+    # tile keeps its boundary angles in ccw cyclic order and realises its
+    # scaled lambdas to within 4 eps of the terms that cancel
+    if make == "unbroken":
+        H = constant_structure(torus, 2.0)
+    else:
+        H = samples.random_valid_structure(torus, samples.rng(1))
+    ball = develop(H, 0, 16)
+    assert len(ball.face) == 196606
+    x, y, _ = ball.vertices.T
+    angle = np.arctan2(y, x)[ball.corner]
+    turn1 = (angle[:, 1] - angle[:, 0]) % (2 * math.pi)
+    turn2 = (angle[:, 2] - angle[:, 0]) % (2 * math.pi)
+    assert np.all((0.0 < turn1) & (turn1 < turn2))
+    points = ball.vertices[ball.corner]
+    lam = H.lam[ball.face]
+    for k in range(3):
+        u, v = points[:, (k + 1) % 3], points[:, (k + 2) % 3]
+        pairing = u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1] - u[:, 2] * v[:, 2]
+        residual = np.abs(-pairing - ball.scale**2 * lam[:, k] ** 2) / (u[:, 2] * v[:, 2])
+        assert residual.max() <= 4 * EPS
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 8])
@@ -467,6 +493,38 @@ def test_deck_candidates_unbroken(torus):
         assert np.allclose(matrix, want, rtol=1e-12, atol=0.0)
 
 
+def triple_bits(triple) -> tuple:
+    """A deck triple's node, matrix bytes and scale bits, its types checked."""
+    node, matrix, scale = triple
+    assert type(node) is int and type(scale) is float and matrix.shape == (3, 3)
+    return node, matrix.tobytes(), bits(scale)
+
+
+@pytest.mark.parametrize("name", ["torus", "sphere", 20])
+def test_deck_candidates_are_stacked_triples(request, name):
+    # a read-only sequence of (node, matrix, scale) triples, bit for bit
+    # the node oracle's, over three stacked read-only arrays
+    T = surface(request, name)
+    H = samples.random_valid_structure(T, samples.rng(14))
+    for depth in range(7):
+        ball = develop(H, 0, depth)
+        deck = deck_candidates(H, ball)
+        want = [triple_bits(t) for t in oracle_deck(0, oracle_develop(H, 0, depth))]
+        k = len(want)
+        assert len(deck) == k and bool(deck) == (k > 0)
+        assert depth or not deck  # the root alone repeats nothing
+        assert [triple_bits(t) for t in deck] == want
+        assert [triple_bits(deck[i]) for i in range(k)] == want
+        assert [triple_bits(deck[i]) for i in range(-k, 0)] == want
+        for past in (k, -k - 1):
+            with pytest.raises(IndexError):
+                deck[past]
+        shapes = (deck.nodes.shape, deck.matrices.shape, deck.scales.shape)
+        assert shapes == ((k,), (k, 3, 3), (k,))
+        arrays = (deck.nodes, deck.matrices, deck.scales, *(m for _, m, _ in deck))
+        assert not any(a.flags.writeable for a in arrays)
+
+
 def test_cusp_closure_unbroken(torus, sphere, gen):
     for T in (torus, sphere):
         H = samples.random_unbroken(T, gen)
@@ -688,6 +746,34 @@ def test_ball_is_its_vertex_table(request, name):
         lifts = np.array([node.points for node in ball.nodes])
         want = ball.vertices[ball.corner]
         assert np.array_equal(lifts.view(np.int64), want.view(np.int64))
+
+
+BAD_BALLS = {
+    "float-base": (1.5, 2, "base face must be an int, got 1.5"),
+    "bool-base": (True, 2, "base face must be an int, got True"),
+    "float-depth": (0, 2.0, "depth must be an int, got 2.0"),
+    "none-depth": (0, None, "depth must be an int, got None"),
+    "base-past-end": (2, 2, "base face out of range: 2"),
+    "negative-base": (-1, 2, "base face out of range: -1"),
+    "negative-depth": (0, -1, "depth must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("base, depth, message", BAD_BALLS.values(), ids=BAD_BALLS)
+def test_ball_rejects_what_is_no_base_or_depth(torus, base, depth, message):
+    # named before anything reads the argument, not an IndexError or a
+    # TypeError from deeper down
+    H = constant_structure(torus, 2.0)
+    for call in (lambda: develop(H, base, depth), lambda: unfold_ball(torus, base, depth)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_ball_takes_numpy_ints(torus):
+    H = samples.random_valid_structure(torus, samples.rng(15))
+    ball, want = develop(H, np.int64(1), np.int32(3)), develop(H, 1, 3)
+    for name in ("face", "corner", "vertices", "scale", "drift"):
+        assert getattr(ball, name).tobytes() == getattr(want, name).tobytes()
 
 
 def huge_torus(torus):
