@@ -5,6 +5,7 @@ from .develop import (
     DeckCandidates,
     DevelopedBall,
     DevelopedNode,
+    DevelopedNodes,
     DevelopedPaths,
     PathHolonomy,
     cusp_closure_residual,

@@ -19,10 +19,13 @@ table with one contiguous row per coordinate, and a level is one gather
 of its parents' apex, head and tail vertices (3, 3, m), multiply-adds
 and the drift gate on (3, m) and (m,) rows, and the fresh vertices
 written as one block of columns.  ball.vertices is that table's
-transpose.  Node i's lift is vertices[corner[i]]; ball.nodes, the same
+transpose.  Node i's lift is vertices[corner[i]].  ball.nodes, the same
 ball as DevelopedNode objects whose points are tuples of float tuples,
-is built on first access.  deck_candidates reads a ball's base repeats
-off the same columns and returns them as stacked arrays, DeckCandidates.
+is a lazy view, DevelopedNodes: an index builds one node, iteration
+builds them in one batch pass, and the ball keeps none of them.
+deck_candidates reads a ball's base repeats off the same columns and
+returns them as stacked arrays, DeckCandidates.  tile_separation keeps
+each tile's Klein geometry by the identity of its lift.
 
 A single path is a sequence of crossings, each the flat index 3f+s of
 the near pair (f, s) it crosses.  _develop_along walks it scalar, one
@@ -47,8 +50,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -66,7 +70,8 @@ from .triangulation import (
 # A renormalized light-cone point should never wander this far off cone.
 DRIFT_BOUND = 1e-10
 
-# Tiles whose Klein geometry tile_separation keeps: a depth-10 ball's worth.
+# Lifts whose Klein geometry tile_separation keeps, first in first out:
+# a depth-10 ball's worth.
 TILE_CACHE_SIZE = 4096
 
 _J = np.diag([1.0, 1.0, -1.0])
@@ -114,22 +119,69 @@ class DevelopedBall(UnfoldedBall):
     drift: np.ndarray
 
     @cached_property
-    def nodes(self) -> tuple:
-        """The ball as DevelopedNode objects, built on first access.
-
-        Nodes meeting at a vertex share its (x, y, z) tuple; the root has
-        None for parent and entry slot.
-        """
-        cone = np.fromiter(zip(*self.vertices.T.tolist()), object, len(self.vertices))
-        lifts = map(tuple, cone[self.corner].tolist())
-        parent, entry_slot = self.parent.tolist(), self.entry_slot.tolist()
-        parent[0] = entry_slot[0] = None
-        tree = (self.face.tolist(), self.depths.tolist(), parent, entry_slot)
-        geometry = (lifts, self.scale.tolist(), self.drift.tolist())
-        return tuple(map(DevelopedNode, range(len(parent)), *tree, *geometry))
+    def nodes(self) -> DevelopedNodes:
+        """The ball as DevelopedNode objects: a lazy view, DevelopedNodes."""
+        # the view reads a twin of this ball, the same arrays: holding the
+        # ball itself would close a cycle that only the cyclic collector frees
+        return DevelopedNodes(replace(self), range(len(self.face)))
 
     def max_drift(self) -> float:
         return float(self.drift.max())
+
+
+class DevelopedNodes(Sequence):
+    """A developed ball's nodes as DevelopedNode objects, built when read.
+
+    A read-only sequence over a range of the ball's nodes that keeps no
+    node: len() builds nothing, an index builds that one node from the
+    vertices at its three corners, and a slice is a view over its range.
+    Iteration builds the range's nodes in one pass over the columns, and
+    nodes of one pass that meet at a vertex share its (x, y, z) tuple.
+    The root has None for parent and entry slot.
+    """
+
+    __slots__ = ("_ball", "_span")
+
+    def __init__(self, ball: DevelopedBall, span: range):
+        self._ball, self._span = ball, span
+
+    def __len__(self) -> int:
+        return len(self._span)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return DevelopedNodes(self._ball, self._span[i])
+        try:
+            i = self._span[operator.index(i)]
+        except IndexError:
+            raise IndexError("node index out of range") from None
+        b, root = self._ball, i == 0
+        return DevelopedNode(
+            i,
+            b.face.item(i),
+            int(b.levels.searchsorted(i, "right")) - 1,
+            None if root else b.parent.item(i),
+            None if root else b.entry_slot.item(i),
+            tuple(map(tuple, b.vertices[b.corner[i]].tolist())),
+            b.scale.item(i),
+            b.drift.item(i),
+        )
+
+    def __iter__(self):
+        b, span = self._ball, self._span
+        idx = np.arange(span.start, span.stop, span.step)
+        # one tuple per vertex the range meets, shared by its nodes
+        used, at = np.unique(b.corner[idx], return_inverse=True)
+        cone = np.fromiter(zip(*b.vertices[used].T.tolist()), object, len(used))
+        lifts = map(tuple, cone[at.reshape(-1, 3)].tolist())
+        parent, entry_slot = b.parent[idx].tolist(), b.entry_slot[idx].tolist()
+        if 0 in span:
+            root = span.index(0)
+            parent[root] = entry_slot[root] = None
+        depth = b.levels.searchsorted(idx, "right") - 1
+        tree = (b.face[idx].tolist(), depth.tolist(), parent, entry_slot)
+        geometry = (lifts, b.scale[idx].tolist(), b.drift[idx].tolist())
+        return map(DevelopedNode, span, *tree, *geometry)
 
 
 def develop(
@@ -409,7 +461,6 @@ def deck_candidates(H: DecoratedBrokenHyperbolic, ball: DevelopedBall) -> DeckCa
     return DeckCandidates(*map(read_only, (nodes, mats, ball.scale.take(nodes))))
 
 
-@lru_cache(maxsize=TILE_CACHE_SIZE)
 def _tile_geometry(points):
     """One tile's Klein-disk geometry, shared by every pair it meets.
 
@@ -430,6 +481,21 @@ def _tile_geometry(points):
     return (x0, y0, x1, y1, x2, y2), tuple(axes)
 
 
+# id(points): (points, vertices, axes), at most TILE_CACHE_SIZE lifts, first
+# in first out; an entry holds its lift, so no other object takes its id
+_tiles = {}
+
+
+def _tile(points):
+    """The (points, vertices, axes) entry of a lift, computed and kept."""
+    hash(points)  # an unhashable lift raises TypeError and is never kept
+    entry = (points, *_tile_geometry(points))
+    if len(_tiles) >= TILE_CACHE_SIZE:
+        del _tiles[next(iter(_tiles))]
+    _tiles[id(points)] = entry
+    return entry
+
+
 def tile_separation(points_a, points_b) -> float:
     """Separating-axis margin between two developed lifts.
 
@@ -439,28 +505,48 @@ def tile_separation(points_a, points_b) -> float:
     axis overlap: <= 0 means disjoint interiors (0 for tiles sharing an
     edge), > 0 means genuine overlap of that depth.  Edges of zero
     length give no axis.  Both lifts are developed lifts, tuples of three
-    (x, y, z) float tuples like DevelopedNode.points; the per-tile
-    geometry is cached on them, so a sweep over all pairs of n tiles
-    builds it n times, not n^2.
+    (x, y, z) float tuples like DevelopedNode.points.  The per-tile
+    geometry is kept by the lift's identity, not its value, so a sweep
+    over all pairs of n lifts builds it n times, not n^2; an equal but
+    distinct lift builds it again, to the same bits.
     """
-    verts_a, axes_a = _tile_geometry(points_a)
-    verts_b, axes_b = _tile_geometry(points_b)
+    a = _tiles.get(id(points_a))
+    if a is None or a[0] is not points_a:
+        a = _tile(points_a)
+    b = _tiles.get(id(points_b))
+    if b is None or b[0] is not points_b:
+        b = _tile(points_b)
+    _, (ax0, ay0, ax1, ay1, ax2, ay2), axes_a = a
+    _, (bx0, by0, bx1, by1, bx2, by2), axes_b = b
     best = math.inf
-    # each tile's own axes against the other tile's three vertices
-    for axes, (x0, y0, x1, y1, x2, y2) in ((axes_a, verts_b), (axes_b, verts_a)):
-        for nx, ny, lo, hi in axes:
-            p0, p1, p2 = nx * x0 + ny * y0, nx * x1 + ny * y1, nx * x2 + ny * y2
-            if p0 < p1:
-                other_lo, other_hi = p0, p1
-            else:
-                other_lo, other_hi = p1, p0
-            if p2 < other_lo:
-                other_lo = p2
-            elif p2 > other_hi:
-                other_hi = p2
-            overlap = (hi if hi < other_hi else other_hi) - (lo if lo > other_lo else other_lo)
-            if overlap < best:
-                best = overlap
+    # tile a's own axes against tile b's three vertices
+    for nx, ny, lo, hi in axes_a:
+        p0, p1, p2 = nx * bx0 + ny * by0, nx * bx1 + ny * by1, nx * bx2 + ny * by2
+        if p0 < p1:
+            other_lo, other_hi = p0, p1
+        else:
+            other_lo, other_hi = p1, p0
+        if p2 < other_lo:
+            other_lo = p2
+        elif p2 > other_hi:
+            other_hi = p2
+        overlap = (hi if hi < other_hi else other_hi) - (lo if lo > other_lo else other_lo)
+        if overlap < best:
+            best = overlap
+    # then tile b's against tile a's
+    for nx, ny, lo, hi in axes_b:
+        p0, p1, p2 = nx * ax0 + ny * ay0, nx * ax1 + ny * ay1, nx * ax2 + ny * ay2
+        if p0 < p1:
+            other_lo, other_hi = p0, p1
+        else:
+            other_lo, other_hi = p1, p0
+        if p2 < other_lo:
+            other_lo = p2
+        elif p2 > other_hi:
+            other_hi = p2
+        overlap = (hi if hi < other_hi else other_hi) - (lo if lo > other_lo else other_lo)
+        if overlap < best:
+            best = overlap
     return best
 
 

@@ -1,8 +1,11 @@
 import dataclasses
+import gc
 import importlib
 import json
 import math
 import re
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -25,10 +28,12 @@ from conftest import (
 from brokensurf import fileio, minkowski, render, samples
 from brokensurf.develop import (
     DRIFT_BOUND,
+    TILE_CACHE_SIZE,
+    DevelopedBall,
+    DevelopedNodes,
     DevelopedPaths,
     PathHolonomy,
     _develop_along,
-    _tile_geometry,
     cusp_closure_residual,
     deck_candidates,
     develop,
@@ -602,12 +607,50 @@ def test_tile_separation_matches_oracle(request, surface, kind):
 
 
 def test_tile_separation_cold_and_warm_sweeps_agree(torus):
+    # tiles are kept by the identity of their lift: a cold sweep builds
+    # each tile once, a warm one reads them back, and a lift that is
+    # equal but not the same builds its tile again, to the same bits
+    tiles = importlib.import_module("brokensurf.develop")._tiles
     H = samples.random_boxed_structure(torus, samples.rng(4))
     points = [n.points for n in develop(H, depth=4).nodes]
-    _tile_geometry.cache_clear()
+    tiles.clear()
     cold = _sweep(points)
-    assert _tile_geometry.cache_info().misses == len(points)
-    assert _sweep(points) == cold
+    assert len(tiles) == len(points)
+    assert bits(_sweep(points)) == bits(cold)
+    copies = [tuple(tuple([*p]) for p in lift) for lift in points]
+    assert copies == points and not any(c is p for c, p in zip(copies, points))
+    assert bits(_sweep(copies)) == bits(cold)
+
+
+def test_tile_cache_evicts_and_survives_id_reuse(torus):
+    # more distinct lifts than the cache keeps, each dropped after its
+    # pair: evicted lifts are freed and their ids handed to fresh ones
+    tiles = importlib.import_module("brokensurf.develop")._tiles
+    H = samples.random_boxed_structure(torus, samples.rng(5))
+    points = [n.points for n in develop(H, depth=4).nodes]
+    n = len(points)
+    seen, reused = set(), 0
+    for k in range(TILE_CACHE_SIZE + 500):
+        i, j = k % n, (7 * k + 1) % n
+        a, b = (tuple(tuple([*p]) for p in points[m]) for m in (i, j))
+        reused += len({id(a), id(b)} & seen)
+        seen |= {id(a), id(b)}
+        got = tile_separation(a, b)
+        assert bits(got) == bits(tile_separation(points[i], points[j]))
+        assert got == pytest.approx(oracle_tile_separation(a, b), abs=4e-15)
+        assert len(tiles) <= TILE_CACHE_SIZE
+    assert reused
+
+
+def test_tile_separation_rejects_unhashable_lifts(torus):
+    tiles = importlib.import_module("brokensurf.develop")._tiles
+    nodes = develop(constant_structure(torus, 2.0), depth=1).nodes
+    good, other = nodes[0].points, nodes[1].points
+    bad = (list(good[0]), good[1], good[2])
+    for pair in [(bad, other), (other, bad)]:
+        with pytest.raises(TypeError):
+            tile_separation(*pair)
+    assert id(bad) not in tiles
 
 
 def test_tile_with_collapsed_edge():
@@ -628,8 +671,9 @@ def test_tile_with_collapsed_edge():
 @pytest.mark.parametrize("name", ["torus", "sphere", 20, 200])
 def test_develop_matches_node_oracle(request, name, last_base):
     # the level-by-level arrays against the crossing-by-crossing walk,
-    # bit for bit, in every form a caller reads them: nodes, deck
-    # candidates, develop's document and its picture; broken and unbroken
+    # bit for bit, in every form a caller reads them: nodes (iterated and
+    # indexed), deck candidates, develop's document and its picture;
+    # broken and unbroken
     T = surface(request, name)
     base = T.faces - 1 if last_base else 0
     structures = (samples.random_valid_structure, samples.random_unbroken)
@@ -638,6 +682,9 @@ def test_develop_matches_node_oracle(request, name, last_base):
             ball = develop(H, base, depth)
             want = oracle_develop(H, base, depth)
             assert node_fields(ball.nodes) == node_fields(want)
+            if depth <= 8:
+                by_index = [ball.nodes[i] for i in range(len(ball.nodes))]
+                assert node_fields(by_index) == node_fields(want)
             deck, want_deck = deck_candidates(H, ball), oracle_deck(base, want)
             assert [(i, bits(s)) for i, _, s in deck] == [
                 (i, bits(s)) for i, _, s in want_deck
@@ -722,11 +769,102 @@ def test_ball_arrays_are_read_only(torus, gen):
     for name in names:
         with pytest.raises(ValueError):
             getattr(ball, name)[0] = 0
-    assert ball.nodes is ball.nodes  # built once
-    # a child shares the two points of its entry edge with its parent
-    for node in ball.nodes[1:]:
-        parent = ball.nodes[node.parent]
+    assert ball.nodes is ball.nodes  # one view
+    # within one pass, a child shares the two points of its entry edge
+    # with its parent
+    nodes = tuple(ball.nodes)
+    for node in nodes[1:]:
+        parent = nodes[node.parent]
         assert len({*map(id, node.points)} & {*map(id, parent.points)}) == 2
+
+
+def test_nodes_length_builds_no_node(torus, monkeypatch):
+    ball = develop(samples.random_boxed_structure(torus, samples.rng(6)), 0, 8)
+    develop_module = importlib.import_module("brokensurf.develop")  # not the function
+
+    def refuse(*args):
+        raise AssertionError("a node was built")
+
+    monkeypatch.setattr(develop_module, "DevelopedNode", refuse)
+    assert isinstance(ball.nodes, DevelopedNodes)
+    assert len(ball.nodes) == 3 * 2**8 - 2
+    assert ball.nodes and len(ball.nodes[5:]) == 3 * 2**8 - 7
+    assert not ball.nodes[3:3]
+
+
+def test_nodes_by_index(torus):
+    ball = develop(samples.random_boxed_structure(torus, samples.rng(6)), 0, 5)
+    nodes, want = ball.nodes, tuple(ball.nodes)
+    n = len(want)
+    for i in [0, 1, 3, 4, n // 2, n - 1]:
+        for key in [i, i - n, np.int64(i), np.int32(i - n), np.uint8(i % 256)]:
+            assert node_fields([nodes[key]]) == node_fields([want[int(key)]])
+    for key in [n, -n - 1, np.int64(n)]:
+        with pytest.raises(IndexError):
+            nodes[key]
+    with pytest.raises(TypeError):
+        nodes[1.0]
+
+
+def test_nodes_slices_are_views(torus):
+    ball = develop(samples.random_boxed_structure(torus, samples.rng(7)), 0, 5)
+    want = tuple(ball.nodes)
+    n = len(want)
+    for sl in [slice(1, None), slice(None, None, -1), slice(-10, None, 3),
+               slice(2, n + 40, 7), slice(None, 4), slice(n - 1, 0, -5)]:
+        view = ball.nodes[sl]
+        assert isinstance(view, DevelopedNodes) and len(view) == len(want[sl])
+        assert node_fields(view) == node_fields(want[sl])
+        assert node_fields([view[k] for k in range(-len(view), 0)]) == node_fields(want[sl])
+    for empty in [ball.nodes[5:2], ball.nodes[n:], ball.nodes[3:40][50:]]:
+        assert isinstance(empty, DevelopedNodes) and list(empty) == []
+        with pytest.raises(IndexError):
+            empty[0]
+    nested = ball.nodes[2:][3:40:2][::-1]
+    assert node_fields(nested) == node_fields(want[2:][3:40:2][::-1])
+
+
+def test_one_node_costs_far_less_than_all(torus):
+    ball = develop(samples.random_valid_structure(torus, samples.rng(1)), 0, 12)
+    start = time.perf_counter()
+    assert len(list(ball.nodes)) == 3 * 2**12 - 2
+    every = time.perf_counter() - start
+    one = math.inf
+    for i in range(0, len(ball.nodes), 997):
+        start = time.perf_counter()
+        ball.nodes[i]
+        one = min(one, time.perf_counter() - start)
+    assert 100 * one < every
+
+
+def test_ball_keeps_no_node(torus):
+    ball = develop(samples.random_boxed_structure(torus, samples.rng(8)), 0, 6)
+    list(ball.nodes)
+    fields = {f.name for f in dataclasses.fields(DevelopedBall)}
+    assert set(vars(ball)) - fields == {"nodes"}
+    view = vars(ball)["nodes"]
+    assert isinstance(view, DevelopedNodes)
+    # the view reads a twin of the ball: the same arrays, no view of its own
+    held = [r for r in gc.get_referents(view) if r is not DevelopedNodes]
+    assert sorted(type(r).__name__ for r in held) == ["DevelopedBall", "range"]
+    (twin,) = [r for r in held if isinstance(r, DevelopedBall)]
+    for holder in (ball, twin):
+        kept = [v for k, v in vars(holder).items() if k != "nodes"]
+        assert {type(v) for v in kept} <= {int, np.ndarray}
+    assert "nodes" not in vars(twin)
+    assert all(getattr(twin, name) is getattr(ball, name) for name in fields)
+
+
+def test_dropped_ball_is_freed_without_the_cyclic_collector(torus):
+    ball = develop(samples.random_boxed_structure(torus, samples.rng(8)), 0, 6)
+    list(ball.nodes[1:])
+    vertices = weakref.ref(ball.vertices)
+    gc.disable()
+    try:
+        del ball
+        assert vertices() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name", ["torus", "sphere", 20])
