@@ -11,7 +11,6 @@ from .develop import (
     cusp_closure_residual,
     deck_candidates,
     develop,
-    loop_holonomies,
     path_holonomy,
     tile_separation,
 )
@@ -60,13 +59,10 @@ from .hyperbolic import (
 )
 from .minkowski import (
     extend_across,
-    hlengths,
     horocycle_arc,
-    horocycle_arcs,
     lambda_pair,
     mform,
     solve_triangle,
-    solve_triangles,
 )
 from .triangulation import (
     IdealTriangulation,

@@ -37,8 +37,8 @@ asked about once and solves each start face's lift once, so a corner
 cycle serves both its cusp closure and its loop holonomy; its
 holonomies check all loops in one pass, then stack every loop's start
 and end frames for one inverse, one product and array passes for the
-residuals.  path_holonomy and loop_holonomies are its one-loop and
-many-loop cases, cusp_closure_residual its one-puncture case.
+residuals.  path_holonomy is its one-loop case, cusp_closure_residual
+its one-puncture case.
 
 Broken structures develop by similarity, not isometry: each crossing
 multiplies the running scale by the lambda ratio of the glued pair, and
@@ -363,7 +363,11 @@ class DevelopedPaths:
         return walk
 
     def holonomies(self, loops) -> PathHolonomy:
-        """loop_holonomies(H, loops), reusing the walks already taken."""
+        """Holonomy pairs of closed dual paths, as one stacked PathHolonomy.
+
+        Entry i is path_holonomy(H, loops[i]), bit for bit.  Every loop is
+        checked, by check_loops, before any is walked.
+        """
         walks = [self._walk(loop) for loop in check_loops(self.H.T, loops)]
         # the lifts' points as columns
         starts = np.array([w[0] for w in walks]).reshape(-1, 3, 3).swapaxes(1, 2)
@@ -393,28 +397,18 @@ class DevelopedPaths:
         return abs(float(np.log(ratio)))
 
 
-def loop_holonomies(H: DecoratedBrokenHyperbolic, loops) -> PathHolonomy:
-    """Holonomy pairs of nonempty closed dual paths, as one stacked PathHolonomy.
-
-    Entry i is path_holonomy(H, loops[i]), bit for bit.  Every loop is
-    checked before any is developed: one that is no closed path raises
-    what check_loop raises for the first such loop.  Then one inverse,
-    one product and the residuals serve all loops as array passes.
-    """
-    return DevelopedPaths(H).holonomies(loops)
-
-
 def path_holonomy(H: DecoratedBrokenHyperbolic, loop) -> PathHolonomy:
     """Holonomy pair of a closed dual path: end frame times inverse start frame.
 
     Composition is contravariant: the matrix of loop1 + loop2 is
     matrix(loop1) @ matrix(loop2), and the scales multiply.  The empty
-    loop gives the identity; any other is loop_holonomies' one-loop case.
+    loop gives the identity; any other is DevelopedPaths(H).holonomies'
+    one-loop case.
     """
     loop = tuple(loop)
     if not loop:
         return PathHolonomy(np.eye(3), 1.0)
-    hol = loop_holonomies(H, [loop])
+    hol = DevelopedPaths(H).holonomies([loop])
     return PathHolonomy(hol.matrix[0], float(hol.scale[0]))
 
 

@@ -164,8 +164,10 @@ class DecoratedBrokenHyperbolic:
         Computed on face_lift's hyperboloid lifts, not from h_lengths; the
         two stay proportional by the calibrated constant sqrt(2).
         """
-        rays = np.broadcast_to(minkowski.DEFAULT_RAYS, (self.T.faces, 3, 3))
-        return minkowski.horocycle_arcs(minkowski.solve_triangles(rays, self.lam))
+        rays = np.broadcast_to(minkowski.DEFAULT_RAYS.T[..., None], (3, 3, self.T.faces))
+        lift = minkowski.solve_columns(rays, self.lam.T)
+        minkowski._finite((self.T.faces,), lift)  # a lift past float range has no arc
+        return minkowski.arc_columns(lift, lift[:, NEXT], lift[:, PREV]).T
 
     def coupling_residuals(self) -> np.ndarray:
         """h-length product mismatch across every pair's edge.

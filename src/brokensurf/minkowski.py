@@ -10,20 +10,17 @@ linear algebra: every solver here is closed-form.
 Conventions: a triangle lift is a (3, 3) array, one cone point per
 row, in ccw order (det > 0), vertex i faces the edge joining the other
 two, and lambdas passed to solve_triangle are indexed by the opposite
-vertex.  The triangle solver, the horocycle arc and the h-length work on
-stacks of triangles, shape (..., 3, 3); the single-lift functions index
-them.
+vertex.
 
-Layout: the stacked kernels work coordinate-major.  m points are a
-(3, m) array of x, y and z columns, and m triangles a (3, 3, m) array
-indexed [coordinate, vertex, row], so the x's of one vertex are one
-contiguous length-m array and each numpy operation runs one long loop
-rather than a length-3 loop per row.  solve_columns, arc_columns and
-hlength_columns take that layout; the public stacked functions take and
-return the row-major shapes and only move axes in and out.  Each public
-function, and solve_columns, rejects non-finite input with a ValueError
-naming the first failing index; arc_columns and hlength_columns trust
-their caller, as calibrate passes them solve_columns' output.
+Layout: stacks are coordinate-major.  m points are a (3, m) array of
+x, y and z columns, and m triangles a (3, 3, m) array indexed
+[coordinate, vertex, row], so each numpy operation runs one long loop
+over the rows rather than a length-3 loop per row.  solve_columns,
+arc_columns and hlength_columns take that layout; solve_triangle and
+horocycle_arc run them on one lift's columns.  lambda_pair, the solvers
+and horocycle_arc reject non-finite input with a ValueError naming the
+first failing index; arc_columns and hlength_columns trust their
+caller, as calibrate passes them solve_columns' output.
 """
 
 from __future__ import annotations
@@ -120,11 +117,6 @@ def _columns(a, row):
     return np.ascontiguousarray(a.reshape((-1,) + row).T)
 
 
-def _rows(c, lead):
-    """Coordinate-major columns back to a row-major stack with leading shape lead."""
-    return np.ascontiguousarray(c.T).reshape(lead + c.shape[-2::-1])
-
-
 def _lambdas(u, v, lead):
     """lambda_pair on coordinate-major stacks."""
     s = -_pairing(u, v)
@@ -156,12 +148,15 @@ def lambda_pair(u, v):
 
 
 def solve_columns(rays, lam, lead=None) -> np.ndarray:
-    """solve_triangles on coordinate-major columns.
+    """Scale cone rays so that <u_i, u_j> = -lam[k]^2, k opposite.
 
     rays is (3, 3, m), [coordinate, vertex, row], and lam (3, m),
-    [opposite vertex, row]; returns the (3, 3, m) cone points.  The rays'
-    z is not read: each is re-projected onto the cone.  lead is the
-    leading shape whose indices errors name; by default the rows' (m,).
+    [opposite vertex, row]; returns the (3, 3, m) cone points, ray i times
+    t_i = sqrt(m_j * m_k / m_i), the positive solution of t_i * t_j = m_k =
+    lam[k]^2 / (-<r_i, r_j>).  The rays' z is not read: each is
+    re-projected onto the cone, so any positive scale will do.  Every
+    check runs over the whole stack; errors name the first failing row as
+    an index into the leading shape lead, by default the rows' (m,).
     """
     lead = lam.shape[1:] if lead is None else lead
     ok = np.isfinite(lam) & (lam > 0.0)
@@ -203,27 +198,8 @@ def solve_columns(rays, lam, lead=None) -> np.ndarray:
     return t * cone
 
 
-def solve_triangles(rays, lambdas) -> np.ndarray:
-    """Scale cone rays so that <u_i, u_j> = -lambdas[k]^2, k opposite.
-
-    rays has shape (..., 3, 3), one ray per row, and lambdas (..., 3);
-    returns the (..., 3, 3) cone points.  The system t_i * t_j =
-    lambdas[k]^2 / (-<r_i, r_j>) has the unique positive solution
-    t_i = sqrt(m_j * m_k / m_i).  Rays may be given at any positive
-    scale; they are re-projected onto the cone along z.  Every check
-    runs over the whole stack and the first failing triangle is named.
-    """
-    rays = np.asarray(rays, dtype=float)
-    lambdas = np.asarray(lambdas, dtype=float)
-    lead = lambdas.shape[:-1]
-    if rays.shape[-2:] != (3, 3) or lambdas.shape != rays.shape[:-1]:
-        raise ValueError("need three rays and three lambdas per triangle")
-    cone = solve_columns(_columns(rays, (3, 3)), _columns(lambdas, (3,)), lead)
-    return _rows(cone, lead)
-
-
 def solve_triangle(rays, lambdas) -> np.ndarray:
-    """One triangle of solve_triangles: its (3, 3) lift."""
+    """solve_columns on one triangle: its (3, 3) lift, one cone point per row."""
     rays = np.asarray(rays, dtype=float)
     lambdas = np.asarray(lambdas, dtype=float)
     if rays.shape != (3, 3) or lambdas.shape != (3,):
@@ -263,24 +239,15 @@ def extend_across(u, v, lam_u, lam_v, side: int):
 
 
 def _edge_point(u, v, lead):
-    """horocycle_edge_point on coordinate-major stacks."""
+    """Where h(u) crosses the geodesic from u to v: u/2 + v/lambda^2.
+
+    u and v are coordinate-major stacks (3, ...).
+    """
     lam_sq = -_pairing(u, v)
     bad = _first(lam_sq <= 0.0)
     if bad is not None:
         raise DegeneratePair(f"edge endpoints are proportional{_at(lead, *bad)}")
     return 0.5 * u + v / lam_sq
-
-
-def horocycle_edge_point(u, v):
-    """Where h(u) crosses the geodesic from u to v: u/2 + v/lambda^2.
-
-    u and v may be stacks of points along leading axes.
-    """
-    u, v = _broadcast(u, v)
-    lead = u.shape[:-1]
-    u, v = _columns(u, (3,)), _columns(v, (3,))
-    _finite(lead, u, v)
-    return _rows(_edge_point(u, v, lead), lead)
 
 
 def arc_columns(u, v, w, lead=None) -> np.ndarray:
@@ -308,35 +275,13 @@ def hlength_columns(u, v, w, lead=None) -> np.ndarray:
     return _lambdas(v, w, lead) / (_lambdas(w, u, lead) * _lambdas(u, v, lead))
 
 
-def horocycle_arcs(points) -> np.ndarray:
-    """Length along h(u_i) between the triangle's two edge planes.
-
-    points has shape (..., 3, 3), one cone point per row; returns the
-    (..., 3) arcs at every corner, as arc_columns measures them.
-    """
-    points = np.asarray(points, dtype=float)
-    lead = points.shape[:-2]
-    p = _columns(points, (3, 3))
-    _finite(lead, p)
-    return _rows(arc_columns(p, p[:, NEXT], p[:, PREV], lead), lead)
-
-
-def hlengths(points) -> np.ndarray:
-    """Combinatorial h-lengths lambda_i / (lambda_j * lambda_k), every corner.
-
-    points has shape (..., 3, 3); lambda_i is the lambda of the edge
-    facing vertex i.  Returns shape (..., 3).
-    """
-    points = np.asarray(points, dtype=float)
-    lead = points.shape[:-2]
-    p = _columns(points, (3, 3))
-    _finite(lead, p)
-    return _rows(hlength_columns(p, p[:, NEXT], p[:, PREV], lead), lead)
-
-
 def horocycle_arc(points, i: int) -> float:
-    """Arc at vertex i of one (3, 3) lift; see horocycle_arcs."""
-    return float(horocycle_arcs(points)[i])
+    """Arc at vertex i of one (3, 3) lift, as arc_columns measures it."""
+    p = np.asarray(points, dtype=float).T[..., None]
+    if p.shape != (3, 3, 1):
+        raise ValueError("need three cone points per triangle")
+    _finite((), p)
+    return float(arc_columns(p, p[:, NEXT], p[:, PREV], ())[i, 0])
 
 
 def horocycle_disk_circle(u):

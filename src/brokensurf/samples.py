@@ -124,24 +124,17 @@ def _lift_uniforms(gen: np.random.Generator, n: int) -> np.ndarray:
     return _LIFT_LOW + _LIFT_SPAN * gen.random((n, 10))
 
 
-def random_lifts(gen: np.random.Generator, n: int) -> np.ndarray:
-    """n random lifts as an (n, 3, 3) stack of cone points.
-
-    Draws the same stream as n calls of random_lift.
-    """
-    lifts = _lift_columns(_lift_uniforms(gen, n), np.zeros(n, dtype=int))
-    return np.ascontiguousarray(lifts.T)
-
-
 def random_corner_lifts(gen: np.random.Generator, n: int) -> np.ndarray:
-    """random_lifts(gen, n) then one uniform corner of each, gen.integers(0, 3, n).
+    """n random lifts, then one uniform corner of each, gen.integers(0, 3, n).
 
-    Coordinate-major (3, 3, n), each lift rotated so that its sampled
-    corner is vertex 0.
+    The lifts draw the stream of n calls of random_lift.  Coordinate-major
+    (3, 3, n), each lift rotated so that its sampled corner is vertex 0.
     """
     u = _lift_uniforms(gen, n)
     return _lift_columns(u, gen.integers(0, 3, size=n))
 
 
 def random_lift(gen: np.random.Generator) -> np.ndarray:
-    return random_lifts(gen, 1)[0]
+    """solve_triangle(random_rays(gen), random_triangle_lambdas(gen)), bit for bit."""
+    lift = _lift_columns(_lift_uniforms(gen, 1), np.zeros(1, dtype=int))
+    return lift[..., 0].T.copy()

@@ -315,7 +315,7 @@ def _row_pairing(u, v):
 
 
 def oracle_solve_triangles(rays, lambdas) -> np.ndarray:
-    """minkowski.solve_triangles row-major: every operation on (..., 3, 3).
+    """minkowski.solve_columns row-major: every operation on (..., 3, 3).
 
     The solver as it was before it worked in coordinate columns, for
     valid input only; its bits are the ones the column kernel keeps.
@@ -330,27 +330,29 @@ def oracle_solve_triangles(rays, lambdas) -> np.ndarray:
     return t[..., None] * cone
 
 
+def oracle_edge_point(u, v) -> np.ndarray:
+    """Where h(u) crosses the geodesic from u to v, row-major: u/2 + v/lambda^2."""
+    return 0.5 * u + v / -_row_pairing(u, v)[..., None]
+
+
 def oracle_horocycle_arcs(points) -> np.ndarray:
-    """minkowski.horocycle_arcs row-major, at every corner."""
+    """minkowski.arc_columns row-major, at every corner of a (..., 3, 3) stack."""
     points = np.asarray(points, dtype=float)
-
-    def edge_point(u, v):
-        return 0.5 * u + v / -_row_pairing(u, v)[..., None]
-
-    p = edge_point(points, points.take(NEXT, axis=-2))
-    q = edge_point(points, points.take(PREV, axis=-2))
+    p = oracle_edge_point(points, points.take(NEXT, axis=-2))
+    q = oracle_edge_point(points, points.take(PREV, axis=-2))
     return np.sqrt(np.maximum(-2.0 * _row_pairing(p, q) - 2.0, 0.0))
 
 
 def oracle_hlengths(points) -> np.ndarray:
-    """minkowski.hlengths row-major, at every corner."""
+    """minkowski.hlength_columns row-major, at every corner of a (..., 3, 3) stack."""
     points = np.asarray(points, dtype=float)
     lam = np.sqrt(-_row_pairing(points.take(NEXT, axis=-2), points.take(PREV, axis=-2)))
     return lam / (lam.take(NEXT, axis=-1) * lam.take(PREV, axis=-1))
 
 
 def oracle_random_lifts(gen, n: int) -> np.ndarray:
-    """samples.random_lifts row-major, drawn by gen.uniform with array bounds."""
+    """n lifts as n calls of samples.random_lift draw them, as an (n, 3, 3)
+    stack computed row-major and drawn by gen.uniform with array bounds."""
     u = gen.uniform(samples._LIFT_LOW, samples._LIFT_HIGH, size=(n, 10))
     base, jitter, scales, lambdas = u[:, :1], u[:, 1:4], u[:, 4:7], u[:, 7:]
     angles = base + np.array([0.0, 1.0, 2.0]) * (2.0 * math.pi / 3.0) + jitter

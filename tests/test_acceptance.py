@@ -27,7 +27,7 @@ from brokensurf.develop import (
 )
 from brokensurf.foliation import BrokenMeasure, split_collars
 from brokensurf.hyperbolic import constant_structure
-from brokensurf.triangulation import dual_loops
+from brokensurf.triangulation import NEXT, PREV, dual_loops
 
 SAMPLES = 100
 
@@ -130,9 +130,9 @@ def test_criterion_05_hlength_calibration(torus):
     for _ in range(1000):
         sample = samples.random_lift(gen)
         i = int(gen.integers(0, 3))
-        ratios.append(
-            minkowski.horocycle_arc(sample, i) / minkowski.hlengths(sample)[i]
-        )
+        u = sample.T[..., None]  # one lift's columns
+        hls = minkowski.hlength_columns(u, u[:, NEXT], u[:, PREV])
+        ratios.append(minkowski.horocycle_arc(sample, i) / hls[i, 0])
     mean = sum(ratios) / len(ratios)
     assert (max(ratios) - min(ratios)) / mean <= 1e-9
 

@@ -6,6 +6,7 @@ import math
 import re
 import time
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -37,7 +38,6 @@ from brokensurf.develop import (
     cusp_closure_residual,
     deck_candidates,
     develop,
-    loop_holonomies,
     path_holonomy,
     tile_separation,
 )
@@ -209,15 +209,15 @@ def test_paths_reject_what_is_no_crossing(sphere, path):
     message = re.escape(f"crossing {path[0]!r} is not an int in range(6)")
     closed = dual_loops(sphere, "basis")[0]
     calls = (
-        (check_loop, sphere, path),
-        (path_holonomy, H, path),
+        (partial(check_loop, sphere), path),
+        (partial(path_holonomy, H), path),
         # the batched check names the loop check_loop rejects
-        (check_loops, sphere, [closed, path]),
-        (loop_holonomies, H, [closed, path]),
+        (partial(check_loops, sphere), [closed, path]),
+        (DevelopedPaths(H).holonomies, [closed, path]),
     )
-    for call, first, arg in calls:
+    for call, arg in calls:
         with pytest.raises(ValueError, match=message):
-            call(first, arg)
+            call(arg)
 
 
 # on the sphere crossing 0 = (0, 0) lands on face 1
@@ -235,12 +235,12 @@ def test_batched_check_raises_what_check_loop_raises(sphere, second):
     closed = dual_loops(sphere, "basis")[0]
     with pytest.raises((ValueError, OpenPath)) as want:
         check_loop(sphere, second)
-    for call, first in ((check_loops, sphere), (loop_holonomies, H)):
+    for call in (partial(check_loops, sphere), DevelopedPaths(H).holonomies):
         with pytest.raises((ValueError, OpenPath)) as got:
-            call(first, [closed, second, [0]])
+            call([closed, second, [0]])
         assert (type(got.value), str(got.value)) == (want.type, str(want.value))
         with pytest.raises(OpenPath, match=re.escape("crossing (0, 0) lands on face 1")):
-            call(first, [[0], second])
+            call([[0], second])
 
 
 def test_batched_check_passes_closed_loops(sphere):
@@ -337,10 +337,10 @@ def test_loop_holonomies_match_path_holonomy(request, name, kind):
                 failures.append(exc)
         if failures:
             with pytest.raises(type(failures[0]), match=re.escape(str(failures[0]))):
-                loop_holonomies(H, loops)
+                DevelopedPaths(H).holonomies(loops)
         good = list(singles)
-        hol = loop_holonomies(H, good)
-        assert loop_holonomies(H, []).matrix.shape == (0, 3, 3)
+        hol = DevelopedPaths(H).holonomies(good)
+        assert DevelopedPaths(H).holonomies([]).matrix.shape == (0, 3, 3)
         assert hol.matrix.shape == (len(good), 3, 3)
         stacked = [
             PathHolonomy(m, s)
@@ -384,7 +384,7 @@ def test_corner_cycles_are_walked_once(sphere, monkeypatch):
     H = samples.random_valid_structure(sphere, samples.rng(17))
     loops = dual_loops(sphere, "punctures")
     want = [cusp_closure_residual(H, p) for p in range(sphere.num_punctures)]
-    want_hol = loop_holonomies(H, loops)
+    want_hol = DevelopedPaths(H).holonomies(loops)
     monkeypatch.setattr(develop_module, "_develop_along", counted("walks", _develop_along))
     monkeypatch.setattr(develop_module, "_start_lift", counted("lifts", develop_module._start_lift))
     paths = DevelopedPaths(H)

@@ -252,6 +252,15 @@ def test_h_length_and_geometric_arc_agree(sphere, gen):
     assert H.geometric_arcs() == pytest.approx(SQRT2 * H.h_lengths(), rel=1e-11)
 
 
+@pytest.mark.parametrize("lam", [1e200, 1e-200])
+def test_geometric_arcs_reject_a_lift_past_float_range(torus, lam):
+    # valid lambdas whose lift leaves float range give no arc, not NaN
+    H = constant_structure(torus, lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^points must be finite at index 0$"):
+            H.geometric_arcs()
+
+
 def test_face_lift_realizes_lambdas(sphere, gen):
     H = samples.random_valid_structure(sphere, gen)
     for f in range(sphere.faces):
@@ -346,8 +355,9 @@ def test_tables_match_scalar_oracles(table_surface):
         assert np.array_equal(H.lambda_ratios, lambda_ratios)
         h_lengths = oracle_table(T, lambda s: oracle_h_length(H, s))
         assert np.array_equal(H.h_lengths(), h_lengths)
-        arcs = [minkowski.horocycle_arcs(H.face_lift(f)) for f in range(T.faces)]
-        assert np.array_equal(H.geometric_arcs(), np.array(arcs))
+        lifts = [H.face_lift(f) for f in range(T.faces)]
+        arcs = oracle_table(T, lambda s: minkowski.horocycle_arc(lifts[s[0]], s[1]))
+        assert np.array_equal(H.geometric_arcs(), arcs)
         residuals = oracle_table(T, lambda p: oracle_coupling_residual(H, p))
         assert np.array_equal(H.coupling_residuals(), residuals)
         # np.log and math.log may round one value differently

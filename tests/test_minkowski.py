@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    oracle_edge_point,
     oracle_hlengths,
     oracle_horocycle_arcs,
     oracle_random_lifts,
@@ -14,6 +15,7 @@ from conftest import (
 from brokensurf import minkowski as mk
 from brokensurf import samples
 from brokensurf.errors import CollinearRays, DegeneratePair, DegenerateRays
+from brokensurf.triangulation import NEXT, PREV
 
 SQRT2 = math.sqrt(2.0)
 
@@ -101,33 +103,37 @@ def test_solve_triangle_degenerate_rays():
 
 
 def seeded_stack(n, seed):
+    """n rays and lambdas row-major, (n, 3, 3) and (n, 3); .T gives their columns."""
     gen = samples.rng(seed)
     rays = np.array([samples.random_rays(gen) for _ in range(n)])
     lams = np.array([samples.random_triangle_lambdas(gen) for _ in range(n)])
     return rays, lams
 
 
+def corners(points):
+    """(u, v, w) of every corner of (3, 3, m) columns, as the kernels take them."""
+    return points, points[:, NEXT], points[:, PREV]
+
+
 def test_stacked_kernels_match_single_lifts():
     rays, lams = seeded_stack(200, 11)
-    points = mk.solve_triangles(rays, lams)
-    arcs = mk.horocycle_arcs(points)
-    hls = mk.hlengths(points)
-    assert points.shape == (200, 3, 3)
-    assert arcs.shape == hls.shape == (200, 3)
+    points = mk.solve_columns(rays.T, lams.T)
+    arcs = mk.arc_columns(*corners(points))
+    hls = mk.hlength_columns(*corners(points))
+    assert points.shape == (3, 3, 200)
+    assert arcs.shape == hls.shape == (3, 200)
     for r in range(200):
         lift = mk.solve_triangle(rays[r], lams[r])
-        assert np.array_equal(points[r], lift)
+        assert np.array_equal(points[..., r].T, lift)
+        one = mk.hlength_columns(*corners(lift.T[..., None]))
         for i in range(3):
-            assert arcs[r, i] == mk.horocycle_arc(lift, i)
-            assert hls[r, i] == mk.hlengths(lift)[i]
-    # any leading shape stacks the same way
-    grid = mk.solve_triangles(rays.reshape(20, 10, 3, 3), lams.reshape(20, 10, 3))
-    assert np.array_equal(grid.reshape(200, 3, 3), points)
+            assert arcs[i, r] == mk.horocycle_arc(lift, i)
+            assert hls[i, r] == one[i, 0]
 
 
 def test_stacked_solver_names_the_failing_row():
     rays, lams = seeded_stack(6, 12)
-    unscaled = mk.solve_triangles(rays, lams)
+    unscaled = mk.solve_columns(rays.T, lams.T)
     flat = rays.copy()
     flat[4] = [(1, 0, 1), (-1, 0, 1), (0, 0, 1)]  # spans only a plane
     # nearly the same ray twice: the rays span R^3, but 0 and 1 barely pair
@@ -139,55 +145,54 @@ def test_stacked_solver_names_the_failing_row():
     negative[3, 1] = -1.0
     # rays may come at any positive scale
     for scale in (1.0, 1e-8, 1e-5, 1e5):
-        got = mk.solve_triangles(scale * rays, lams)
+        got = mk.solve_columns((scale * rays).T, lams.T)
         assert np.max(np.abs(got - unscaled)) <= 1e-12 * np.max(np.abs(unscaled))
         with pytest.raises(DegenerateRays, match="index 4"):
-            mk.solve_triangles(scale * flat, lams)
+            mk.solve_columns((scale * flat).T, lams.T)
         with pytest.raises(CollinearRays, match="rays 0 and 1 .*index 2"):
-            mk.solve_triangles(scale * close, lams)
+            mk.solve_columns((scale * close).T, lams.T)
         with pytest.raises(ValueError, match="index 3"):
-            mk.solve_triangles(scale * rays, negative)
+            mk.solve_columns((scale * rays).T, negative.T)
 
 
 def test_stacked_arcs_reject_proportional_points():
     rays, lams = seeded_stack(5, 13)
-    points = mk.solve_triangles(rays, lams)
-    points[1, 2] = 2.0 * points[1, 0]
+    points = mk.solve_columns(rays.T, lams.T)
+    points[:, 2, 1] = 2.0 * points[:, 0, 1]
     with pytest.raises(DegeneratePair, match=r"index \(1, 2\)"):
-        mk.horocycle_arcs(points)
+        mk.arc_columns(*corners(points))
     with pytest.raises(CollinearRays, match=r"index \(1, 1\)"):
-        mk.hlengths(points)
+        mk.hlength_columns(*corners(points))
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (200,), (20, 10)], ids=str)
 def test_column_kernels_keep_the_row_major_bits(shape):
     # the coordinate-major kernels run the same IEEE operations per entry
+    # as the row-major oracles do on a stack of any leading shape
     rays, lams = seeded_stack(200, 21)
     n = math.prod(shape)
     rays, lams = rays[:n].reshape(*shape, 3, 3), lams[:n].reshape(*shape, 3)
-    points = mk.solve_triangles(rays, lams)
-    assert points.shape == (*shape, 3, 3) and points.flags.c_contiguous
-    assert np.array_equal(points, oracle_solve_triangles(rays, lams))
-    assert np.array_equal(mk.horocycle_arcs(points), oracle_horocycle_arcs(points))
-    assert np.array_equal(mk.hlengths(points), oracle_hlengths(points))
+    points = mk.solve_columns(rays.reshape(n, 3, 3).T, lams.reshape(n, 3).T)
+    assert points.flags.c_contiguous
+    rows = points.T.reshape(*shape, 3, 3)
+    assert np.array_equal(rows, oracle_solve_triangles(rays, lams))
+    arcs, hls = mk.arc_columns(*corners(points)), mk.hlength_columns(*corners(points))
+    assert np.array_equal(arcs.T.reshape(*shape, 3), oracle_horocycle_arcs(rows))
+    assert np.array_equal(hls.T.reshape(*shape, 3), oracle_hlengths(rows))
 
 
 @pytest.mark.parametrize("n", [1, 2047, 2049])
 def test_random_lifts_keep_the_row_major_bits(n):
-    # gen.random draws what gen.uniform with array bounds drew
-    got = samples.random_lifts(samples.rng(n), n)
-    assert got.flags.c_contiguous
-    assert np.array_equal(got, oracle_random_lifts(samples.rng(n), n))
-
-
-def test_corner_lifts_rotate_the_sampled_corner_first():
-    g1, g2 = samples.rng(5), samples.rng(5)
-    lifts = samples.random_corner_lifts(g1, 300)
-    every = samples.random_lifts(g2, 300)
-    corner = g2.integers(0, 3, size=300)
+    # gen.random draws what gen.uniform with array bounds drew, and each
+    # lift is rotated so that its sampled corner comes first
+    g1, g2 = samples.rng(n), samples.rng(n)
+    lifts = samples.random_corner_lifts(g1, n)
+    every = oracle_random_lifts(g2, n)
+    corner = g2.integers(0, 3, size=n)
+    assert lifts.shape == (3, 3, n) and lifts.flags.c_contiguous
     assert g1.random() == g2.random()  # the same stream, drawn to the same place
     for k in range(3):
-        want = every[np.arange(300), (corner + k) % 3]
+        want = every[np.arange(n), (corner + k) % 3]
         assert np.array_equal(lifts[:, k].T, want)
 
 
@@ -196,31 +201,49 @@ def test_solver_rejects_non_finite_input(bad, recwarn):
     rays, lams = seeded_stack(4, 22)
     lams[2, 1] = bad
     with pytest.raises(ValueError, match=r"lambdas must be finite, got .* at index 2$"):
-        mk.solve_triangles(rays, lams)
+        mk.solve_columns(rays.T, lams.T)
     got = re.escape(f"lambdas must be finite, got {(bad, 1.0, 1.0)}")
     with pytest.raises(ValueError, match=got + "$"):
         mk.solve_triangle(mk.DEFAULT_RAYS, (bad, 1.0, 1.0))
     rays, lams = seeded_stack(4, 22)
     rays[3, 0, 1] = bad
     with pytest.raises(ValueError, match=r"rays must be finite at index 3$"):
-        mk.solve_triangles(rays, lams)
+        mk.solve_columns(rays.T, lams.T)
     # the rays' z is re-projected, never read
     rays[3, 0] = (1.0, 0.0, bad)
-    assert np.isfinite(mk.solve_triangles(rays, lams)).all()
-    points = mk.solve_triangles(*seeded_stack(4, 23))
+    assert np.isfinite(mk.solve_columns(rays.T, lams.T)).all()
+    rays, lams = seeded_stack(4, 23)
+    points = mk.solve_columns(rays.T, lams.T).T
     points[1, 2, 0] = bad
-    for kernel in (mk.horocycle_arcs, mk.hlengths):
-        with pytest.raises(ValueError, match=r"points must be finite at index 1$"):
-            kernel(points)
-    for kernel in (mk.lambda_pair, mk.horocycle_edge_point):
-        with pytest.raises(ValueError, match=r"points must be finite at index 2$"):
-            kernel(points[1], points[0])
-        with pytest.raises(ValueError, match=r"points must be finite$"):
-            kernel(points[1, 2], points[0, 0])
-        # the first row that is not finite in either stack
-        with pytest.raises(ValueError, match=r"points must be finite at index 0$"):
-            kernel(points[1], points[1, ::-1])
+    with pytest.raises(ValueError, match=r"points must be finite at index 2$"):
+        mk.lambda_pair(points[1], points[0])
+    with pytest.raises(ValueError, match=r"points must be finite$"):
+        mk.lambda_pair(points[1, 2], points[0, 0])
+    # the first row that is not finite in either stack
+    with pytest.raises(ValueError, match=r"points must be finite at index 0$"):
+        mk.lambda_pair(points[1], points[1, ::-1])
     assert not recwarn.list
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_horocycle_arc_rejects_non_finite_lift(bad, recwarn):
+    lift = samples.random_lift(samples.rng(24))
+    for at in np.ndindex(3, 3):
+        points = lift.copy()
+        points[at] = bad
+        for i in range(3):
+            with pytest.raises(ValueError, match=r"^points must be finite$"):
+                mk.horocycle_arc(points, i)
+    assert not recwarn.list
+
+
+def test_horocycle_arc_takes_one_lift_of_rows():
+    lift = samples.random_lift(samples.rng(25))
+    assert mk.horocycle_arc(lift.tolist(), 1) == mk.horocycle_arc(lift, 1)
+    # a flat lift, a stack of one and a fourth point are not a (3, 3) lift
+    for points in (lift.ravel(), lift[None], np.vstack([lift, lift[:1]]), lift[:, :2]):
+        with pytest.raises(ValueError, match="^need three cone points per triangle$"):
+            mk.horocycle_arc(points, 0)
 
 
 def test_solver_lets_a_squared_lambda_overflow():
@@ -232,18 +255,15 @@ def test_solver_lets_a_squared_lambda_overflow():
 
 
 def test_random_lifts_keep_the_single_lift_stream():
-    # random_lifts draws what random_rays then random_triangle_lambdas draw
+    # random_lift draws what random_rays then random_triangle_lambdas draw
     g1, g2 = samples.rng(17), samples.rng(17)
     for _ in range(50):
-        got = samples.random_lifts(g1, 1)[0]
+        got = samples.random_lift(g1)
         want = mk.solve_triangle(
             samples.random_rays(g2), samples.random_triangle_lambdas(g2)
         )
+        assert got.flags.c_contiguous
         assert np.array_equal(got, want)
-    g1, g2 = samples.rng(18), samples.rng(18)
-    block = samples.random_lifts(g1, 40)
-    singles = [samples.random_lift(g2) for _ in range(40)]
-    assert np.array_equal(block, np.array(singles))
 
 
 def test_extend_across_example():
@@ -275,13 +295,14 @@ def test_extend_across_degenerate_pair():
 
 
 def test_horocycle_edge_point_is_crossing():
-    # lies on the edge geodesic plane and on the level -1 horocycle of u
+    # arc_columns' crossing point lies on the edge geodesic plane and on
+    # the level -1 horocycle of u
     gen = samples.rng(5)
     for _ in range(50):
         rays = samples.random_rays(gen)
         lift = mk.solve_triangle(rays, samples.random_triangle_lambdas(gen))
         u, v = lift[0], lift[1]
-        p = mk.horocycle_edge_point(u, v)
+        p = mk._edge_point(u[:, None], v[:, None], (1,))[:, 0]
         assert mk.mform(p, u) == pytest.approx(-1.0, rel=1e-12)
         assert mk.mform(p, p) == pytest.approx(-1.0, rel=1e-12)
         # coplanar with u, v
@@ -314,8 +335,9 @@ def test_arc_matches_closed_form_ratio():
     consts = []
     for _ in range(100):
         lift = samples.random_lift(gen)
+        hls = mk.hlength_columns(*corners(lift.T[..., None]))
         for i in range(3):
-            consts.append(mk.horocycle_arc(lift, i) / mk.hlengths(lift)[i])
+            consts.append(mk.horocycle_arc(lift, i) / hls[i, 0])
     assert max(consts) - min(consts) <= 1e-11
     assert consts[0] == pytest.approx(SQRT2, rel=1e-12)
 
@@ -338,6 +360,6 @@ def test_horocycle_disk_circle_matches_hyperboloid_points(gen):
         u = samples.random_rays(gen)[0] * float(gen.uniform(0.5, 3.0))
         center, r = mk.horocycle_disk_circle(u)
         v = samples.random_rays(gen)[1]
-        p = mk.horocycle_edge_point(u, v)  # one point of the horocycle
+        p = oracle_edge_point(u, v)  # one point of the horocycle
         disk = p[:2] / (1.0 + p[2])  # the hyperboloid point in the disk
         assert np.linalg.norm(disk - center) == pytest.approx(r, rel=1e-10)
