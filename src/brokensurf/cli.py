@@ -7,10 +7,12 @@ malformed file, an --out or --svg path that cannot be written, ray
 of the file), 2 when a loaded object fails validation, 3 when calibrate
 or holonomy misses its --tol, 4 when the numbers break down on valid
 input (a face lift out of float range, near lambda 1e77, a developed
-point whose light-cone drift is above DRIFT_BOUND, infinite or NaN, or
-an unbroken singular value too small to resolve), printed as one typed
-line on stderr with no numpy warning.  develop and holonomy validate
-their structure first and on failure print only its report and exit 2.
+point whose light-cone drift is above DRIFT_BOUND, infinite or NaN, an
+unbroken singular value that does not clear its floor, or, as
+MatrixTooLarge, a surface past forms.MAX_GRAM_EDGES edges, whose dense
+unbroken Gram matrix is not built), printed as one typed line on stderr
+with no numpy warning.  develop and holonomy validate their structure
+first and on failure print only its report and exit 2.
 Every command prints one JSON document to stdout, or to --out when given.
 
 A zero gap is one with |2 log(lambda) - log(2)| <= GAP_FLOOR, everywhere.

@@ -67,3 +67,10 @@ class NumericalBreakdown(GeometryError):
     Raised instead of returning non-finite or off-cone numbers; the CLI
     reports it with its own exit code, never as invalid input.
     """
+
+
+class MatrixTooLarge(NumericalBreakdown):
+    """Valid input whose dense matrix would pass the stated size limit.
+
+    Raised before the matrix is allocated, in place of a MemoryError.
+    """

@@ -25,17 +25,25 @@ Restricted to unbroken structures (both sides of every edge equal), the
 wp form is Penner's, of rank 6g - 6 + 2s on the E edge coordinates.  Its
 kernel is spanned by the s horocycle scalings, an integer matrix whose
 product with the restriction is checked to be exactly zero; the other
-E - s singular values come from one symmetric eigensolve of the
-restriction's Gram matrix, built edge by edge; see unbroken_rank_report.
+E - s singular values are certified to clear a floor by one Cholesky
+test of the restriction's Gram matrix, built edge by edge, with the
+kernel shifted away, and are not listed; see unbroken_rank_report.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartMismatch, DegenerateEdge, InvalidDecoration, NumericalBreakdown
+from .errors import (
+    ChartMismatch,
+    DegenerateEdge,
+    InvalidDecoration,
+    MatrixTooLarge,
+    NumericalBreakdown,
+)
 from .foliation import SMALL_FROM_LARGE, BrokenMeasure
 from .hyperbolic import EPS, GAP_FLOOR, LOG2, DecoratedBrokenHyperbolic
 from .triangulation import NEXT, PREV, IdealTriangulation
@@ -51,6 +59,11 @@ THURSTON_BLOCK = -0.5 * _CYCLIC
 # Singular values at most this fraction of a scale count as zero: the
 # matrix's largest singular value, or the form's norm for its restrictions.
 RANK_CUTOFF = 1e-8
+
+# The unbroken rank certificate scatters the E x E Gram matrix densely and
+# holds at most two E x E float arrays at once; past this many edges one
+# of them alone would take more than 1 GiB, so it is never allocated.
+MAX_GRAM_EDGES = math.isqrt((1 << 30) // 8)
 
 
 @dataclass(frozen=True)
@@ -202,20 +215,24 @@ class RankReport:
     chart: str
     dim: int
     rank: int
-    singular_values: tuple
+    singular_values: tuple | None
     constrained: bool = False
     num_constraints: int = 0
     tangent_dim: int | None = None
     subspace: str = ""
+    singular_value_floor: float | None = None
 
     def to_dict(self) -> dict:
         out = {
             "chart": self.chart,
             "dim": self.dim,
             "rank": self.rank,
-            "singular_values": list(self.singular_values),
             "constrained": self.constrained,
         }
+        if self.singular_values is not None:
+            out["singular_values"] = list(self.singular_values)
+        if self.singular_value_floor is not None:
+            out["singular_value_floor"] = self.singular_value_floor
         if self.constrained:
             out["num_constraints"] = self.num_constraints
             out["tangent_dim"] = self.tangent_dim
@@ -330,23 +347,35 @@ def unbroken_rank_report(T: IdealTriangulation) -> RankReport:
 
     Both sides of an edge share one coordinate, so the restriction A is
     E x E and its row e is the sum of the block rows of e's two sides
-    T.edge_sides[e], each at its face's three edge indices.  The spectrum
-    comes from one symmetric eigensolve of the Gram matrix G = A^T A,
-    scattered from those rows without forming A.  G squares A's
-    conditioning, so it cannot resolve A's kernel; the horocycle kernel V
-    certifies it instead, A V == 0 exactly and rank V = s, and its s
-    values are written as exact zeros.  The other E - s are the square
-    roots of G's largest eigenvalues, in descending order, and the
-    smallest must clear both the rank cutoff and G's rounding error, or
-    NumericalBreakdown names it.  The rank is then E - s = 6g - 6 + 2s.
+    T.edge_sides[e], each at its face's three edge indices.  The
+    horocycle kernel V certifies A's kernel: A V == 0 exactly and
+    rank V = s.  The Gram matrix G = A^T A, scattered from those rows
+    without forming A, certifies the rest: every eigenvalue of G off V
+    must clear floor = max(cutoff^2, E eps b), with b = (max row sum of
+    |A|)^2 >= |A|_2^2, which one Cholesky test decides (see
+    _clears_floor_beyond); otherwise NumericalBreakdown names the floor.
+    The rank is then E - s = 6g - 6 + 2s, and each of A's nonzero
+    singular values clears singular_value_floor = sqrt(floor) up to the
+    factorisation's rounding, of order E^2 eps b a priori, as the
+    eigensolve this replaces decided the same test up to its own.  No
+    singular value is listed.  Past MAX_GRAM_EDGES edges G is never
+    built: MatrixTooLarge.
     """
     form = wp_form(T)
     E, s = T.num_edges, T.num_punctures
+    if E > MAX_GRAM_EDGES:
+        raise MatrixTooLarge(
+            f"unbroken Gram matrix of {E} edges needs {8 * E * E} bytes; "
+            f"the limit is {MAX_GRAM_EDGES} edges"
+        )
     cols = T.edge_index[T.edge_sides // 3].reshape(E, 6)
     vals = form.block[T.edge_sides % 3].reshape(E, 6)
     kernel = horocycle_kernel(T)
-    if np.einsum("ej,ejs->es", vals, kernel[cols]).any() or (
-        np.linalg.matrix_rank(kernel) != s
+    # one SVD gives V's rank, by np.linalg.matrix_rank's tolerance, and an
+    # orthonormal basis of its span
+    basis, sv, _ = np.linalg.svd(kernel, full_matrices=False)
+    if np.einsum("ej,ejs->es", vals, kernel[cols]).any() or not (
+        sv[-1] > sv[0] * E * EPS
     ):
         raise AssertionError("horocycle scalings are not an s-dimensional kernel")
     gram = np.bincount(
@@ -354,13 +383,49 @@ def unbroken_rank_report(T: IdealTriangulation) -> RankReport:
         (vals[:, :, None] * vals[:, None, :]).ravel(),
         E * E,
     ).reshape(E, E)
-    eig = np.linalg.eigvalsh(gram)
+    cutoff = RANK_CUTOFF * _norm(form)
+    # A is a pulled-back antisymmetric form, so antisymmetric: its row
+    # sums bound its column sums too, and |A|_2^2 <= |A|_1 |A|_inf <= bound
+    bound = float(np.abs(vals).sum(axis=1).max()) ** 2
+    floor = max(cutoff * cutoff, E * EPS * bound)
     if s < E:
-        cutoff = RANK_CUTOFF * _norm(form)
-        floor = max(cutoff * cutoff, E * EPS * eig[-1])
-        if not eig[s] > floor:
-            raise NumericalBreakdown(
-                f"unbroken Gram eigenvalue {eig[s]} is not above its resolution {floor}"
-            )
-    sv = np.concatenate((np.sqrt(eig[s:][::-1]), np.zeros(s)))
-    return RankReport(form.chart, E, E - s, tuple(sv), subspace="unbroken")
+        _clears_floor_beyond(basis, gram, bound, floor)
+    return RankReport(
+        form.chart,
+        E,
+        E - s,
+        None,
+        subspace="unbroken",
+        singular_value_floor=math.sqrt(floor),
+    )
+
+
+def _clears_floor_beyond(q, gram, bound: float, floor: float) -> None:
+    """Check that gram's eigenvalues off span(q) exceed floor, overwriting gram.
+
+    q is an orthonormal basis of the span of an exact kernel of gram, so
+    the span's orthogonal complement is invariant.  The matrix
+    M = gram + bound q q^T - floor I has eigenvalues bound - floor > 0 on
+    the span and gram's others less floor off it, so M is positive
+    definite exactly when those clear the floor (Sylvester's law of
+    inertia).  Cholesky decides that without eigenvalues, in two steps so
+    that no more than two E x E arrays' worth is ever live: on the
+    leading third M11, then on the Schur complement M22 - W^T W with
+    W = L11^-1 M12.  A third, not a half: numpy solves for W by LU, at
+    2 h^2 (E - h) flops, and the last factorisation's input copy and
+    output, (2E/3)^2 each, still fit within one more E x E array.
+    """
+    E = len(gram)
+    gram += (bound * q) @ q.T
+    gram.flat[:: E + 1] -= floor
+    h = E // 3
+    try:
+        w = np.linalg.solve(np.linalg.cholesky(gram[:h, :h]), gram[:h, h:])
+        gram[h:, h:] -= w.T @ w
+        del w
+        np.linalg.cholesky(gram[h:, h:])
+    except np.linalg.LinAlgError:
+        raise NumericalBreakdown(
+            f"unbroken Gram matrix less its floor {floor} is not positive "
+            "definite beyond the horocycle kernel"
+        ) from None

@@ -285,6 +285,19 @@ def oracle_unbroken_spectrum(T) -> forms.RankReport:
     )
 
 
+def oracle_gram_spectrum(T) -> tuple:
+    """The unbroken singular values from a symmetric eigensolve of dense A^T A.
+
+    The square roots of the E - s largest eigenvalues, descending, then s
+    exact zeros.  A's entries are integers, so A^T A is exact, and the
+    eigensolve sees the same bits however the Gram matrix is assembled.
+    """
+    A = unbroken_restriction(T)
+    s = T.num_punctures
+    eig = np.linalg.eigvalsh(A.T @ A)
+    return tuple(np.concatenate((np.sqrt(eig[s:][::-1]), np.zeros(s))))
+
+
 def run_subprocess(argv) -> subprocess.CompletedProcess:
     """The CLI in a fresh interpreter, with Python's default warning filters."""
     src = str(Path(cli.__file__).resolve().parents[1])

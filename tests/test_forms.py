@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import (
     bench_module,
     dense,
     oracle_constrained_rank,
+    oracle_gram_spectrum,
     oracle_unbroken_spectrum,
     random_triangulation,
     unbroken_restriction,
@@ -19,10 +21,11 @@ from brokensurf.errors import (
     ChartMismatch,
     DegenerateEdge,
     InvalidDecoration,
+    MatrixTooLarge,
     NumericalBreakdown,
 )
 from brokensurf.foliation import BrokenMeasure
-from brokensurf.hyperbolic import GAP_FLOOR, DecoratedBrokenHyperbolic
+from brokensurf.hyperbolic import EPS, GAP_FLOOR, DecoratedBrokenHyperbolic
 from brokensurf.triangulation import NEXT, PREV
 
 
@@ -170,12 +173,26 @@ def test_rank_constrained_needs_structure(torus):
         forms.rank_report(torus, constrained=True)
 
 
-def test_unbroken_rank(torus, sphere):
-    for T in (torus, sphere):
-        report = forms.unbroken_rank_report(T)
-        assert report.dim == T.num_edges
-        assert report.subspace == "unbroken"
-        assert 0 <= report.rank <= T.num_edges
+def test_unbroken_rank(torus, sphere, monkeypatch):
+    # Penner's rank 6g - 6 + 2s: 2 on the torus (g = s = 1), 0 on the
+    # sphere, whose s = E = 3 horocycle scalings span everything, so
+    # nothing is left to factor.  Each edge's six block entries hold four
+    # of magnitude 2, so b = 8^2 and the floor is sqrt(E eps b) on both.
+    for T, rank in ((torus, 2), (sphere, 0)):
+        assert forms.unbroken_rank_report(T).to_dict() == {
+            "chart": forms.CHART_LOG_LAMBDA,
+            "dim": 3,
+            "rank": rank,
+            "constrained": False,
+            "subspace": "unbroken",
+            "singular_value_floor": math.sqrt(3 * EPS * 64.0),
+        }
+
+    def refuse(_):
+        raise AssertionError("the sphere's certificate factored a matrix")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    assert forms.unbroken_rank_report(sphere).rank == 0
 
 
 def test_tables_flatten_in_chart_order(torus, gen):
@@ -218,10 +235,11 @@ def assert_unbroken_report_matches_oracle(T):
     want = oracle_unbroken_spectrum(T)
     s = T.num_punctures
     assert got.rank == want.rank == T.num_edges - s
-    assert len(got.singular_values) == len(want.singular_values) == T.num_edges
-    assert np.allclose(got.singular_values, want.singular_values, rtol=0, atol=1e-12)
-    # the kernel's s values are written, not computed
-    assert got.singular_values[got.rank:] == (0.0,) * s
+    # the certificate lists no values, and its floor is below every
+    # nonzero one the dense SVD finds
+    assert got.singular_values is None and "singular_values" not in got.to_dict()
+    assert 0.0 < got.singular_value_floor
+    assert all(got.singular_value_floor < v for v in want.singular_values[: got.rank])
 
 
 def test_unbroken_spectrum_matches_dense_oracle(table_surface):
@@ -258,10 +276,12 @@ def test_unbroken_kernel_witness_at_scale():
     s, penner = T.num_punctures, 6 * T.genus - 6 + 2 * T.num_punctures
     assert T.num_edges - s == penner
 
-    # the Gram spectrum with its certified zeros: no dense SVD at E = 3000
+    # the certified rank and floor against the Gram eigensolve's values
+    # with their written zeros: no dense SVD at E = 3000
     report = forms.unbroken_rank_report(T)
-    sv = np.array(report.singular_values)
+    sv = np.array(oracle_gram_spectrum(T))
     assert report.rank == penner
+    assert 0.0 < report.singular_value_floor < sv[penner - 1]
     assert (sv[:penner] > 0.0).all() and sv[penner:].tolist() == [0.0] * s
     assert (np.diff(sv) <= 0.0).all()
     # the squared sum is the squared Frobenius norm of A
@@ -280,28 +300,76 @@ def test_unbroken_kernel_witness_at_scale():
 def test_unbroken_rank_breaks_down_where_gram_cannot_resolve(
     tmp_path, monkeypatch, capsys
 ):
-    # a Gram eigenvalue within rounding of zero among the E - s nonzero
-    # ones would print a value G cannot resolve: NumericalBreakdown, exit 4
+    # a rank cutoff just above A's smallest nonzero singular value puts
+    # the floor above its Gram eigenvalue, so the shifted Gram matrix is
+    # not positive definite: NumericalBreakdown, exit 4.  Just below it
+    # the certificate passes, so it tells the two apart within 1%.
     T = random_triangulation(20, seed=20)
-    s = T.num_punctures
-    eigvalsh = np.linalg.eigvalsh
-
-    def blurred(gram):
-        eig = eigvalsh(gram)
-        eig[s] = 1e-14
-        return eig
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", blurred)
-    message = "unbroken Gram eigenvalue 1e-14 is not above its resolution"
-    with pytest.raises(NumericalBreakdown, match=message):
+    penner = T.num_edges - T.num_punctures
+    smallest = oracle_unbroken_spectrum(T).singular_values[penner - 1]
+    norm = forms._norm(forms.wp_form(T))
+    monkeypatch.setattr(forms, "RANK_CUTOFF", 0.99 * smallest / norm)
+    assert forms.unbroken_rank_report(T).rank == penner
+    monkeypatch.setattr(forms, "RANK_CUTOFF", 1.01 * smallest / norm)
+    cutoff = forms.RANK_CUTOFF * norm
+    floor = cutoff * cutoff
+    message = (
+        f"unbroken Gram matrix less its floor {floor} is not positive definite "
+        "beyond the horocycle kernel"
+    )
+    with pytest.raises(NumericalBreakdown, match=re.escape(message)):
         forms.unbroken_rank_report(T)
     path = tmp_path / "tri.json"
     fileio.save(path, T)
     assert cli.main(["forms", str(path)]) == 4
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert captured.err.startswith(f"NumericalBreakdown: {message} ")
+    assert (captured.out, captured.err) == ("", f"NumericalBreakdown: {message}\n")
+
+
+def test_unbroken_rank_checks_its_kernel(monkeypatch):
+    # the certificate shifts span(V) away, so V must be an s-dimensional
+    # kernel of A: a repeated column, or one that A does not kill, is refused
+    T = random_triangulation(20, seed=20)
+    V = forms.horocycle_kernel(T)
+    repeated = V.copy()
+    repeated[:, -1] = V[:, 0]
+    shifted = V.copy()
+    shifted[0, 0] += 1
+    for bad in (repeated, shifted):
+        monkeypatch.setattr(forms, "horocycle_kernel", lambda _, bad=bad: bad)
+        with pytest.raises(AssertionError, match="not an s-dimensional kernel"):
+            forms.unbroken_rank_report(T)
+
+
+def test_unbroken_rank_refuses_a_gram_matrix_past_its_limit(
+    tmp_path, monkeypatch, capsys
+):
+    # valid input whose Gram matrix would pass the limit: one typed line
+    # and exit 4, before anything E x E is allocated
+    T = random_triangulation(20, seed=20)
+    E = T.num_edges
+    monkeypatch.setattr(forms, "MAX_GRAM_EDGES", E)
+    assert forms.unbroken_rank_report(T).rank == E - T.num_punctures
+    monkeypatch.setattr(forms, "MAX_GRAM_EDGES", E - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MatrixTooLarge) as info:
+            forms.unbroken_rank_report(T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * E * E
+    message = (
+        f"unbroken Gram matrix of {E} edges needs {8 * E * E} bytes; "
+        f"the limit is {E - 1} edges"
+    )
+    assert str(info.value) == message
+    assert isinstance(info.value, NumericalBreakdown)
+    path = tmp_path / "tri.json"
+    fileio.save(path, T)
+    assert cli.main(["forms", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"MatrixTooLarge: {message}\n")
 
 
 @pytest.mark.parametrize("faces", [2, 20])
@@ -411,8 +479,10 @@ def test_block_reports_match_dense_matrices():
     for e, (p, q) in enumerate(T.edges):
         basis[3 * p[0] + p[1], e] = basis[3 * q[0] + q[1], e] = 1.0
     want = np.linalg.svd(basis.T @ matrix @ basis, compute_uv=False)
-    got = forms.unbroken_rank_report(T).singular_values
-    assert np.allclose(got, want, atol=1e-12)
+    assert np.allclose(oracle_gram_spectrum(T), want, atol=1e-12)
+    report = forms.unbroken_rank_report(T)
+    assert report.singular_value_floor < want[report.rank - 1]
+    assert want[report.rank:].max() <= 1e-12
 
     # constrained: the null space from the Jacobian's full SVD
     H = samples.random_valid_structure(T, samples.rng(20))
