@@ -27,7 +27,8 @@ kernel is spanned by the s horocycle scalings, an integer matrix whose
 product with the restriction is checked to be exactly zero; the other
 E - s singular values are certified to clear a floor by one Cholesky
 test of the restriction's Gram matrix, built edge by edge, with the
-kernel shifted away, and are not listed; see unbroken_rank_report.
+kernel shifted away, factored in place in column panels, and are not
+listed; see unbroken_rank_report.
 """
 
 from __future__ import annotations
@@ -61,9 +62,19 @@ THURSTON_BLOCK = -0.5 * _CYCLIC
 RANK_CUTOFF = 1e-8
 
 # The unbroken rank certificate scatters the E x E Gram matrix densely and
-# holds at most two E x E float arrays at once; past this many edges one
-# of them alone would take more than 1 GiB, so it is never allocated.
+# factors it in that one E x E float array; past this many edges the
+# array would take more than 1 GiB, so it is never allocated.
 MAX_GRAM_EDGES = math.isqrt((1 << 30) // 8)
+
+# The certificate's Cholesky runs in column panels of equal width, at
+# most this many, but for the last, which takes the last two widths.
+# Narrow panels leave most flops to one matrix product per panel and keep
+# the diagonal blocks below 128 columns, where OpenBLAS 0.3's Cholesky of
+# a 120-column block took 70 us and of a 128-column one 200 us (2 cores).
+# The last panel needs no solve, and in the benchmark's call order one
+# Cholesky of twice the width cost less than a solve and two of one
+# width.  E = 300, 600 and 3000 run in 2, 4 and 24 panels.
+GRAM_PANEL = 120
 
 
 @dataclass(frozen=True)
@@ -358,8 +369,9 @@ def unbroken_rank_report(T: IdealTriangulation) -> RankReport:
     singular values clears singular_value_floor = sqrt(floor) up to the
     factorisation's rounding, of order E^2 eps b a priori, as the
     eigensolve this replaces decided the same test up to its own.  No
-    singular value is listed.  Past MAX_GRAM_EDGES edges G is never
-    built: MatrixTooLarge.
+    singular value is listed.  G is the only E x E array: the shift and
+    the factorisation run in its storage.  Past MAX_GRAM_EDGES edges it
+    is never built: MatrixTooLarge.
     """
     form = wp_form(T)
     E, s = T.num_edges, T.num_punctures
@@ -408,22 +420,32 @@ def _clears_floor_beyond(q, gram, bound: float, floor: float) -> None:
     M = gram + bound q q^T - floor I has eigenvalues bound - floor > 0 on
     the span and gram's others less floor off it, so M is positive
     definite exactly when those clear the floor (Sylvester's law of
-    inertia).  Cholesky decides that without eigenvalues, in two steps so
-    that no more than two E x E arrays' worth is ever live: on the
-    leading third M11, then on the Schur complement M22 - W^T W with
-    W = L11^-1 M12.  A third, not a half: numpy solves for W by LU, at
-    2 h^2 (E - h) flops, and the last factorisation's input copy and
-    output, (2E/3)^2 each, still fit within one more E x E array.
+    inertia).  Cholesky decides that without eigenvalues, left-looking
+    and in place: gram's lower triangle becomes M's factor L one panel of
+    columns K = k:end at a time.  The panel takes its columns of
+    bound q q^T (the floor is already off the diagonal) and loses the
+    earlier panels' L[k:, :k] L[K, :k]^T; its diagonal block is factored,
+    and the rows below are solved against that factor (np.linalg.solve:
+    numpy has no triangular solve).  Nothing wider than one panel is
+    allocated beside gram, and gram above its diagonal blocks is never
+    read.
     """
     E = len(gram)
-    gram += (bound * q) @ q.T
+    panels = -(-E // GRAM_PANEL)  # ceiling divisions
+    nb = -(-E // panels)
+    edges = [*range(0, max(E - nb, 1), nb), E]  # the last panel up to 2 nb wide
+    bq = bound * q
     gram.flat[:: E + 1] -= floor
-    h = E // 3
     try:
-        w = np.linalg.solve(np.linalg.cholesky(gram[:h, :h]), gram[:h, h:])
-        gram[h:, h:] -= w.T @ w
-        del w
-        np.linalg.cholesky(gram[h:, h:])
+        for k, end in zip(edges, edges[1:]):
+            panel = gram[k:, k:end]
+            panel += bq[k:] @ q[k:end].T
+            if k:
+                panel -= gram[k:, :k] @ gram[k:end, :k].T
+            w = end - k
+            panel[:w] = factor = np.linalg.cholesky(panel[:w])
+            if end < E:
+                panel[w:] = np.linalg.solve(factor, panel[w:].T).T
     except np.linalg.LinAlgError:
         raise NumericalBreakdown(
             f"unbroken Gram matrix less its floor {floor} is not positive "

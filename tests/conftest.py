@@ -298,6 +298,35 @@ def oracle_gram_spectrum(T) -> tuple:
     return tuple(np.concatenate((np.sqrt(eig[s:][::-1]), np.zeros(s))))
 
 
+RANK_PRIME = 8388593
+
+
+def rank_mod_p(A, p: int = RANK_PRIME) -> int:
+    """Rank over the integers mod p of the unbroken restriction A, exactly.
+
+    A/2 has integer entries in {0, +-1, +-2}.  Row elimination mod p in
+    int64 keeps every product below p^2 < 2^47, and each pivot updates
+    only the rows with a nonzero in its column.  A rank mod
+    p is at most the rational rank, so with an exact s-dimensional kernel
+    (rank <= E - s) a rank mod p of E - s proves the rank is E - s.
+    """
+    half = np.asarray(A, dtype=float) / 2
+    m = half.astype(np.int64)
+    assert np.array_equal(m, half), "A/2 must be an integer matrix"
+    m %= p
+    rank = 0
+    for c in range(m.shape[1]):
+        nonzero = rank + np.flatnonzero(m[rank:, c])
+        if not nonzero.size:
+            continue
+        m[[rank, nonzero[0]]] = m[[nonzero[0], rank]]
+        pivot = m[rank, c:] * pow(int(m[rank, c]), p - 2, p) % p
+        below = rank + 1 + np.flatnonzero(m[rank + 1:, c])
+        m[below, c:] = (m[below, c:] - m[below, c, None] * pivot) % p
+        rank += 1
+    return rank
+
+
 def run_subprocess(argv) -> subprocess.CompletedProcess:
     """The CLI in a fresh interpreter, with Python's default warning filters."""
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -13,6 +13,7 @@ from conftest import (
     oracle_gram_spectrum,
     oracle_unbroken_spectrum,
     random_triangulation,
+    rank_mod_p,
     unbroken_restriction,
 )
 
@@ -297,14 +298,14 @@ def test_unbroken_kernel_witness_at_scale():
     assert sv[0] * (1.0 - 1e-8) <= top <= sv[0] * (1.0 + 1e-12)
 
 
-def test_unbroken_rank_breaks_down_where_gram_cannot_resolve(
-    tmp_path, monkeypatch, capsys
-):
-    # a rank cutoff just above A's smallest nonzero singular value puts
-    # the floor above its Gram eigenvalue, so the shifted Gram matrix is
-    # not positive definite: NumericalBreakdown, exit 4.  Just below it
-    # the certificate passes, so it tells the two apart within 1%.
-    T = random_triangulation(20, seed=20)
+def cutoff_pair_message(T, monkeypatch) -> str:
+    """Check that the certificate tells A's smallest nonzero value within 1%.
+
+    A rank cutoff just above A's smallest nonzero singular value puts the
+    floor above its Gram eigenvalue, so the shifted Gram matrix is not
+    positive definite: NumericalBreakdown.  Just below it the certificate
+    passes.  Leaves the cutoff above; returns the breakdown's message.
+    """
     penner = T.num_edges - T.num_punctures
     smallest = oracle_unbroken_spectrum(T).singular_values[penner - 1]
     norm = forms._norm(forms.wp_form(T))
@@ -319,11 +320,107 @@ def test_unbroken_rank_breaks_down_where_gram_cannot_resolve(
     )
     with pytest.raises(NumericalBreakdown, match=re.escape(message)):
         forms.unbroken_rank_report(T)
+    return message
+
+
+def test_unbroken_rank_breaks_down_where_gram_cannot_resolve(
+    tmp_path, monkeypatch, capsys
+):
+    # the breakdown is exit 4 with one typed line
+    T = random_triangulation(20, seed=20)
+    message = cutoff_pair_message(T, monkeypatch)
     path = tmp_path / "tri.json"
     fileio.save(path, T)
     assert cli.main(["forms", str(path)]) == 4
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"NumericalBreakdown: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "cap, widths",
+    [
+        # the default width: one panel at E = 30, and at E = 300 three
+        # of 100; one panel; 64 columns: one panel at E = 30, and at
+        # E = 300 five of 60; 8 columns: four panels at E = 30 and 38 at
+        # E = 300, the last one partial; the last two panels are always
+        # factored as one
+        (forms.GRAM_PANEL, {30: [30], 300: [100, 200]}),
+        (10**6, {30: [30], 300: [300]}),
+        (64, {30: [30], 300: [60, 60, 60, 120]}),
+        (8, {30: [8, 8, 14], 300: [8] * 36 + [12]}),
+    ],
+    ids=["default", "one-panel", "cap-64", "cap-8"],
+)
+def test_unbroken_rank_at_every_panel_width(monkeypatch, cap, widths):
+    # the blocked Cholesky decides the same rank, and the same 1% cutoff
+    # pair, however many panels it takes and whatever width the last has
+    monkeypatch.setattr(forms, "GRAM_PANEL", cap)
+    blocks, cholesky = [], np.linalg.cholesky
+
+    def recording(a):
+        blocks.append(len(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    for faces in (20, 200):
+        T = random_triangulation(faces, seed=faces)
+        blocks.clear()
+        assert forms.unbroken_rank_report(T).rank == T.num_edges - T.num_punctures
+        assert blocks == widths[T.num_edges]
+        # gram's lower triangle ends as the factor L of the shifted M, to
+        # a backward error of a few ulps of M's largest entries (about 70)
+        A = unbroken_restriction(T)
+        q = np.linalg.svd(forms.horocycle_kernel(T), full_matrices=False)[0]
+        gram, floor = A.T @ A, 1e-6
+        M = gram + 64.0 * q @ q.T - floor * np.eye(len(A))
+        forms._clears_floor_beyond(q, gram, 64.0, floor)
+        L = np.tril(gram)
+        assert np.abs(L @ L.T - M).max() <= 1e-13
+    # at E = 300 a breakdown can come from a later panel, after the
+    # earlier panels' products and solves
+    for faces in (20, 200):
+        cutoff_pair_message(random_triangulation(faces, seed=faces), monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["torus", "sphere", "F20", "F60", "F200"])
+def test_unbroken_rank_is_the_exact_rank_mod_p(request, name):
+    # V is an exact kernel of the integer matrix A, so rank A <= E - s,
+    # and a rank mod p never exceeds the rational rank: rank_p = E - s
+    # proves the rank the floating-point certificate reports
+    if name in ("torus", "sphere"):
+        T = request.getfixturevalue(name)
+    else:
+        T = random_triangulation(int(name[1:]), seed=int(name[1:]))
+    A = unbroken_restriction(T)
+    assert (A @ forms.horocycle_kernel(T) == 0).all()
+    E, s = T.num_edges, T.num_punctures
+    assert rank_mod_p(A) == E - s == forms.unbroken_rank_report(T).rank
+
+
+def test_rank_mod_p_against_float_rank():
+    # the oracle itself: on the leading principal blocks of an F=20
+    # restriction, whose ranks rise unevenly, it agrees with an SVD rank
+    A = unbroken_restriction(random_triangulation(20, seed=20))
+    ranks = [rank_mod_p(A[:n, :n]) for n in range(1, len(A) + 1)]
+    assert ranks == [np.linalg.matrix_rank(A[:n, :n]) for n in range(1, len(A) + 1)]
+    assert len(set(ranks)) > 10
+
+
+def test_unbroken_certificate_holds_one_gram_buffer():
+    # the shift and the factorisation run in the Gram matrix's storage,
+    # so the traced peak stays near one E x E array: 1.29 of it at
+    # E = 600, where the two-half factorisation held 2.04.  tracemalloc
+    # sees numpy's arrays but not LAPACK's internal copies of a block.
+    T = random_triangulation(400, seed=400)
+    E = T.num_edges
+    forms.unbroken_rank_report(T)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        forms.unbroken_rank_report(T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * E * E
 
 
 def test_unbroken_rank_checks_its_kernel(monkeypatch):
