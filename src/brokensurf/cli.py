@@ -11,8 +11,10 @@ point whose light-cone drift is above DRIFT_BOUND, infinite or NaN, an
 unbroken singular value that does not clear its floor, or, as
 MatrixTooLarge, a surface past forms.MAX_GRAM_EDGES edges, whose dense
 unbroken Gram matrix is not built), printed as one typed line on stderr
-with no numpy warning.  develop and holonomy validate their structure
-first and on failure print only its report and exit 2.
+with no numpy warning.  forms still prints its document when the
+unbroken certificate is what breaks down, with unbroken_rank null.
+develop and holonomy validate their structure first and on failure
+print only its report and exit 2.
 Every command prints one JSON document to stdout, or to --out when given.
 
 A zero gap is one with |2 log(lambda) - log(2)| <= GAP_FLOOR, everywhere.
@@ -169,11 +171,15 @@ def cmd_forms(args) -> int:
     obj = _load(args.file)
     structure = obj if isinstance(obj, DecoratedBrokenHyperbolic) else None
     T = obj if isinstance(obj, IdealTriangulation) else obj.T
+    try:
+        unbroken, breakdown = forms.unbroken_rank_report(T).to_dict(), None
+    except NumericalBreakdown as exc:
+        unbroken, breakdown = None, exc
     doc = {
         "census": _census(T),
         "pullback_residual": forms.pullback_residual(T),
         "rank": forms.rank_report(T).to_dict(),
-        "unbroken_rank": forms.unbroken_rank_report(T).to_dict(),
+        "unbroken_rank": unbroken,
     }
     if args.constrained:
         if structure is None:
@@ -183,6 +189,8 @@ def cmd_forms(args) -> int:
             lambda: forms.rank_report(T, structure, constrained=True).to_dict()
         )
     _emit(doc, args.out)
+    if breakdown:
+        raise breakdown  # main prints its one typed line and exits 4
     return EXIT_OK
 
 

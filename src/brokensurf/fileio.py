@@ -9,22 +9,18 @@ one numpy parse of their flat indices.  Structure and measure files may
 either inline their triangulation or name another file by path,
 resolved relative to the referring file.
 
-canonical_json gives every document the bytes of json.dumps(doc,
-sort_keys=True, indent=2, allow_nan=False) + "\n" without json's
-pure-Python indent encoder, which any indent selects.  Dicts and nested
-lists are walked in Python and a scalar of an exact JSON type is written
-as json writes it.  Each flat list goes through json's C encoder in one
-call, and a list of DEDUP_FROM or more floats writes each distinct float
-by repr once.  What this writer turns away, json writes itself, so a
-non-finite float raises json's own ValueError.
+canonical_json writes every document as json.dumps(doc, sort_keys=True,
+indent=2, allow_nan=False) + "\n", so what json rejects raises json's
+own error.
 
 Rows that repeat one shape are written from a %-template, derived from
 json's own layout of a placeholder and filled by one format operation;
 %d writes an int and %r a float as json does.  holonomy's loop rows
 (LoopRows) are filled from each loop's flat crossing indices, split into
-[face, slot] by one numpy divmod.  A developed ball, develop's document,
-has one template per node kind, repeated per node.  Each coordinate of
-the ball's vertex table is written by repr once, and the strings are
+[face, slot] by one numpy divmod, where json has written a placeholder
+string in their place.  A developed ball, develop's document, has one
+template per node kind, repeated per node.  Each coordinate of the
+ball's vertex table is written by repr once, and the strings are
 gathered through the ball's corner table into the points of every node
 that holds the vertex, so the per-node lifts are never built.
 """
@@ -38,7 +34,6 @@ import os
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -58,14 +53,45 @@ def canonical_json(obj) -> str:
     """
     if isinstance(obj, DevelopedBall):
         return _ball_json(obj)
+    loops = []
+
+    def placeholder(rows):
+        loops.append(rows)
+        return _LOOPS
+
     try:
-        return _text(obj, "\n") + "\n"
-    except (TypeError, ValueError, RecursionError):
-        # json's own text, or its error, for what _text turns away
-        text = json.dumps(
-            obj, sort_keys=True, indent=2, allow_nan=False, default=_json_default
-        )
-        return text + "\n"
+        *pieces, tail = _dumps(obj, placeholder).split(f'"{_LOOPS}"')
+        if len(pieces) == len(loops):  # else a string in obj is the placeholder
+            # each LoopRows nested at the indent of its placeholder's line
+            return "".join(
+                piece + _loop_rows(rows, "\n" + " " * _indent(piece))
+                for piece, rows in zip(pieces, loops)
+            ) + tail
+    except (TypeError, ValueError):
+        pass
+    # json's own text, or its error, in document order
+    return _dumps(obj, LoopRows.rows)
+
+
+# What json writes for a LoopRows before its rows replace it
+_LOOPS = "<loop rows>"
+
+
+def _dumps(obj, loop_rows) -> str:
+    """json's canonical text of obj, a LoopRows written as loop_rows(it)."""
+
+    def default(value):
+        if isinstance(value, LoopRows):
+            return loop_rows(value)
+        return json.JSONEncoder().default(value)  # json's own TypeError
+
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=default) + "\n"
+
+
+def _indent(text: str) -> int:
+    """The indent of text's last line."""
+    line = text[text.rfind("\n") + 1 :]
+    return len(line) - len(line.lstrip(" "))
 
 
 @dataclass(frozen=True)
@@ -93,105 +119,27 @@ class LoopRows:
         ]
 
 
-def _json_default(obj):
-    """json.dumps' default: LoopRows as its rows, else json's TypeError."""
-    if isinstance(obj, LoopRows):
-        return obj.rows()
-    return json.JSONEncoder().default(obj)
-
-
-def _finite_repr(x: float) -> str:
-    """A float as json writes it; ValueError where allow_nan=False raises."""
-    if not math.isfinite(x):
-        raise ValueError("a float that is not finite")
-    return float.__repr__(x)
-
-
-# How json writes a scalar of each exact type.  Any other scalar, a
-# subclass or a value of no JSON type, goes to json's C encoder.
-_SCALAR = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _finite_repr,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-_scalar_json = json.JSONEncoder(allow_nan=False).encode
-
-
-# Below this many floats, numpy's fixed cost (about 25 us) is more than
-# writing each distinct float once saves.
-DEDUP_FROM = 64
-
-
-@functools.cache
-def _flat_json(separator: str):
-    """json's C encoder for a flat list, its items separated by separator."""
-    return json.JSONEncoder(separators=(separator, ": "), allow_nan=False).encode
-
-
-def _text(obj, pad: str) -> str:
-    """obj as canonical_json writes it, nested at pad: a newline and the
-    indent of the line obj starts on.
-
-    Dicts and lists holding lists or dicts are walked here.  A flat list
-    goes through json's C encoder in one call, and a long list of floats
-    writes each distinct float by repr once.  Raises TypeError or
-    ValueError for what it leaves to json: a non-finite float, a key that
-    is no str, a value of no JSON type.
-    """
-    write = _SCALAR.get(type(obj))
-    if write:
-        return write(obj)
-    if isinstance(obj, LoopRows):
-        return _loop_rows(obj, pad)
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        if not all(isinstance(key, str) for key in obj):
-            raise TypeError("a key that is no str")
-        items = (
-            encode_basestring_ascii(key) + ": " + _text(obj[key], inner) for key in sorted(obj)
-        )
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if not isinstance(obj, (list, tuple)):
-        return _scalar_json(obj)
-    if not obj:
-        return "[]"
-    types = set(map(type, obj))
-    if len(obj) >= DEDUP_FROM and all(issubclass(t, float) for t in types):
-        body = ("," + inner).join(_floats(obj))
-    elif all(issubclass(t, (str, int, float, type(None))) for t in types):
-        body = _flat_json("," + inner)(obj)[1:-1]
-    else:
-        body = ("," + inner).join(_text(value, inner) for value in obj)
-    return "[" + inner + body + pad + "]"
-
-
-def _floats(values) -> list[str]:
-    """repr of each of values, each distinct float written once."""
-    x = np.array(values, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError("a float that is not finite")
-    # by bit pattern, so that -0.0 and 0.0 stay apart
-    bits, at = np.unique(x.view(np.int64), return_inverse=True)
-    written = list(map(repr, bits.view(float).tolist()))
-    return list(map(written.__getitem__, at.tolist()))
-
-
 # Placeholders json writes as quoted strings, replaced by conversions:
 # an int, a float, a float already written by repr, and a node or pair.
 _INT, _FLOAT, _REPR, _NODE = "<int>", "<float>", "<repr>", "<node>"
 
 
-def _conversions(piece: str) -> str:
-    """A piece of json's text with its placeholders made conversions."""
-    return (
+def _templates(layout, first, rest) -> tuple[str, ...]:
+    """(head, first item, separator and item, tail) of a %-template.
+
+    layout(*items) is json's text of a document whose one list holds
+    items; the list is split at two _NODE placeholders, and the items
+    are cut from its layout of first alone and of rest alone.
+    """
+    head, sep, tail = layout(_NODE, _NODE).split(f'"{_NODE}"')
+    first, rest = (layout(item)[len(head) : -len(tail)] for item in (first, rest))
+    pieces = (head, first, sep + rest, tail)
+    return tuple(
         piece.replace("%", "%%")
         .replace(f'"{_INT}"', "%d")
         .replace(f'"{_FLOAT}"', "%r")
         .replace(f'"{_REPR}"', "%s")
+        for piece in pieces
     )
 
 
@@ -199,16 +147,13 @@ def _conversions(piece: str) -> str:
 def _loop_templates(names: tuple[str, ...], inner: str) -> tuple[str, ...]:
     """(head, first pair, separator and pair, tail) of a loop row's
     %-template at inner, its figures named names.
-
-    Derived from json's layout of a two-crossing placeholder row.
     """
 
     def row(*pairs):
-        return _text({**dict.fromkeys(names, _FLOAT), "crossings": list(pairs)}, inner)
+        doc = {**dict.fromkeys(names, _FLOAT), "crossings": list(pairs)}
+        return json.dumps(doc, sort_keys=True, indent=2).replace("\n", inner)
 
-    head, sep, tail = row(_NODE, _NODE).split(f'"{_NODE}"')
-    pair = row([_INT, _INT])[len(head) : -len(tail)]
-    return tuple(map(_conversions, (head, pair, sep + pair, tail)))
+    return _templates(row, [_INT, _INT], [_INT, _INT])
 
 
 def _loop_rows(loops: LoopRows, pad: str) -> str:
@@ -258,21 +203,14 @@ _NODE_FIELDS = {
 _ROOT_NULL = ("parent", "entry_slot")
 
 
-def _ball_templates() -> tuple:
-    """(head, root, separator and node, tail) of a ball's %-template."""
-
-    def doc(*nodes):
-        top = {"base": _INT, "depth": _INT, "max_drift": _FLOAT}
-        return canonical_json({**top, "nodes": list(nodes)})
-
-    head, sep, tail = doc(_NODE, _NODE).split(f'"{_NODE}"')
-    root = doc({**_NODE_FIELDS, **dict.fromkeys(_ROOT_NULL)})
-    node = doc(_NODE_FIELDS)
-    pieces = (head, root[len(head) : -len(tail)], sep + node[len(head) : -len(tail)], tail)
-    return tuple(map(_conversions, pieces))
+def _ball_layout(*nodes) -> str:
+    top = {"base": _INT, "depth": _INT, "max_drift": _FLOAT}
+    return canonical_json({**top, "nodes": list(nodes)})
 
 
-_BALL_HEAD, _BALL_ROOT, _BALL_NODE, _BALL_TAIL = _ball_templates()
+_BALL_HEAD, _BALL_ROOT, _BALL_NODE, _BALL_TAIL = _templates(
+    _ball_layout, {**_NODE_FIELDS, **dict.fromkeys(_ROOT_NULL)}, _NODE_FIELDS
+)
 
 
 def _ball_json(ball: DevelopedBall) -> str:

@@ -19,7 +19,8 @@ block structure away from the r constraint rows: its spectrum there is
 2F - rank(Omega|U) copies of the block's norm 2*sqrt(3), the singular
 values of the form on U minus the rows, and F - dim U + rank(Omega|U)
 zeros, for the Omega-invariant span U of the rows (dim U <= 3r); see
-rank_report.
+rank_report.  A rank report lists no singular values: it gives the rank
+and a floor that every value it counts clears.
 
 Restricted to unbroken structures (both sides of every edge equal), the
 wp form is Penner's, of rank 6g - 6 + 2s on the E edge coordinates.  Its
@@ -27,8 +28,8 @@ kernel is spanned by the s horocycle scalings, an integer matrix whose
 product with the restriction is checked to be exactly zero; the other
 E - s singular values are certified to clear a floor by one Cholesky
 test of the restriction's Gram matrix, built edge by edge, with the
-kernel shifted away, factored in place in column panels, and are not
-listed; see unbroken_rank_report.
+kernel shifted away, factored in place in column panels; see
+unbroken_rank_report.
 """
 
 from __future__ import annotations
@@ -96,13 +97,6 @@ class TwoForm:
         return float(
             np.einsum("fi,ij,fj->", u.reshape(-1, 3), self.block, v.reshape(-1, 3))
         )
-
-    def singular_values(self) -> np.ndarray:
-        """2F copies of the block's norm, then F exact zeros.
-
-        An antisymmetric 3x3 block's singular values are (|w|, |w|, 0).
-        """
-        return np.repeat([_norm(self), 0.0], [2 * self.faces, self.faces])
 
     def rank(self) -> int:
         return self.faces * matrix_rank(self.block)
@@ -223,15 +217,19 @@ def scaling_identity_residual(H, x: float, u, v) -> float:
 
 @dataclass(frozen=True)
 class RankReport:
+    """A rank, and a floor that every singular value it counts clears.
+
+    The floor is None, written null, when nothing is counted.
+    """
+
     chart: str
     dim: int
     rank: int
-    singular_values: tuple | None
+    singular_value_floor: float | None
     constrained: bool = False
     num_constraints: int = 0
     tangent_dim: int | None = None
     subspace: str = ""
-    singular_value_floor: float | None = None
 
     def to_dict(self) -> dict:
         out = {
@@ -239,11 +237,8 @@ class RankReport:
             "dim": self.dim,
             "rank": self.rank,
             "constrained": self.constrained,
+            "singular_value_floor": self.singular_value_floor,
         }
-        if self.singular_values is not None:
-            out["singular_values"] = list(self.singular_values)
-        if self.singular_value_floor is not None:
-            out["singular_value_floor"] = self.singular_value_floor
         if self.constrained:
             out["num_constraints"] = self.num_constraints
             out["tangent_dim"] = self.tangent_dim
@@ -293,19 +288,23 @@ def rank_report(
     (1,1,1)-complement and 0 on (1,1,1), so with P the per-face mean,
     U = span(N, Omega N, P N) is Omega-invariant.  Its complement lies in
     K and Omega acts there unchanged, so the
-    restricted spectrum has three parts, listed in descending order:
+    restricted spectrum has three parts:
 
         2F - rank(Omega|U) copies of the block's norm,
         the singular values of Omega on U minus N (at most 2r),
         F - dim U + rank(Omega|U) zeros.
 
-    Nothing larger than 3F x 3r is formed, and the first and last parts
-    are exact where a dense decomposition would print rounding noise.
+    The rank counts the first part and the middle values above the
+    cutoff, and the floor is the smallest value counted.  Nothing larger
+    than 3F x 3r is formed, and the first and last parts are exact where
+    a dense decomposition would print rounding noise.  Unconstrained,
+    the rank is 2F and the floor the block's norm.
     """
     form = wp_form(T)
     n = 3 * T.faces
+    norm = _norm(form)
     if not constrained:
-        return RankReport(form.chart, n, form.rank(), tuple(form.singular_values()))
+        return RankReport(form.chart, n, form.rank(), norm)
     if H is None:
         raise ValueError("constrained rank needs a structure to linearize at")
     if H.T is not T and not np.array_equal(H.T.partner, T.partner):
@@ -319,20 +318,17 @@ def rank_report(
     basis = basis[: _rank(sv_s, sv_s.max(initial=0.0))]
     # Omega on the span, in the span's orthonormal basis
     on_span = basis @ _apply(form.block, basis).T
-    norm = _norm(form)
     rank_span = _rank(np.linalg.svd(on_span, compute_uv=False), norm)
     # the part of the span orthogonal to the constraint rows, in span coordinates
     beyond = np.linalg.svd(rows @ basis.T)[2][jac_rank:]
-    sv = np.sort(np.concatenate((
-        np.full(2 * T.faces - rank_span, norm),
-        np.linalg.svd(beyond @ on_span @ beyond.T, compute_uv=False),
-        np.zeros(T.faces - len(basis) + rank_span),
-    )))[::-1]
+    full = 2 * T.faces - rank_span  # copies of the norm
+    middle = np.linalg.svd(beyond @ on_span @ beyond.T, compute_uv=False)
+    middle = middle[: _rank(middle, norm)].tolist()  # those counted, descending
     return RankReport(
         form.chart,
         n,
-        _rank(sv, norm),
-        tuple(sv),
+        full + len(middle),
+        min([norm] * (full > 0) + middle, default=None),
         constrained=True,
         num_constraints=jac_rank,
         tangent_dim=n - jac_rank,
@@ -368,10 +364,9 @@ def unbroken_rank_report(T: IdealTriangulation) -> RankReport:
     The rank is then E - s = 6g - 6 + 2s, and each of A's nonzero
     singular values clears singular_value_floor = sqrt(floor) up to the
     factorisation's rounding, of order E^2 eps b a priori, as the
-    eigensolve this replaces decided the same test up to its own.  No
-    singular value is listed.  G is the only E x E array: the shift and
-    the factorisation run in its storage.  Past MAX_GRAM_EDGES edges it
-    is never built: MatrixTooLarge.
+    eigensolve this replaces decided the same test up to its own.  G is
+    the only E x E array: the shift and the factorisation run in its
+    storage.  Past MAX_GRAM_EDGES edges it is never built: MatrixTooLarge.
     """
     form = wp_form(T)
     E, s = T.num_edges, T.num_punctures
@@ -406,9 +401,8 @@ def unbroken_rank_report(T: IdealTriangulation) -> RankReport:
         form.chart,
         E,
         E - s,
-        None,
+        math.sqrt(floor),
         subspace="unbroken",
-        singular_value_floor=math.sqrt(floor),
     )
 
 

@@ -229,8 +229,9 @@ def dense(form) -> np.ndarray:
     return np.kron(np.eye(form.faces), form.block)
 
 
-def oracle_constrained_rank(T, H) -> forms.RankReport:
-    """The constrained rank report from the dense restriction to the tangent space.
+def oracle_constrained_rank(T, H) -> SimpleNamespace:
+    """The constrained rank, its tangent space and the descending singular
+    values of the dense restriction to it.
 
     The kernel of the Jacobian's r independent rows is the last 3F - r
     columns of the orthogonal factor of a Householder QR of the rows'
@@ -249,12 +250,9 @@ def oracle_constrained_rank(T, H) -> forms.RankReport:
         v = np.concatenate(([1.0], h[k, k + 1:]))
         basis[k:] -= tau[k] * np.outer(v, v @ basis[k:])
     sv = np.linalg.svd(basis.T @ dense(form) @ basis, compute_uv=False)
-    return forms.RankReport(
-        form.chart,
-        n,
-        forms._rank(sv, forms._norm(form)),
-        tuple(sv),
-        constrained=True,
+    return SimpleNamespace(
+        rank=forms._rank(sv, forms._norm(form)),
+        singular_values=sv,
         num_constraints=r,
         tangent_dim=n - r,
     )
@@ -272,17 +270,11 @@ def unbroken_restriction(T) -> np.ndarray:
     return restricted
 
 
-def oracle_unbroken_spectrum(T) -> forms.RankReport:
-    """The unbroken rank report from a full SVD of the dense restriction."""
-    form = forms.wp_form(T)
+def oracle_unbroken_spectrum(T) -> SimpleNamespace:
+    """The unbroken rank and descending singular values from a full SVD
+    of the dense restriction."""
     sv = np.linalg.svd(unbroken_restriction(T), compute_uv=False)
-    return forms.RankReport(
-        form.chart,
-        T.num_edges,
-        forms._rank(sv, forms._norm(form)),
-        tuple(sv),
-        subspace="unbroken",
-    )
+    return SimpleNamespace(rank=forms._rank(sv, forms._norm(forms.wp_form(T))), singular_values=sv)
 
 
 def oracle_gram_spectrum(T) -> tuple:

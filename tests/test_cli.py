@@ -501,14 +501,16 @@ def test_forms_constrained_rejects_lambda_below_sqrt2(tmp_path, torus, capsys):
 
 def test_forms_block_spectrum_is_exact(torus_file, capsys):
     # on the torus there is no constraint (r = 0), so the constrained
-    # restriction is the form itself and both lists are the same bits:
-    # 2F copies of the block's norm, then F zeros
+    # restriction is the form itself: rank 2F in both reports, and both
+    # floors the same bits, the block's norm 2 sqrt(3)
     assert run(["forms", torus_file, "--constrained"]) == 0
     doc = read_doc(capsys)
-    assert doc["constrained_rank"]["num_constraints"] == 0
-    got = list(map(float.hex, doc["rank"]["singular_values"]))
-    assert got == list(map(float.hex, doc["constrained_rank"]["singular_values"]))
-    assert got[4:] == [float.hex(0.0)] * 2 and len(set(got[:4])) == 1
+    whole, constrained = doc["rank"], doc["constrained_rank"]
+    assert constrained["num_constraints"] == 0
+    assert whole["rank"] == constrained["rank"] == 4
+    floor = whole["singular_value_floor"]
+    assert float.hex(floor) == float.hex(constrained["singular_value_floor"])
+    assert floor == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-15)
 
 
 @pytest.mark.parametrize("scale", [1e100, 1e200])

@@ -1,9 +1,10 @@
 """Files at array speed, against json and against the walks they replace.
 
-canonical_json writes most documents through its own walk, flat lists
-through json's C encoder and holonomy's loop rows from a template; its
-bytes must be json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-+ "\\n", and what json rejects must raise json's own error.  The gluing
+canonical_json writes documents with json.dumps, and holonomy's loop
+rows from a template where json wrote a placeholder; its bytes must be
+json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\\n" of
+the document with the rows in place, and what json rejects must raise
+json's own error.  The gluing
 and pair-table readers check whole inputs at once; whatever they accept
 must read as the entry-by-entry and key-by-key walks read it.
 """
@@ -93,6 +94,43 @@ def test_every_document_is_json_bytes(files, name):
         assert 3 in codes
 
 
+def list_lengths(doc, key=None):
+    """(key, length) of every list in doc outside loops and nodes, the
+    rows written from templates; key is the innermost key above it."""
+    if isinstance(doc, dict):
+        for name, value in doc.items():
+            if name not in ("loops", "nodes"):
+                yield from list_lengths(value, name)
+    elif isinstance(doc, list):
+        yield key, len(doc)
+        for value in doc:
+            yield from list_lengths(value, key)
+
+
+@pytest.mark.parametrize("name", ["torus", "sphere", "f20-seed2", "f20-seed3",
+                                  "f200-seed2", "f200-seed3"])
+def test_documents_hold_only_short_lists(files, name):
+    # json's own writer suffices because no document holds a long list
+    # but its rows: none has more than max(s, 5) entries, s punctures
+    _, out = run(["validate", files[name]["triangulation"]])
+    bound = max(json.loads(out)["census"]["punctures"], 5)
+    for kind, argv in COMMANDS:
+        _, out = run([argv[0], files[name][kind], *argv[1:]])
+        for key, length in list_lengths(json.loads(out)):
+            assert length <= bound, (argv, key, length)
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_forms_document_does_not_grow_with_faces(files, seed):
+    # the rank reports carry floors, not 3F-long lists
+    size = {}
+    for faces in (20, 200):
+        code, out = run(["forms", files[f"f{faces}-seed{seed}"]["broken"], "--constrained"])
+        assert code == 0
+        size[faces] = len(out.encode())
+    assert abs(size[200] - size[20]) <= 64, size
+
+
 # -- random documents ---------------------------------------------------
 
 # the float range's ends, both zeros, and repeats of a few values
@@ -102,31 +140,6 @@ LEAVES = (
     st.none() | st.booleans() | st.integers() | st.integers(-(2**70), 2**70)
     | FLOATS | st.text()
 )
-DOCS = st.recursive(
-    LEAVES,
-    lambda inner: (
-        st.lists(inner, max_size=5)
-        | st.lists(EDGE_FLOATS, max_size=12)
-        # about as long as the float lists written by distinct value
-        | st.lists(EDGE_FLOATS, min_size=fileio.DEDUP_FROM - 1, max_size=fileio.DEDUP_FROM + 1)
-        | st.tuples(inner, inner)
-        | st.dictionaries(st.text(max_size=6), inner, max_size=5)
-    ),
-    max_leaves=40,
-)
-
-
-@settings(max_examples=250, derandomize=True, deadline=None, database=None)
-@given(DOCS)
-@example({"": [], "a": {}, "b": [[], [{}]], "c": [True, None, 1, 1.0, "é\n\"\\"]})
-@example([[0.0, -0.0, 0.0], [-0.0], [5e-324, 1e308, 5e-324]])
-@example({"sv": [0.0, -0.0, 1.5, -1e308, 5e-324] * fileio.DEDUP_FROM})
-@example({"%d": "%r", " \ud800": ["\x00", "０"]})
-def test_random_documents_are_json_bytes(doc):
-    text = json_text(doc)
-    assert fileio.canonical_json(doc) == text
-    # written by the fast writer itself, not by its fallback to json
-    assert fileio._text(doc, "\n") + "\n" == text
 
 
 def loop_rows_plain(crossings, figures) -> list:
@@ -142,6 +155,54 @@ NAMES = st.lists(st.text(max_size=12), max_size=4, unique=True)
 HOLONOMY_NAMES = ["scale", "lorentz_residual", "backward_residual"]
 
 
+@st.composite
+def loop_rows(draw):
+    """LoopRows of finite figures, now and then with a loop of no crossings."""
+    crossings = draw(LOOPS | st.lists(st.lists(st.integers(0, 5), max_size=2), max_size=3))
+    n = len(crossings)
+    figures = st.lists(FLOATS, min_size=n, max_size=n)
+    return fileio.LoopRows(crossings, {name: draw(figures) for name in draw(NAMES)})
+
+
+DOCS = st.recursive(
+    LEAVES | loop_rows(),
+    lambda inner: (
+        st.lists(inner, max_size=5)
+        | st.lists(EDGE_FLOATS, max_size=12)
+        | st.tuples(inner, inner)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=5)
+    ),
+    max_leaves=40,
+)
+
+
+def with_rows(doc):
+    """doc with each LoopRows in it replaced by its rows."""
+    if isinstance(doc, fileio.LoopRows):
+        return doc.rows()
+    if isinstance(doc, dict):
+        return {key: with_rows(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [with_rows(value) for value in doc]
+    return doc
+
+
+ROWS = fileio.LoopRows([[0, 4], [5]], {"scale": [0.5, -0.0]})
+
+
+@settings(max_examples=250, derandomize=True, deadline=None, database=None)
+@given(DOCS)
+@example({"": [], "a": {}, "b": [[], [{}]], "c": [True, None, 1, 1.0, "é\n\"\\"]})
+@example([[0.0, -0.0, 0.0], [-0.0], [5e-324, 1e308, 5e-324]])
+@example({"%d": "%r", " \ud800": ["\x00", "０"]})
+# strings that read as json's placeholder for loop rows
+@example({"a": ROWS, "b": "<loop rows>"})
+@example({"<loop rows>": [ROWS, {"x": (ROWS, 1.5)}]})
+def test_random_documents_are_json_bytes(doc):
+    # LoopRows at any key and depth: json's bytes with their rows in place
+    assert fileio.canonical_json(doc) == json_text(with_rows(doc))
+
+
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(LOOPS, NAMES, st.lists(FLOATS, min_size=24, max_size=24), st.integers(0, 3))
 @example([[0], [5, 3, 5]], HOLONOMY_NAMES, [0.5, -0.0, 1e308, 5e-324] * 6, 1)
@@ -152,9 +213,11 @@ def test_loop_rows_are_json_bytes(crossings, names, values, depth):
     plain = {"loops": loop_rows_plain(crossings, figures), "z": [1.0]}
     for _ in range(depth):  # rows nested deeper keep json's indent
         doc, plain = [doc], [plain]
-    text = json_text(plain)
-    assert fileio.canonical_json(doc) == text
-    assert fileio._text(doc, "\n") + "\n" == text  # not json's fallback
+    assert fileio.canonical_json(doc) == json_text(plain)
+    # written from the template at the rows' indent, not by json's fallback
+    pad = "\n" + "  " * (depth + 1)
+    want = json.dumps(loop_rows_plain(crossings, figures), sort_keys=True, indent=2)
+    assert fileio._loop_rows(fileio.LoopRows(crossings, figures), pad) == want.replace("\n", pad)
     # a loop with no crossings is left to json itself
     rows = fileio.LoopRows([*crossings, []], {name: [*v, 2.0] for name, v in figures.items()})
     assert fileio.canonical_json(rows) == json_text(rows.rows())
@@ -176,7 +239,7 @@ def placements(bad) -> dict:
         "top": (bad, bad),
         "value": ({"a": 1.0, "b": bad}, {"a": 1.0, "b": bad}),
         "floats": ([1.0, bad, 2.0], [1.0, bad, 2.0]),
-        "long-floats": ([0.5] * fileio.DEDUP_FROM + [bad], [0.5] * fileio.DEDUP_FROM + [bad]),
+        "long-floats": ([0.5] * 100 + [bad], [0.5] * 100 + [bad]),
         "mixed": ([1, "x", bad], [1, "x", bad]),
         "nested": ({"a": [[0.5], {"b": bad}]}, {"a": [[0.5], {"b": bad}]}),
         "loop-figure": ({"loops": loops}, {"loops": loop_rows_plain([[0, 4]], {"scale": [bad]})}),
@@ -197,6 +260,18 @@ REJECTED = [
 def test_what_json_rejects_raises_as_json(where, bad):
     doc, plain = placements(bad)[where]
     want = json_error(plain)
+    with pytest.raises(want[0]) as got:
+        fileio.canonical_json(doc)
+    assert str(got.value) == want[1]
+
+
+@pytest.mark.parametrize("first", ["loops", "set"])
+def test_errors_come_in_document_order(first):
+    # a loop figure json rejects and a value of no JSON type: the one
+    # json meets first names the error, as with the rows in place
+    values = {"loops": fileio.LoopRows([[0]], {"s": [math.nan]}), "set": {1, 2}}
+    doc = {"a": values[first], "b": values[({"loops", "set"} - {first}).pop()]}
+    want = json_error(with_rows(doc))
     with pytest.raises(want[0]) as got:
         fileio.canonical_json(doc)
     assert str(got.value) == want[1]

@@ -1,9 +1,11 @@
+import json
 import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from conftest import (
@@ -238,7 +240,7 @@ def assert_unbroken_report_matches_oracle(T):
     assert got.rank == want.rank == T.num_edges - s
     # the certificate lists no values, and its floor is below every
     # nonzero one the dense SVD finds
-    assert got.singular_values is None and "singular_values" not in got.to_dict()
+    assert "singular_values" not in got.to_dict()
     assert 0.0 < got.singular_value_floor
     assert all(got.singular_value_floor < v for v in want.singular_values[: got.rank])
 
@@ -323,17 +325,27 @@ def cutoff_pair_message(T, monkeypatch) -> str:
     return message
 
 
-def test_unbroken_rank_breaks_down_where_gram_cannot_resolve(
-    tmp_path, monkeypatch, capsys
-):
-    # the breakdown is exit 4 with one typed line
-    T = random_triangulation(20, seed=20)
-    message = cutoff_pair_message(T, monkeypatch)
-    path = tmp_path / "tri.json"
+def assert_forms_keeps_its_other_figures(T, path, capsys, err):
+    """Check forms on T's file: exit 4 with the one stderr line err, and
+    a document with every figure but unbroken_rank, which is null."""
     fileio.save(path, T)
     assert cli.main(["forms", str(path)]) == 4
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", f"NumericalBreakdown: {message}\n")
+    assert captured.err == err
+    doc = json.loads(captured.out)
+    assert doc["unbroken_rank"] is None
+    assert doc["census"]["faces"] == T.faces and doc["pullback_residual"] == 0.0
+    assert doc["rank"] == forms.rank_report(T).to_dict()
+
+
+def test_unbroken_rank_breaks_down_where_gram_cannot_resolve(
+    tmp_path, monkeypatch, capsys
+):
+    # the breakdown is exit 4 with one typed line, after the document
+    T = random_triangulation(20, seed=20)
+    message = cutoff_pair_message(T, monkeypatch)
+    err = f"NumericalBreakdown: {message}\n"
+    assert_forms_keeps_its_other_figures(T, tmp_path / "tri.json", capsys, err)
 
 
 @pytest.mark.parametrize(
@@ -442,7 +454,8 @@ def test_unbroken_rank_refuses_a_gram_matrix_past_its_limit(
     tmp_path, monkeypatch, capsys
 ):
     # valid input whose Gram matrix would pass the limit: one typed line
-    # and exit 4, before anything E x E is allocated
+    # and exit 4, before anything E x E is allocated, and the document
+    # with its other figures
     T = random_triangulation(20, seed=20)
     E = T.num_edges
     monkeypatch.setattr(forms, "MAX_GRAM_EDGES", E)
@@ -462,11 +475,8 @@ def test_unbroken_rank_refuses_a_gram_matrix_past_its_limit(
     )
     assert str(info.value) == message
     assert isinstance(info.value, NumericalBreakdown)
-    path = tmp_path / "tri.json"
-    fileio.save(path, T)
-    assert cli.main(["forms", str(path)]) == 4
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", f"MatrixTooLarge: {message}\n")
+    err = f"MatrixTooLarge: {message}\n"
+    assert_forms_keeps_its_other_figures(T, tmp_path / "tri.json", capsys, err)
 
 
 @pytest.mark.parametrize("faces", [2, 20])
@@ -477,7 +487,25 @@ def test_constrained_tangent_on_random_surfaces(faces):
     s = T.num_punctures
     assert report.num_constraints == s - 1
     assert report.tangent_dim == 3 * faces - s + 1
-    assert len(report.singular_values) == report.tangent_dim
+    # a floor exactly when something is counted, never above the norm
+    floor = report.singular_value_floor
+    assert (floor is None) == (report.rank == 0)
+    assert floor is None or 0.0 < floor <= forms._norm(forms.wp_form(T))
+
+
+def assert_floor_is_dense(report, sv, norm):
+    """Check a rank report against the descending singular values sv of
+    its dense matrix: the floor is the smallest value counted, to 1e-12,
+    the next is within the cutoff, and nothing counted means no floor.
+    """
+    rank = report.rank
+    if rank:
+        assert abs(report.singular_value_floor - sv[rank - 1]) <= 1e-12
+    else:
+        assert report.singular_value_floor is None
+    if rank < len(sv):
+        assert sv[rank] <= forms.RANK_CUTOFF * norm
+    assert report.to_dict()["singular_value_floor"] == report.singular_value_floor
 
 
 @pytest.mark.parametrize(
@@ -491,40 +519,56 @@ def test_constrained_rank_matches_dense_oracle(table_surface, make):
     got = forms.rank_report(T, H, constrained=True)
     want = oracle_constrained_rank(T, H)
     assert got.num_constraints == want.num_constraints
-    assert got.tangent_dim == want.tangent_dim
-    assert len(got.singular_values) == len(want.singular_values)
+    assert got.tangent_dim == want.tangent_dim == len(want.singular_values)
     assert got.rank == want.rank
-    assert np.allclose(got.singular_values, want.singular_values, rtol=0, atol=1e-12)
+    assert_floor_is_dense(got, want.singular_values, forms._norm(forms.wp_form(T)))
     if T.num_punctures == 1:
-        # no constraint: the restriction is the form itself
+        # no constraint: the restriction is the form itself, to the bit
         assert got.num_constraints == 0
-        assert np.allclose(
-            got.singular_values, forms.wp_form(T).singular_values(), rtol=0, atol=1e-12
-        )
+        whole = forms.rank_report(T)
+        assert (got.rank, got.singular_value_floor) == (whole.rank, whole.singular_value_floor)
 
 
 def test_constrained_rank_at_scale():
-    # no dense oracle at F = 2000: the list's squared sum is the squared
-    # Frobenius norm of the restriction (I - N^T N) Omega (I - N^T N),
-    # F |block|^2 - 2 |Omega N^T|^2 + |N Omega N^T|^2 for orthonormal N
+    # no dense 6000 x 6000 SVD at F = 2000.  The restriction
+    # R = (I - N^T N) Omega (I - N^T N), for the orthonormal constraint
+    # rows N, maps X = span(N, Omega N, M N), M the per-face mean, into
+    # itself and is Omega on X's complement, where Omega keeps its blocks.
+    # So R's values are those of R on X, from a pivoted QR basis of X,
+    # then 2F - rank(Omega on X) norms and zeros; their squared sum is
+    # R's squared Frobenius norm F |block|^2 - 2 |Omega N^T|^2 + |N Omega N^T|^2
     T = random_triangulation(2000, seed=1)
     H = samples.random_valid_structure(T, samples.rng(1))
     report = forms.rank_report(T, H, constrained=True)
     s = T.num_punctures
     assert report.num_constraints == s - 1
     assert report.tangent_dim == 3 * T.faces - s + 1
-    assert len(report.singular_values) == report.tangent_dim
     assert report.rank % 2 == 0
     rows = np.linalg.svd(forms._holonomy_jacobian(H), full_matrices=False)[2][: s - 1]
     block = forms.wp_form(T).block
-    moved = (rows.reshape(-1, 3) @ block.T).reshape(rows.shape)
-    want = (
-        T.faces * np.sum(block**2)
-        - 2.0 * np.sum(moved**2)
-        + np.sum((rows @ moved.T) ** 2)
-    )
-    got = np.sum(np.square(report.singular_values))
-    assert abs(got - want) <= 1e-12 * want
+    norm = forms._norm(forms.wp_form(T))
+
+    def omega(x):
+        return (x.reshape(len(x), -1, 3) @ block.T).reshape(x.shape)
+
+    means = np.repeat(rows.reshape(s - 1, -1, 3).mean(axis=2), 3, axis=1)
+    q, r, _ = scipy.linalg.qr(np.vstack((rows, omega(rows), means)).T, pivoting=True, mode="economic")
+    q = q[:, np.abs(np.diag(r)) > 1e-10 * abs(r[0, 0])].T
+    on_x = q @ omega(q).T
+    restricted = on_x - (q @ rows.T) @ (rows @ q.T) @ on_x
+    restricted -= restricted @ (q @ rows.T) @ (rows @ q.T)
+    full = 2 * T.faces - int(np.sum(np.linalg.svd(on_x, compute_uv=False) > 1e-8 * norm))
+    sv = np.concatenate((
+        np.full(full, norm),
+        np.linalg.svd(restricted, compute_uv=False),
+        np.zeros(3 * T.faces - full - len(q)),
+    ))
+    sv = np.sort(sv)[::-1][: report.tangent_dim]
+    assert report.rank == forms._rank(sv, norm)
+    assert_floor_is_dense(report, sv, norm)
+    moved = omega(rows)
+    want = T.faces * np.sum(block**2) - 2.0 * np.sum(moved**2) + np.sum((rows @ moved.T) ** 2)
+    assert abs(np.sum(sv**2) - want) <= 1e-12 * want
 
 
 def test_constrained_rank_rejects_another_gluing():
@@ -555,17 +599,18 @@ def test_constrained_rank_of_vanishing_restriction():
     for seed in range(3):
         H = samples.random_valid_structure(T, samples.rng(seed))
         report = forms.rank_report(T, H, constrained=True)
-        assert max(report.singular_values) <= 1e-12
-        assert report.rank == 0
+        want = oracle_constrained_rank(T, H).singular_values
+        assert max(want) <= 1e-12
+        assert report.rank == 0 and report.to_dict()["singular_value_floor"] is None
+        assert_floor_is_dense(report, want, forms._norm(forms.wp_form(T)))
 
 
 def test_block_reports_match_dense_matrices():
     T = random_triangulation(20, seed=20)
     form = forms.wp_form(T)
     matrix = dense(form)
-    assert np.allclose(
-        form.singular_values(), np.linalg.svd(matrix, compute_uv=False), atol=1e-12
-    )
+    norm = forms._norm(form)
+    assert_floor_is_dense(forms.rank_report(T), np.linalg.svd(matrix, compute_uv=False), norm)
     gen = samples.rng(5)
     u = gen.standard_normal(60)
     v = gen.standard_normal(60)
@@ -586,7 +631,7 @@ def test_block_reports_match_dense_matrices():
     report = forms.rank_report(T, H, constrained=True)
     null = np.linalg.svd(forms._holonomy_jacobian(H))[2][report.num_constraints:].T
     want = np.linalg.svd(null.T @ matrix @ null, compute_uv=False)
-    assert np.allclose(report.singular_values, want, atol=1e-12)
+    assert_floor_is_dense(report, want, norm)
 
 
 def test_holonomy_jacobian_matches_central_differences():
