@@ -4,6 +4,7 @@ punctured surfaces: coordinates, two-forms, and developing maps."""
 from .develop import (
     DeckCandidates,
     DevelopedBall,
+    DevelopedLift,
     DevelopedNode,
     DevelopedNodes,
     DevelopedPaths,

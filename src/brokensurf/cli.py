@@ -112,7 +112,8 @@ def _emit(doc, out: str | None) -> None:
 def _load(path: str):
     try:
         return fileio.load(path)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    # json.load raises RecursionError on nesting deeper than the stack
+    except (OSError, json.JSONDecodeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     except GeometryError as exc:

@@ -20,12 +20,13 @@ of its parents' apex, head and tail vertices (3, 3, m), multiply-adds
 and the drift gate on (3, m) and (m,) rows, and the fresh vertices
 written as one block of columns.  ball.vertices is that table's
 transpose.  Node i's lift is vertices[corner[i]].  ball.nodes, the same
-ball as DevelopedNode objects whose points are tuples of float tuples,
-is a lazy view, DevelopedNodes: an index builds one node, iteration
-builds them in one batch pass, and the ball keeps none of them.
-deck_candidates reads a ball's base repeats off the same columns and
-returns them as stacked arrays, DeckCandidates.  tile_separation keeps
-each tile's Klein geometry by the identity of its lift.
+ball as DevelopedNode objects whose points are DevelopedLifts (tuples
+of float tuples), is a lazy view, DevelopedNodes: iteration builds a
+range's nodes in one batch pass, an index is a one-node pass, and the
+ball keeps none of them.  deck_candidates reads a ball's base repeats
+off the same columns and returns them as stacked arrays,
+DeckCandidates.  tile_separation keeps each tile's Klein geometry on
+its DevelopedLift, so it lives exactly as long as the lift.
 
 A single path is a sequence of crossings, each the flat index 3f+s of
 the near pair (f, s) it crosses.  _develop_along walks it scalar, one
@@ -51,7 +52,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -69,10 +70,6 @@ from .triangulation import (
 
 # A renormalized light-cone point should never wander this far off cone.
 DRIFT_BOUND = 1e-10
-
-# Lifts whose Klein geometry tile_separation keeps, first in first out:
-# a depth-10 ball's worth.
-TILE_CACHE_SIZE = 4096
 
 _J = np.diag([1.0, 1.0, -1.0])
 
@@ -92,6 +89,15 @@ def _start_lift(H: DecoratedBrokenHyperbolic, face: int) -> np.ndarray:
     return lift
 
 
+class DevelopedLift(tuple):
+    """A developed lift: three (x, y, z) float tuples, one per corner.
+
+    Equal to, hashed and unpacked like the plain tuple; it differs only
+    in keeping its tile's Klein geometry, as .tile, once tile_separation
+    has measured it.
+    """
+
+
 @dataclass(frozen=True, slots=True)
 class DevelopedNode:
     index: int
@@ -99,7 +105,7 @@ class DevelopedNode:
     depth: int
     parent: int | None
     entry_slot: int | None
-    points: tuple  # three (x, y, z) float tuples
+    points: DevelopedLift
     scale: float
     drift: float
 
@@ -118,12 +124,10 @@ class DevelopedBall(UnfoldedBall):
     scale: np.ndarray
     drift: np.ndarray
 
-    @cached_property
+    @property
     def nodes(self) -> DevelopedNodes:
         """The ball as DevelopedNode objects: a lazy view, DevelopedNodes."""
-        # the view reads a twin of this ball, the same arrays: holding the
-        # ball itself would close a cycle that only the cyclic collector frees
-        return DevelopedNodes(replace(self), range(len(self.face)))
+        return DevelopedNodes(self, range(len(self.face)))
 
     def max_drift(self) -> float:
         return float(self.drift.max())
@@ -133,11 +137,11 @@ class DevelopedNodes(Sequence):
     """A developed ball's nodes as DevelopedNode objects, built when read.
 
     A read-only sequence over a range of the ball's nodes that keeps no
-    node: len() builds nothing, an index builds that one node from the
-    vertices at its three corners, and a slice is a view over its range.
-    Iteration builds the range's nodes in one pass over the columns, and
-    nodes of one pass that meet at a vertex share its (x, y, z) tuple.
-    The root has None for parent and entry slot.
+    node: len() builds nothing and a slice is a view over its range.
+    Iteration builds the range's nodes in one pass over the columns, each
+    node's points a DevelopedLift, and nodes of one pass that meet at a
+    vertex share its (x, y, z) tuple; an index is a one-node pass.  The
+    root has None for parent and entry slot.
     """
 
     __slots__ = ("_ball", "_span")
@@ -155,17 +159,7 @@ class DevelopedNodes(Sequence):
             i = self._span[operator.index(i)]
         except IndexError:
             raise IndexError("node index out of range") from None
-        b, root = self._ball, i == 0
-        return DevelopedNode(
-            i,
-            b.face.item(i),
-            int(b.levels.searchsorted(i, "right")) - 1,
-            None if root else b.parent.item(i),
-            None if root else b.entry_slot.item(i),
-            tuple(map(tuple, b.vertices[b.corner[i]].tolist())),
-            b.scale.item(i),
-            b.drift.item(i),
-        )
+        return next(iter(DevelopedNodes(self._ball, range(i, i + 1))))
 
     def __iter__(self):
         b, span = self._ball, self._span
@@ -173,7 +167,7 @@ class DevelopedNodes(Sequence):
         # one tuple per vertex the range meets, shared by its nodes
         used, at = np.unique(b.corner[idx], return_inverse=True)
         cone = np.fromiter(zip(*b.vertices[used].T.tolist()), object, len(used))
-        lifts = map(tuple, cone[at.reshape(-1, 3)].tolist())
+        lifts = map(DevelopedLift, cone[at.reshape(-1, 3)].tolist())
         parent, entry_slot = b.parent[idx].tolist(), b.entry_slot[idx].tolist()
         if 0 in span:
             root = span.index(0)
@@ -240,8 +234,9 @@ def _develop_along(H: DecoratedBrokenHyperbolic, crossings, lifts: dict):
     first face's own (3, 3) lift, the developed lift of the face the
     last crossing enters, the running scale there and that face's index.
     lifts maps a face to its start lift and that lift's points as
-    tuples; a face it lacks is solved and added.  The crossings are trusted: each must be in range and leave the face the
-    previous one entered, as check_loops and T.cycle_crossings ensure.
+    tuples; a face it lacks is solved and added.  The crossings are
+    trusted: each must be in range and leave the face the previous one
+    entered, as check_loops and T.cycle_crossings ensure.
 
     Crossing 3f+s glues to far = 3g+k2.  The fresh corner is the
     combination x*tail + y*head + t*apex of the near lift's corners,
@@ -475,19 +470,12 @@ def _tile_geometry(points):
     return (x0, y0, x1, y1, x2, y2), tuple(axes)
 
 
-# id(points): (points, vertices, axes), at most TILE_CACHE_SIZE lifts, first
-# in first out; an entry holds its lift, so no other object takes its id
-_tiles = {}
-
-
 def _tile(points):
-    """The (points, vertices, axes) entry of a lift, computed and kept."""
-    hash(points)  # an unhashable lift raises TypeError and is never kept
-    entry = (points, *_tile_geometry(points))
-    if len(_tiles) >= TILE_CACHE_SIZE:
-        del _tiles[next(iter(_tiles))]
-    _tiles[id(points)] = entry
-    return entry
+    """_tile_geometry(points), kept as points.tile if points is a DevelopedLift."""
+    tile = _tile_geometry(points)
+    if isinstance(points, DevelopedLift):
+        points.tile = tile
+    return tile
 
 
 def tile_separation(points_a, points_b) -> float:
@@ -498,49 +486,38 @@ def tile_separation(points_a, points_b) -> float:
     interiors exactly when the flat triangles do.  Returns the smallest
     axis overlap: <= 0 means disjoint interiors (0 for tiles sharing an
     edge), > 0 means genuine overlap of that depth.  Edges of zero
-    length give no axis.  Both lifts are developed lifts, tuples of three
-    (x, y, z) float tuples like DevelopedNode.points.  The per-tile
-    geometry is kept by the lift's identity, not its value, so a sweep
-    over all pairs of n lifts builds it n times, not n^2; an equal but
-    distinct lift builds it again, to the same bits.
+    length give no axis.  A lift is any triple of (x, y, z) float
+    triples.  Each tile's geometry is read from lift.tile, and a
+    DevelopedLift, like DevelopedNode.points, keeps it there once
+    measured, so a sweep over all pairs of n such lifts builds it n
+    times, not n^2, and it lives exactly as long as its lift.  Any other
+    triple is measured afresh on every call, to the same bits, and keeps
+    nothing.
     """
-    a = _tiles.get(id(points_a))
-    if a is None or a[0] is not points_a:
-        a = _tile(points_a)
-    b = _tiles.get(id(points_b))
-    if b is None or b[0] is not points_b:
-        b = _tile(points_b)
-    _, (ax0, ay0, ax1, ay1, ax2, ay2), axes_a = a
-    _, (bx0, by0, bx1, by1, bx2, by2), axes_b = b
+    try:
+        vertices_a, axes_a = points_a.tile
+    except AttributeError:
+        vertices_a, axes_a = _tile(points_a)
+    try:
+        vertices_b, axes_b = points_b.tile
+    except AttributeError:
+        vertices_b, axes_b = _tile(points_b)
     best = math.inf
-    # tile a's own axes against tile b's three vertices
-    for nx, ny, lo, hi in axes_a:
-        p0, p1, p2 = nx * bx0 + ny * by0, nx * bx1 + ny * by1, nx * bx2 + ny * by2
-        if p0 < p1:
-            other_lo, other_hi = p0, p1
-        else:
-            other_lo, other_hi = p1, p0
-        if p2 < other_lo:
-            other_lo = p2
-        elif p2 > other_hi:
-            other_hi = p2
-        overlap = (hi if hi < other_hi else other_hi) - (lo if lo > other_lo else other_lo)
-        if overlap < best:
-            best = overlap
-    # then tile b's against tile a's
-    for nx, ny, lo, hi in axes_b:
-        p0, p1, p2 = nx * ax0 + ny * ay0, nx * ax1 + ny * ay1, nx * ax2 + ny * ay2
-        if p0 < p1:
-            other_lo, other_hi = p0, p1
-        else:
-            other_lo, other_hi = p1, p0
-        if p2 < other_lo:
-            other_lo = p2
-        elif p2 > other_hi:
-            other_hi = p2
-        overlap = (hi if hi < other_hi else other_hi) - (lo if lo > other_lo else other_lo)
-        if overlap < best:
-            best = overlap
+    # tile a's own axes against tile b's three vertices, then b's against a's
+    for (x0, y0, x1, y1, x2, y2), axes in ((vertices_b, axes_a), (vertices_a, axes_b)):
+        for nx, ny, lo, hi in axes:
+            p0, p1, p2 = nx * x0 + ny * y0, nx * x1 + ny * y1, nx * x2 + ny * y2
+            if p0 < p1:
+                other_lo, other_hi = p0, p1
+            else:
+                other_lo, other_hi = p1, p0
+            if p2 < other_lo:
+                other_lo = p2
+            elif p2 > other_hi:
+                other_hi = p2
+            overlap = (hi if hi < other_hi else other_hi) - (lo if lo > other_lo else other_lo)
+            if overlap < best:
+                best = overlap
     return best
 
 

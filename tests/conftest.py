@@ -473,6 +473,33 @@ def oracle_path_holonomy(H, loop) -> tuple:
     return m, scale, *oracle_residuals(m, scale)
 
 
+def exact_traces(T, loops) -> list:
+    """Each loop's holonomy trace on a constant-lambda structure, in Python ints.
+
+    Every Fock shear is log 1 = 0 there, so a loop's SL(2, R) holonomy
+    is the product of one turn matrix a crossing: [[1, 1], [0, 1]] when
+    the next crossing leaves the far face by the slot after the one it
+    entered by (far pair 3g+k2, next 3g+(k2+1)), else [[1, 0], [1, 1]].
+    A spur at the closing point (partner[last] == first) is stripped,
+    both crossings, before the turns are read.  The sign of the trace
+    is that of this lift; only its absolute value is the holonomy's.
+    """
+    partner = T.partner.ravel().tolist()
+    traces = []
+    for loop in map(list, loops):
+        while loop and partner[loop[-1]] == loop[0]:
+            loop = loop[1:-1]
+        a, b, c, d = 1, 0, 0, 1
+        for here, onward in zip(loop, loop[1:] + loop[:1]):
+            far = partner[here]
+            if onward == far - far % 3 + (far + 1) % 3:
+                b, d = a + b, c + d  # times [[1, 1], [0, 1]]
+            else:
+                a, c = a + b, c + d  # times [[1, 0], [1, 1]]
+        traces.append(a + d)
+    return traces
+
+
 def oracle_residuals(m, scale: float) -> tuple[float, float]:
     """(lorentz, backward) residual of one (3, 3) matrix, squares by Python pow."""
     J = np.diag([1.0, 1.0, -1.0])

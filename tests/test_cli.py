@@ -302,6 +302,24 @@ def test_named_triangulation_cycle_is_not_followed(tmp_path, table, cycle, capsy
     assert capsys.readouterr().err == f"cannot read {path}: {message}\n"
 
 
+@pytest.mark.parametrize("kind", ["array", "gluing", "named"])
+def test_deeply_nested_json_is_unusable_input(tmp_path, kind):
+    # json.load used to let RecursionError escape: a traceback, not exit 1
+    deep = "[" * 100000 + "]" * 100000
+    tri = tmp_path / "tri.json"
+    tri.write_text('{"faces": 2, "gluing": ' + "[" * 5000 + "]" * 5000 + "}", encoding="utf-8")
+    path = {"array": tmp_path / "deep.json", "gluing": tri, "named": tmp_path / "named.json"}[kind]
+    if kind == "array":
+        path.write_text(deep, encoding="utf-8")
+    elif kind == "named":
+        doc = {"triangulation": "tri.json", "lambda": dict.fromkeys(KEYS, 2.0)}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    result = run_subprocess(["validate", str(path)])
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr.startswith(f"cannot read {path}: maximum recursion depth exceeded")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("text", ["1e400", "-1e400", "Infinity", "NaN"])
 def test_nonfinite_lambda_is_named_not_finite(tmp_path, torus, text, capsys):
     # json reads 1e400 as inf; these used to read "must be positive"

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import time
+import tracemalloc
 import weakref
 from functools import partial
 
@@ -13,6 +14,7 @@ import pytest
 
 from conftest import (
     drift_overflow_torus,
+    exact_traces,
     json_text,
     mixed_scale_torus,
     oracle_ball_dict,
@@ -29,8 +31,8 @@ from conftest import (
 from brokensurf import fileio, minkowski, render, samples
 from brokensurf.develop import (
     DRIFT_BOUND,
-    TILE_CACHE_SIZE,
     DevelopedBall,
+    DevelopedLift,
     DevelopedNodes,
     DevelopedPaths,
     PathHolonomy,
@@ -54,13 +56,15 @@ def bits(x) -> str:
 def node_fields(nodes):
     """Every field of every node: the others as they are, the floats' bits.
 
-    The float fields must be Python floats in tuples, the others Python
+    The float fields must be Python floats, each point a tuple in a
+    DevelopedLift or (the oracle's) a plain tuple; the others Python
     ints or None.
     """
     rest = [(n.index, n.face, n.depth, n.parent, n.entry_slot) for n in nodes]
     assert {type(v) for row in rest for v in row} <= {int, type(None)}
     floats = [(*(c for p in n.points for c in p), n.scale, n.drift) for n in nodes]
-    assert {type(n.points) for n in nodes} | {type(p) for n in nodes for p in n.points} == {tuple}
+    assert {type(n.points) for n in nodes} <= {DevelopedLift, tuple}
+    assert {type(p) for n in nodes for p in n.points} <= {tuple}
     assert {type(v) for row in floats for v in row} == {float}
     return rest, np.array(floats).view(np.int64).tolist()
 
@@ -545,6 +549,28 @@ def test_cusp_closure_measures_lambda_holonomy(sphere, gen):
         assert res == pytest.approx(want, rel=1e-10, abs=1e-13)
 
 
+@pytest.mark.parametrize("name", ["torus", "sphere", 20, 200])
+def test_constant_lambda_traces_are_exact(request, name):
+    # on one lambda everywhere every shear is 0 and each loop's holonomy
+    # is an integer matrix: sqrt(tr M / scale + 1) is its |trace| t.  Each
+    # of a loop's n crossings rounds the frame by about eps max|M|, so the
+    # three diagonal entries put tr M off by about 3 n eps max|M| and the
+    # square root by that over 2 |t| scale; the bound rounds 3/2 up to 2
+    T = surface(request, name)
+    H = constant_structure(T, 2.0)
+    for which in ("basis", "punctures"):
+        loops = dual_loops(T, which)
+        want = np.abs(exact_traces(T, loops))
+        hol = DevelopedPaths(H).holonomies(loops)
+        got = np.sqrt(np.trace(hol.matrix, axis1=1, axis2=2) / hol.scale + 1)
+        n = np.array([len(loop) for loop in loops])
+        bound = 2 * n * EPS * np.abs(hol.matrix).max(axis=(1, 2)) / (hol.scale * want)
+        assert (np.abs(got - want) <= bound).all()
+    assert want.tolist() == [2] * T.num_punctures  # parabolic
+    if name == "torus":
+        assert exact_traces(T, dual_loops(T, "basis")) == [3, 3]
+
+
 def oracle_tile_separation(points_a, points_b) -> float:
     """Per-pair separating-axis margin: both tiles recomputed for every pair."""
 
@@ -607,50 +633,50 @@ def test_tile_separation_matches_oracle(request, surface, kind):
 
 
 def test_tile_separation_cold_and_warm_sweeps_agree(torus):
-    # tiles are kept by the identity of their lift: a cold sweep builds
-    # each tile once, a warm one reads them back, and a lift that is
-    # equal but not the same builds its tile again, to the same bits
-    tiles = importlib.import_module("brokensurf.develop")._tiles
+    # a cold sweep measures each DevelopedLift once and keeps its tile on
+    # it, a warm one reads them back, and plain-tuple copies are measured
+    # afresh on every call, keep nothing and give the same bits
     H = samples.random_boxed_structure(torus, samples.rng(4))
     points = [n.points for n in develop(H, depth=4).nodes]
-    tiles.clear()
+    assert {type(p) for p in points} == {DevelopedLift}
+    assert not any(vars(p) for p in points)
     cold = _sweep(points)
-    assert len(tiles) == len(points)
+    assert all(set(vars(p)) == {"tile"} for p in points)
     assert bits(_sweep(points)) == bits(cold)
     copies = [tuple(tuple([*p]) for p in lift) for lift in points]
-    assert copies == points and not any(c is p for c, p in zip(copies, points))
+    assert copies == points and {type(c) for c in copies} == {tuple}
     assert bits(_sweep(copies)) == bits(cold)
+    assert max(abs(g - w) for g, w in zip(cold, _sweep(copies, oracle_tile_separation))) <= 4e-15
 
 
-def test_tile_cache_evicts_and_survives_id_reuse(torus):
-    # more distinct lifts than the cache keeps, each dropped after its
-    # pair: evicted lifts are freed and their ids handed to fresh ones
-    tiles = importlib.import_module("brokensurf.develop")._tiles
-    H = samples.random_boxed_structure(torus, samples.rng(5))
-    points = [n.points for n in develop(H, depth=4).nodes]
-    n = len(points)
-    seen, reused = set(), 0
-    for k in range(TILE_CACHE_SIZE + 500):
-        i, j = k % n, (7 * k + 1) % n
-        a, b = (tuple(tuple([*p]) for p in points[m]) for m in (i, j))
-        reused += len({id(a), id(b)} & seen)
-        seen |= {id(a), id(b)}
-        got = tile_separation(a, b)
-        assert bits(got) == bits(tile_separation(points[i], points[j]))
-        assert got == pytest.approx(oracle_tile_separation(a, b), abs=4e-15)
-        assert len(tiles) <= TILE_CACHE_SIZE
-    assert reused
+def test_tile_geometry_lives_with_its_lifts(torus):
+    # a deep ball's lifts swept against one lift, then dropped: no tile
+    # geometry outlives them
+    H = constant_structure(torus, 2.0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ball = develop(H, 0, 10)
+        lifts = [n.points for n in ball.nodes]
+        for lift in lifts:
+            tile_separation(lift, lifts[0])
+        del ball, lifts, lift
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 0.1e6
 
 
-def test_tile_separation_rejects_unhashable_lifts(torus):
-    tiles = importlib.import_module("brokensurf.develop")._tiles
+def test_tile_separation_measures_unhashable_lifts(torus):
+    # a triple holding a list is measured, not refused, and keeps nothing
     nodes = develop(constant_structure(torus, 2.0), depth=1).nodes
     good, other = nodes[0].points, nodes[1].points
     bad = (list(good[0]), good[1], good[2])
-    for pair in [(bad, other), (other, bad)]:
-        with pytest.raises(TypeError):
-            tile_separation(*pair)
-    assert id(bad) not in tiles
+    for x, y in [(bad, other), (other, bad), (bad, bad)]:
+        assert tile_separation(x, y) == pytest.approx(oracle_tile_separation(x, y), abs=4e-15)
+    assert bits(tile_separation(bad, other)) == bits(tile_separation(good, other))
 
 
 def test_tile_with_collapsed_edge():
@@ -769,7 +795,7 @@ def test_ball_arrays_are_read_only(torus, gen):
     for name in names:
         with pytest.raises(ValueError):
             getattr(ball, name)[0] = 0
-    assert ball.nodes is ball.nodes  # one view
+    assert node_fields(ball.nodes) == node_fields(ball.nodes)  # two reads, one ball
     # within one pass, a child shares the two points of its entry edge
     # with its parent
     nodes = tuple(ball.nodes)
@@ -841,18 +867,14 @@ def test_ball_keeps_no_node(torus):
     ball = develop(samples.random_boxed_structure(torus, samples.rng(8)), 0, 6)
     list(ball.nodes)
     fields = {f.name for f in dataclasses.fields(DevelopedBall)}
-    assert set(vars(ball)) - fields == {"nodes"}
-    view = vars(ball)["nodes"]
+    assert set(vars(ball)) == fields
+    assert {type(v) for v in vars(ball).values()} <= {int, np.ndarray}
+    # a view holds its ball and a range, nothing else
+    view = ball.nodes
     assert isinstance(view, DevelopedNodes)
-    # the view reads a twin of the ball: the same arrays, no view of its own
     held = [r for r in gc.get_referents(view) if r is not DevelopedNodes]
     assert sorted(type(r).__name__ for r in held) == ["DevelopedBall", "range"]
-    (twin,) = [r for r in held if isinstance(r, DevelopedBall)]
-    for holder in (ball, twin):
-        kept = [v for k, v in vars(holder).items() if k != "nodes"]
-        assert {type(v) for v in kept} <= {int, np.ndarray}
-    assert "nodes" not in vars(twin)
-    assert all(getattr(twin, name) is getattr(ball, name) for name in fields)
+    assert any(r is ball for r in held)
 
 
 def test_dropped_ball_is_freed_without_the_cyclic_collector(torus):
